@@ -54,23 +54,6 @@ class ControllerConfig:
     track_turn_cap: float = 2.0  # rad/s
     target_lookahead: float = 0.3  # m, advance along the path when tracking
 
-    def to_dict(self) -> dict:
-        return {
-            "heading_gain": self.heading_gain,
-            "cruise_speed": self.cruise_speed,
-            "evade_turn_rate": self.evade_turn_rate,
-            "exit_margin": self.exit_margin,
-            "track_turn_cap": self.track_turn_cap,
-            "target_lookahead": self.target_lookahead,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ControllerConfig":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown controller config keys: {sorted(unknown)}")
-        return cls(**data)
-
 
 class SafeController:
     """Stateful evade/track controller; call with (robot, obstacle)."""

@@ -40,7 +40,6 @@ __all__ = [
     "infront",
     "infront_margin",
     "classify_encounter",
-    "evade_sign",
     "delta_theta",
     "evade",
     "perform",
@@ -48,6 +47,7 @@ __all__ = [
     "reward",
     "observe",
     "closest_point_on_segment",
+    "require_zero_offset",
     "sample_obstacle",
     "safety_formula",
     "safety_predicates",
@@ -138,41 +138,6 @@ class TaskConfig:
             raise ValueError("invalid obstacle speed range")
         object.__setattr__(self, "obstacle_speed_range", (float(lo), float(hi)))
 
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "k_max": self.k_max,
-            "danger_radius": self.danger_radius,
-            "lookahead": self.lookahead,
-            "start": list(self.start),
-            "goal": list(self.goal),
-            "goal_radius": self.goal_radius,
-            "arena": self.arena.to_dict(),
-            "v_min": self.v_min,
-            "v_max": self.v_max,
-            "omega_max": self.omega_max,
-            "evade_rate_bound": self.evade_rate_bound,
-            "evade_angle_tol": self.evade_angle_tol,
-            "evade_rate_tol": self.evade_rate_tol,
-            "r_diff": self.r_diff,
-            "obstacle_region": self.obstacle_region.to_dict(),
-            "obstacle_speed_range": list(self.obstacle_speed_range),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskConfig":
-        kwargs = dict(data)
-        for key in ("arena", "obstacle_region"):
-            if key in kwargs and isinstance(kwargs[key], dict):
-                kwargs[key] = IntervalBox.from_dict(kwargs[key])
-        for key in ("start", "goal", "obstacle_speed_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown task config keys: {sorted(unknown)}")
-        return cls(**kwargs)
-
 
 # ---------------------------------------------------------------------------
 # Geometry and dynamics
@@ -255,11 +220,6 @@ def classify_encounter(r: RobotState, o: ObstacleState) -> tuple[int, int]:
     else:
         case = 3 if plus_side else 4
     return case, (1 if case in (1, 3) else -1)
-
-
-def evade_sign(r: RobotState, o: ObstacleState) -> int:
-    """Required turn direction for the current encounter (+1 or -1)."""
-    return classify_encounter(r, o)[1]
 
 
 def delta_theta(theta_r: float, sign: int, theta_path: float) -> float:
@@ -466,6 +426,13 @@ def sample_obstacle(cfg: TaskConfig, rng: np.random.Generator) -> ObstacleState:
             return ObstacleState(float(pos[0]), float(pos[1]), theta, speed)
 
 
+def require_zero_offset(mask: IntervalBox) -> None:
+    """Raise ``ValueError`` unless the action box admits the zero offset, so
+    the unmodified safe control is always available to a masked agent."""
+    if not mask.contains(np.zeros(mask.dim)):
+        raise ValueError("action mask box must contain the zero offset")
+
+
 class EvasionEnv:
     """Closed-loop episode runner.
 
@@ -483,6 +450,8 @@ class EvasionEnv:
         controller_factory: Callable[[], Callable],
         mask: IntervalBox | None = None,
     ):
+        if mask is not None:
+            require_zero_offset(mask)
         self.cfg = cfg
         self.controller_factory = controller_factory
         self.mask = mask

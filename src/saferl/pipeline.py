@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,9 +63,6 @@ __all__ = [
     "run_histogram",
 ]
 
-OBSTACLE_LABELS = ("obstacle_x", "obstacle_y", "obstacle_theta", "obstacle_v")
-
-
 class PipelineError(RuntimeError):
     """Configuration or stage-ordering problem."""
 
@@ -81,14 +79,6 @@ class VerifyConfig:
     seed: int = 2024
     jobs: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "jobs": self.jobs,
-        }
-
 
 def _default_e_init() -> IntervalBox:
     return IntervalBox([-2e-4, -5e-3], [2e-4, 5e-3])
@@ -101,14 +91,6 @@ class ExpandConfig:
     max_iters: int = 100
     seed: int = 2024
 
-    def to_dict(self) -> dict:
-        return {
-            "e_init": self.e_init.to_dict(),
-            "delta_f": list(self.delta_f),
-            "max_iters": self.max_iters,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -117,15 +99,6 @@ class TrainingConfig:
     auto_scale_reward: bool = True
     reward_target: float = 5.0
     pilot_episodes: int = 20
-
-    def to_dict(self) -> dict:
-        return {
-            "ppo": self.ppo.to_dict(),
-            "seed": self.seed,
-            "auto_scale_reward": self.auto_scale_reward,
-            "reward_target": self.reward_target,
-            "pilot_episodes": self.pilot_episodes,
-        }
 
 
 @dataclass(frozen=True)
@@ -137,27 +110,12 @@ class HistogramBenchmark:
     safe_mean: float = 0.76
     safe_std: float = 0.35
 
-    def to_dict(self) -> dict:
-        return {
-            "agent_mean": self.agent_mean,
-            "agent_std": self.agent_std,
-            "safe_mean": self.safe_mean,
-            "safe_std": self.safe_std,
-        }
-
 
 @dataclass(frozen=True)
 class HistogramConfig:
     n_samples: int = 200
     seed: int = 31
     benchmark: HistogramBenchmark = field(default_factory=HistogramBenchmark)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "benchmark": self.benchmark.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -175,57 +133,50 @@ def default_config() -> PipelineConfig:
     return PipelineConfig()
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "task": cfg.task.to_dict(),
-        "controller": cfg.controller.to_dict(),
-        "verification": cfg.verification.to_dict(),
-        "expansion": cfg.expansion.to_dict(),
-        "training": cfg.training.to_dict(),
-        "histogram": cfg.histogram.to_dict(),
-        "output_dir": cfg.output_dir,
-    }
+def config_to_dict(obj) -> dict:
+    """JSON form of a config dataclass, recursing into nested configs.
+
+    This and :func:`config_from_dict` are the only definition of the config
+    file format, so the manifests and ``config_sha256`` see every field.
+    """
+    if isinstance(obj, IntervalBox):
+        return obj.to_dict()
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
-def _from_dict(cls, data: dict):
-    unknown = set(data) - {f for f in cls.__dataclass_fields__}
+def config_from_dict(data, cls=PipelineConfig):
+    """Inverse of :func:`config_to_dict`; missing keys take their defaults.
+
+    Raises :class:`PipelineError` when ``data`` or a nested section is not a
+    JSON object or holds a key the dataclass does not define.
+    """
+    if not isinstance(data, dict):
+        raise PipelineError(
+            f"{cls.__name__} must be a JSON object, not {type(data).__name__}"
+        )
+    if cls is IntervalBox:
+        return IntervalBox.from_dict(data)
+    hints = get_type_hints(cls)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise PipelineError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**data)
-
-
-def config_from_dict(data: dict) -> PipelineConfig:
-    data = dict(data)
-    unknown = set(data) - {f for f in PipelineConfig.__dataclass_fields__}
-    if unknown:
-        raise PipelineError(f"unknown config sections: {sorted(unknown)}")
     kwargs = {}
-    if "task" in data:
-        kwargs["task"] = TaskConfig.from_dict(data["task"])
-    if "controller" in data:
-        kwargs["controller"] = ControllerConfig.from_dict(data["controller"])
-    if "verification" in data:
-        kwargs["verification"] = _from_dict(VerifyConfig, data["verification"])
-    if "expansion" in data:
-        exp = dict(data["expansion"])
-        if "e_init" in exp:
-            exp["e_init"] = IntervalBox.from_dict(exp["e_init"])
-        if "delta_f" in exp:
-            exp["delta_f"] = tuple(exp["delta_f"])
-        kwargs["expansion"] = _from_dict(ExpandConfig, exp)
-    if "training" in data:
-        tr = dict(data["training"])
-        if "ppo" in tr:
-            tr["ppo"] = PpoConfig.from_dict(tr["ppo"])
-        kwargs["training"] = _from_dict(TrainingConfig, tr)
-    if "histogram" in data:
-        hist = dict(data["histogram"])
-        if "benchmark" in hist:
-            hist["benchmark"] = _from_dict(HistogramBenchmark, hist["benchmark"])
-        kwargs["histogram"] = _from_dict(HistogramConfig, hist)
-    if "output_dir" in data:
-        kwargs["output_dir"] = data["output_dir"]
-    return PipelineConfig(**kwargs)
+    for key, value in data.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = config_from_dict(value, hint)
+        elif get_origin(hint) is tuple:
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def load_config(path) -> PipelineConfig:
@@ -329,7 +280,7 @@ def run_verify_safe(
     report_path = out / "verify_safe_report.json"
     samples_path = out / "verify_safe_samples.csv"
     write_report_json(report, report_path)
-    write_samples_csv(report, samples_path, OBSTACLE_LABELS)
+    write_samples_csv(report, samples_path, EvasionSource.initial_labels)
     extra = out / "verify_safe_expansion.json"
     _write_json(extra, {"expansion": expansion.to_dict(), "rho_star": report.rho_star})
     manifest = _write_manifest(
@@ -490,7 +441,7 @@ def run_train(
         policy_path,
         meta={
             "mask": box.to_dict(),
-            "ppo": ppo_cfg.to_dict(),
+            "ppo": config_to_dict(ppo_cfg),
             "train_seed": used_seed,
             "r_diff": task.r_diff,
             "eval": {
@@ -570,7 +521,7 @@ def run_verify_agent(
     report_path = out / "verify_agent_report.json"
     samples_path = out / "verify_agent_samples.csv"
     write_report_json(report, report_path)
-    write_samples_csv(report, samples_path, OBSTACLE_LABELS)
+    write_samples_csv(report, samples_path, EvasionSource.initial_labels)
     manifest = _write_manifest(
         out,
         "verify_agent",
@@ -630,10 +581,10 @@ def run_histogram(
     artifacts = []
     for name, report in runs.items():
         path = out / f"histogram_{name}.csv"
-        write_samples_csv(report, path, OBSTACLE_LABELS)
+        write_samples_csv(report, path, EvasionSource.initial_labels)
         artifacts.append(path.name)
     summary = {name: summarize(report) for name, report in runs.items()}
-    summary["benchmark"] = cfg.histogram.benchmark.to_dict()
+    summary["benchmark"] = config_to_dict(cfg.histogram.benchmark)
     summary_path = out / "histogram_summary.json"
     _write_json(summary_path, summary)
     artifacts.append(summary_path.name)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .boxes import IntervalBox
-from .evasion import observe
+from .evasion import observe, require_zero_offset
 from .mlp import (
     Adam,
     DenseNet,
@@ -38,7 +38,6 @@ from .mlp import (
 __all__ = [
     "PpoConfig",
     "PolicyParams",
-    "ActionMask",
     "RolloutBuffer",
     "PolicyLoadError",
     "init_policy",
@@ -83,37 +82,6 @@ class PpoConfig:
     log_std_max: float = 1.0
     eval_episodes: int = 50
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden": list(self.hidden),
-            "steps": self.steps,
-            "n_steps": self.n_steps,
-            "minibatch_size": self.minibatch_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "gamma": self.gamma,
-            "gae_lambda": self.gae_lambda,
-            "clip_range": self.clip_range,
-            "vf_coef": self.vf_coef,
-            "ent_coef": self.ent_coef,
-            "max_grad_norm": self.max_grad_norm,
-            "adam_eps": self.adam_eps,
-            "log_std_init": self.log_std_init,
-            "log_std_min": self.log_std_min,
-            "log_std_max": self.log_std_max,
-            "eval_episodes": self.eval_episodes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PpoConfig":
-        kwargs = dict(data)
-        if "hidden" in kwargs:
-            kwargs["hidden"] = tuple(kwargs["hidden"])
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**kwargs)
-
 
 @dataclass
 class PolicyParams:
@@ -152,25 +120,9 @@ def init_policy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionMask:
-    """Interval box of admissible additive offsets around the safe control.
-
-    Must contain the zero offset so the unmodified safe action is always
-    available.
-    """
-
-    box: IntervalBox
-
-    def __post_init__(self):
-        if not self.box.contains(np.zeros(self.box.dim)):
-            raise ValueError("action mask box must contain the zero offset")
-
-
-def mask_action(raw, safe_u, mask: ActionMask | IntervalBox) -> np.ndarray:
+def mask_action(raw, safe_u, box: IntervalBox) -> np.ndarray:
     """Map a raw action in [-1, 1]^m affinely into ``safe_u + box``:
     ``out[i] = safe_u[i] + (raw[i] + 1)/2 * (upper[i] - lower[i]) + lower[i]``."""
-    box = mask.box if isinstance(mask, ActionMask) else mask
     raw = np.clip(np.asarray(raw, dtype=float), -1.0, 1.0)
     return np.asarray(safe_u, dtype=float) + box.lower + 0.5 * (raw + 1.0) * box.widths
 
@@ -221,7 +173,7 @@ def value_estimate(params: PolicyParams, obs) -> float:
 
 def agent_controller_factory(
     params: PolicyParams,
-    mask: ActionMask | IntervalBox,
+    mask: IntervalBox,
     task_cfg,
     safe_factory: Callable[[], Callable],
 ) -> Callable[[], Callable]:
@@ -229,7 +181,9 @@ def agent_controller_factory(
 
     Each created controller owns a fresh safe controller and maps
     (robot, obstacle) to ``mask_action(policy_mean(obs), safe_control)``.
+    Raises ``ValueError`` when ``mask`` lacks the zero offset.
     """
+    require_zero_offset(mask)
 
     def make() -> Callable:
         safe = safe_factory()

@@ -64,6 +64,10 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"tusk": {}})
     with pytest.raises(PipelineError):
         config_from_dict({"verification": {"m_samples": 3}})
+    with pytest.raises(PipelineError):
+        config_from_dict({"task": {"no_such_key": 1}})
+    with pytest.raises(PipelineError):
+        config_from_dict({"training": {"ppo": {"hiden": [4]}}})
 
 
 def test_print_config_cli(capsys):
@@ -210,6 +214,12 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli_main(["verify-safe", "--config", str(bad)]) == 2
+    # a top level or a section that is not a JSON object
+    for text in ('{"task": 5}', "[1, 2]", '{"training": {"ppo": [3]}}'):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert cli_main(["print-config", "--config", str(bad)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
     # train before expand
     cfg_path = write_config(tmp_path, tiny_config())
     assert cli_main(["train", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 2

@@ -8,7 +8,6 @@ from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import EvasionEnv, TaskConfig
 from saferl.mlp import flatten_arrays, net_forward, unflatten_arrays
 from saferl.ppo import (
-    ActionMask,
     PolicyLoadError,
     PpoConfig,
     RolloutBuffer,
@@ -43,10 +42,9 @@ def make_env_factory(box=BOX, task=TASK):
 
 
 def test_mask_action_examples():
-    mask = ActionMask(BOX)
-    assert np.allclose(mask_action([0.0, 0.0], (0.25, -0.5), mask), [0.25, -0.5])
-    assert np.allclose(mask_action([1.0, 1.0], (0.1, 0.0), mask), [0.102, 0.01])
-    assert np.allclose(mask_action([-1.0, -1.0], (0.1, 0.0), mask), [0.098, -0.01])
+    assert np.allclose(mask_action([0.0, 0.0], (0.25, -0.5), BOX), [0.25, -0.5])
+    assert np.allclose(mask_action([1.0, 1.0], (0.1, 0.0), BOX), [0.102, 0.01])
+    assert np.allclose(mask_action([-1.0, -1.0], (0.1, 0.0), BOX), [0.098, -0.01])
 
 
 def test_mask_action_clips_raw():
@@ -55,8 +53,12 @@ def test_mask_action_clips_raw():
 
 
 def test_mask_requires_zero_offset():
+    offset_box = IntervalBox([0.001, -0.01], [0.002, 0.01])
     with pytest.raises(ValueError):
-        ActionMask(IntervalBox([0.001, -0.01], [0.002, 0.01]))
+        make_env_factory(offset_box)()
+    params = init_policy(7, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        agent_controller_factory(params, offset_box, TASK, lambda: None)
 
 
 def test_masked_output_always_inside_box():
