@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -152,18 +152,41 @@ def config_to_dict(obj) -> dict:
     return out
 
 
+def _is_a(value, hint) -> bool:
+    """JSON type check of a scalar: an int passes as a float, a bool never
+    passes as a number."""
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _number_list(value, item, length, where: str) -> list:
+    if not (
+        isinstance(value, (list, tuple))
+        and (length is None or len(value) == length)
+        and all(_is_a(v, item) for v in value)
+    ):
+        size = "a list of" if length is None else f"a list of {length}"
+        raise PipelineError(f"{where} must be {size} {item.__name__} values, not {value!r}")
+    return list(value)
+
+
 def config_from_dict(data, cls=PipelineConfig):
     """Inverse of :func:`config_to_dict`; missing keys take their defaults.
 
     Raises :class:`PipelineError` when ``data`` or a nested section is not a
-    JSON object or holds a key the dataclass does not define.
+    JSON object, holds a key the dataclass does not define, or holds a value
+    of the wrong JSON type.
     """
     if not isinstance(data, dict):
         raise PipelineError(
             f"{cls.__name__} must be a JSON object, not {type(data).__name__}"
         )
     if cls is IntervalBox:
-        return IntervalBox.from_dict(data)
+        if set(data) != {"lower", "upper"}:
+            raise PipelineError(f"IntervalBox keys must be lower and upper, not {sorted(data)}")
+        bounds = {k: _number_list(v, float, None, f"IntervalBox.{k}") for k, v in data.items()}
+        return IntervalBox.from_dict(bounds)
     hints = get_type_hints(cls)
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
@@ -171,10 +194,15 @@ def config_from_dict(data, cls=PipelineConfig):
     kwargs = {}
     for key, value in data.items():
         hint = hints[key]
+        where = f"{cls.__name__}.{key}"
         if is_dataclass(hint):
             value = config_from_dict(value, hint)
         elif get_origin(hint) is tuple:
-            value = tuple(value)
+            args = get_args(hint)
+            length = None if args[-1] is Ellipsis else len(args)
+            value = tuple(_number_list(value, args[0], length, where))
+        elif not _is_a(value, hint):
+            raise PipelineError(f"{where} must be {hint.__name__}, not {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -1,8 +1,9 @@
 """Signal temporal logic over uniformly sampled signals.
 
 The module provides an abstract syntax tree for temporal formulas, a text
-parser, a printer whose output parses back to a structurally equal tree,
-Boolean satisfaction and quantitative robustness.
+parser, a printer whose output parses back to a structurally equal tree, and
+one evaluator, :func:`robustness`.  Boolean satisfaction is defined from it:
+``satisfies`` is ``robustness >= 0``.
 
 Concrete grammar (UTF-8 text), loosest to tightest binding::
 
@@ -23,9 +24,18 @@ the upper one.  ``U``, ``F`` and ``G`` act as operators only when directly
 followed by ``[`` (or ``(`` for the untimed always); elsewhere they are
 ordinary predicate identifiers.
 
-Predicates are named real-valued functions of the state vector, registered
-in a :class:`PredicateTable`; a predicate holds at a state exactly when its
-function is >= 0 there, and its robustness is the function value itself.
+Predicates are named real-valued functions of the state vector, held in a
+:class:`PredicateTable`; the robustness of a predicate is its function value,
+so it holds at a state exactly when that value is >= 0.  A predicate that
+returns NaN raises :class:`StlError`.  At a robustness of exactly 0 a formula
+and its negation both hold (``-0.0 >= 0``).
+
+The evaluator works bottom-up over the desugared tree and keeps one array per
+node over the steps it needs: each predicate node is evaluated once on each
+row that a window reaches, an Until whose windows all run to the end of the
+signal is an O(K) backward recursion, and any other Until sweeps its window
+offsets vectorised over steps (after Donze et al., *Efficient Robust
+Monitoring for STL*, CAV 2013).
 
 Timing is discrete: a window ``[a, b]`` anchored at step ``k`` covers the
 steps ``k'`` with ``a <= (k' - k) * dt <= b``, clipped to the end of the
@@ -211,15 +221,6 @@ class PredicateTable:
     def __init__(self, functions: Mapping[str, Callable] | None = None):
         self._functions: dict[str, Callable] = dict(functions or {})
 
-    def register(self, name: str, fn: Callable) -> None:
-        self._functions[name] = fn
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._functions
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._functions)
-
     def evaluate(self, name: str, state) -> float:
         try:
             fn = self._functions[name]
@@ -230,11 +231,10 @@ class PredicateTable:
 
 @dataclass(frozen=True)
 class Signal:
-    """Uniformly sampled trajectory: row ``k`` is the state at ``start_time + k*dt``."""
+    """Uniformly sampled trajectory: row ``k`` is the state at time ``k*dt``."""
 
     states: np.ndarray
     dt: float
-    start_time: float = 0.0
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -244,13 +244,10 @@ class Signal:
             raise ValueError("states must be a nonempty (K+1, n) array")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.start_time < 0:
-            raise ValueError("start_time must be nonnegative")
         states = states.copy()
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "start_time", float(self.start_time))
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -498,66 +495,9 @@ def format_formula(f: Formula) -> str:
 _WINDOW_EPS = 1e-9
 
 
-def _window(signal: Signal, k: int, a: float, b: float) -> range:
-    """Inclusive index window {k' : a <= (k'-k)*dt <= b}, clipped to the signal."""
-    last = signal.last_index
-    lo = k + math.ceil(a / signal.dt - _WINDOW_EPS)
-    lo = max(lo, k)
-    if math.isinf(b):
-        hi = last
-    else:
-        hi = min(last, k + math.floor(b / signal.dt + _WINDOW_EPS))
-    return range(lo, hi + 1)
-
-
-def _check_eval_args(signal: Signal, k: int) -> None:
-    if not 0 <= k <= signal.last_index:
-        raise IndexError(f"step index {k} outside signal of length {len(signal)}")
-
-
 def satisfies(formula: Formula, signal: Signal, k: int, table: PredicateTable) -> bool:
-    """Boolean satisfaction of ``formula`` at step ``k``.
-
-    A predicate holds exactly when its function evaluates >= 0; robustness
-    ties at zero therefore count as satisfaction.
-    """
-    _check_eval_args(signal, k)
-    core = desugar(formula)
-    memo: dict[tuple[int, int], bool] = {}
-
-    def ev(f: Formula, i: int) -> bool:
-        key = (id(f), i)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Literal):
-            value = f.value
-        elif isinstance(f, Predicate):
-            value = table.evaluate(f.name, signal.states[i]) >= 0.0
-        elif isinstance(f, Not):
-            value = not ev(f.child, i)
-        elif isinstance(f, Or):
-            value = ev(f.left, i) or ev(f.right, i)
-        else:  # Until
-            value = False
-            win = _window(signal, i, f.a, f.b)
-            if len(win) > 0:  # empty windows contribute nothing
-                prefix_ok = True
-                for j in range(i, win.start):
-                    if not ev(f.left, j):
-                        prefix_ok = False
-                        break
-                if prefix_ok:
-                    for j in win:
-                        if ev(f.right, j):
-                            value = True
-                            break
-                        if not ev(f.left, j):
-                            break
-        memo[key] = value
-        return value
-
-    return ev(core, k)
+    """Boolean satisfaction of ``formula`` at step ``k``: robustness >= 0."""
+    return robustness(formula, signal, k, table) >= 0.0
 
 
 def robustness(formula: Formula, signal: Signal, k: int, table: PredicateTable) -> float:
@@ -566,37 +506,78 @@ def robustness(formula: Formula, signal: Signal, k: int, table: PredicateTable) 
     Max/min semantics: the value of a predicate is its function value, a
     negation flips the sign, a disjunction takes the max, and
     ``p U[a,b] q`` at ``k`` is the max over window steps ``k'`` of
-    ``min(rho(q, k'), min_{k <= k'' < k'} rho(p, k''))``.  The sign agrees
-    with :func:`satisfies` (value 0 counts as satisfied).
+    ``min(rho(q, k'), min_{k <= k'' < k'} rho(p, k''))``.  Predicates are
+    evaluated only on the steps that the windows reach from ``k``; a predicate
+    that returns NaN raises :class:`StlError`.
     """
-    _check_eval_args(signal, k)
-    core = desugar(formula)
-    memo: dict[tuple[int, int], float] = {}
+    if not 0 <= k <= signal.last_index:
+        raise IndexError(f"step index {k} outside signal of length {len(signal)}")
+    return float(_rho(desugar(formula), signal, table, k, k)[0])
 
-    def ev(f: Formula, i: int) -> float:
-        key = (id(f), i)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Literal):
-            value = math.inf if f.value else -math.inf
-        elif isinstance(f, Predicate):
-            value = table.evaluate(f.name, signal.states[i])
-        elif isinstance(f, Not):
-            value = -ev(f.child, i)
-        elif isinstance(f, Or):
-            value = max(ev(f.left, i), ev(f.right, i))
-        else:  # Until
-            value = -math.inf
-            win = _window(signal, i, f.a, f.b)
-            if len(win) > 0:  # empty windows contribute nothing
-                prefix = math.inf
-                for j in range(i, win.start):
-                    prefix = min(prefix, ev(f.left, j))
-                for j in win:
-                    value = max(value, min(ev(f.right, j), prefix))
-                    prefix = min(prefix, ev(f.left, j))
-        memo[key] = value
-        return value
 
-    return ev(core, k)
+def _rho(f: Formula, signal: Signal, table: PredicateTable, lo: int, hi: int) -> np.ndarray:
+    """Robustness of the core formula ``f`` at each step ``lo..hi`` (``hi <= last``)."""
+    if isinstance(f, Literal):
+        return np.full(hi - lo + 1, math.inf if f.value else -math.inf)
+    if isinstance(f, Predicate):
+        values = np.array([table.evaluate(f.name, signal.states[i]) for i in range(lo, hi + 1)])
+        nan = np.flatnonzero(np.isnan(values))
+        if nan.size:
+            raise StlError(f"predicate {f.name!r} is NaN at step {lo + int(nan[0])}")
+        return values
+    if isinstance(f, Not):
+        return -_rho(f.child, signal, table, lo, hi)
+    if isinstance(f, Or):
+        return np.maximum(
+            _rho(f.left, signal, table, lo, hi), _rho(f.right, signal, table, lo, hi)
+        )
+    return _until(f, signal, table, lo, hi)
+
+
+def _until(f: Until, signal: Signal, table: PredicateTable, lo: int, hi: int) -> np.ndarray:
+    """``f.left U[a,b] f.right`` at each step ``lo..hi``.
+
+    Step ``i`` looks at the steps ``i + first .. i + span`` up to the end of
+    the signal, with ``first = ceil(a/dt - eps)`` and ``span = floor(b/dt +
+    eps)`` so that bounds within ``eps`` of a multiple of ``dt`` count as on
+    it.  Steps whose window is empty get ``-inf`` and pull no rows into the
+    children; the others pull ``right`` on ``[lo+first, reach]`` and ``left``
+    on ``[lo, reach-1]``.
+    """
+    last = signal.last_index
+    first = max(math.ceil(f.a / signal.dt - _WINDOW_EPS), 0)
+    span = last if math.isinf(f.b) else math.floor(f.b / signal.dt + _WINDOW_EPS)
+    out = np.full(hi - lo + 1, -math.inf)
+    top = min(hi, last - first)  # last step with a nonempty window
+    if first > span or top < lo:
+        return out
+    n = top - lo + 1
+    reach = min(last, top + span)
+    q = _rho(f.right, signal, table, lo + first, reach)
+    p = _rho(f.left, signal, table, lo, reach - 1 if span > 0 else lo - 1)
+    if lo + span >= last:
+        # every window runs to the end of the signal, so an O(K) backward
+        # recursion gives the until from step lo+first+j without offsets:
+        # u[j] = max(q[j], min(p[j], u[j+1]))
+        u = q.tolist()
+        left = p[first:].tolist()
+        for j in range(len(u) - 2, -1, -1):
+            u[j] = max(u[j], min(left[j], u[j + 1]))
+        best = np.array(u[:n])
+        for off in range(first):
+            best = np.minimum(best, p[off : off + n])
+    else:
+        # sweep the window offsets (fewer than the signal's rows), vectorised
+        # over steps; rows past the reached range read -inf and contribute nothing
+        qs = np.full(n + span, -math.inf)
+        qs[first : first + q.size] = q
+        ps = np.full(n + span, -math.inf)
+        ps[: p.size] = p
+        best = np.full(n, -math.inf)
+        prefix = np.full(n, math.inf)
+        for off in range(span + 1):
+            if off >= first:
+                best = np.maximum(best, np.minimum(qs[off : off + n], prefix))
+            prefix = np.minimum(prefix, ps[off : off + n])
+    out[:n] = best
+    return out

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -288,6 +289,18 @@ def test_measure_sign_matches_formula(tmp_path):
         assert (stl_robustness(formula, trace.signal(), 0, table) >= 0) == sat
         seen.add(sat)
     assert seen == {True, False}, "expected both safe and violating episodes"
+
+
+def test_episode_robustness_leaves_no_cyclic_garbage():
+    source = EvasionSource(CFG, lambda: SafeController(CFG, ControllerConfig()))
+    trace = source.rollout(source.sample_initial(np.random.default_rng(3)))
+    gc.collect()
+    gc.disable()
+    try:
+        episode_robustness(trace, CFG)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_perform_range_and_examples():

@@ -220,6 +220,22 @@ def test_cli_error_paths(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["print-config", "--config", str(bad)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
+    # a value of the wrong JSON type; a bool is never a number
+    for text in (
+        '{"task": {"dt": "x"}}',
+        '{"expansion": {"e_init": {"lower": [0]}}}',
+        '{"training": {"ppo": {"hidden": 4}}}',
+        '{"verification": {"n_samples": "5"}}',
+        '{"task": {"k_max": true}}',
+    ):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert cli_main(["print-config", "--config", str(bad)]) == 2
+        assert "must be" in capsys.readouterr().err
+    # an int is accepted where a float is declared
+    bad.write_text('{"task": {"danger_radius": 1}}')
+    assert cli_main(["print-config", "--config", str(bad)]) == 0
+    capsys.readouterr()
     # train before expand
     cfg_path = write_config(tmp_path, tiny_config())
     assert cli_main(["train", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 2

@@ -15,6 +15,7 @@ from saferl.stl import (
     Predicate,
     PredicateTable,
     Signal,
+    StlError,
     StlSyntaxError,
     UnknownPredicateError,
     Until,
@@ -178,6 +179,7 @@ def test_window_truncates_at_signal_end():
     assert robustness(g, sig, 0, table) == -1.0
     assert satisfies(g, sig, 0, table) is False
     assert robustness(g, sig, 1, table) == -1.0
+    assert robustness(parse_formula("G[0,1e12] pos"), sig, 0, table) == -1.0
     # Entirely past the end: vacuous.
     f = parse_formula("F[5,10] pos")
     assert satisfies(f, sig, 0, table) is False
@@ -205,6 +207,53 @@ def test_zero_predicate_value_counts_as_satisfied():
     f = parse_formula("z")
     assert satisfies(f, sig, 0, table) is True
     assert robustness(f, sig, 0, table) == 0.0
+    # satisfaction is robustness >= 0, so at a tie the negation holds too
+    assert satisfies(Not(f), sig, 0, table) is True
+
+
+def test_nan_predicate_raises_in_either_operand_order():
+    table = PredicateTable({"p": lambda s: math.nan, "q": lambda s: 1.0})
+    sig = const_signal(0.0, length=4)
+    for text in ("p | q", "q | p", "F[1,2] p", "G( q & p )"):
+        f = parse_formula(text)
+        for evaluate in (satisfies, robustness):
+            with pytest.raises(StlError, match=r"'p'.*step"):
+                evaluate(f, sig, 0, table)
+
+
+def test_window_rounding_at_non_representable_dt():
+    # dt = 0.033 is not representable in binary; 0.693 / 0.033 and
+    # 0.825 / 0.033 fall just below 21 and 25, 8.085 / 0.033 just above 245.
+    # The value of "row" is the step index, so F gives the window's last
+    # offset and G its first.
+    table = PredicateTable({"row": lambda s: s[0]})
+    sig = Signal(np.arange(300.0)[:, None], dt=0.033)
+    for a, b, first, last in [
+        ("0.066", "0.099", 2, 3),
+        ("0.693", "0.825", 21, 25),
+        ("8.085", "8.085", 245, 245),
+    ]:
+        assert robustness(parse_formula(f"F[{a},{b}] row"), sig, 0, table) == last
+        assert robustness(parse_formula(f"G[{a},{b}] row"), sig, 0, table) == first
+
+
+def test_bounded_formula_evaluates_only_the_rows_its_windows_reach():
+    seen = []
+
+    def counting(name):
+        def fn(s):
+            seen.append((name, int(s[0])))
+            return 1.0
+
+        return fn
+
+    table = PredicateTable({"p": counting("p"), "q": counting("q")})
+    sig = Signal(np.arange(1000.0)[:, None], dt=1.0)
+    k = 400
+    robustness(parse_formula("G[0,3] p | F[1,5] q"), sig, k, table)
+    assert sorted(seen) == [("p", i) for i in range(k, k + 4)] + [
+        ("q", i) for i in range(k + 1, k + 6)
+    ]
 
 
 def test_unresolved_predicate_raises():
