@@ -2,8 +2,8 @@
 
 The module provides an abstract syntax tree for temporal formulas, a text
 parser, a printer whose output parses back to a structurally equal tree, and
-one evaluator, :func:`robustness`.  Boolean satisfaction is defined from it:
-``satisfies`` is ``robustness >= 0``.
+one evaluator, :func:`robustness`.  Boolean satisfaction, :func:`satisfies`,
+runs the same evaluator on the signs of the predicate values.
 
 Concrete grammar (UTF-8 text), loosest to tightest binding::
 
@@ -26,9 +26,9 @@ ordinary predicate identifiers.
 
 Predicates are named real-valued functions of the state vector, held in a
 :class:`PredicateTable`; the robustness of a predicate is its function value,
-so it holds at a state exactly when that value is >= 0.  A predicate that
-returns NaN raises :class:`StlError`.  At a robustness of exactly 0 a formula
-and its negation both hold (``-0.0 >= 0``).
+and it holds at a state exactly when that value is >= 0.  A predicate that
+returns NaN raises :class:`StlError`.  A robustness > 0 implies satisfaction
+and < 0 violation; at 0 ``satisfies`` decides, exact at ties.
 
 The evaluator works bottom-up over the desugared tree and keeps one array per
 node over the steps it needs: each predicate node is evaluated once on each
@@ -496,8 +496,9 @@ _WINDOW_EPS = 1e-9
 
 
 def satisfies(formula: Formula, signal: Signal, k: int, table: PredicateTable) -> bool:
-    """Boolean satisfaction of ``formula`` at step ``k``: robustness >= 0."""
-    return robustness(formula, signal, k, table) >= 0.0
+    """Boolean satisfaction of ``formula`` at step ``k``: robustness > 0 with each
+    predicate value replaced by its sign (+1 where >= 0, else -1), so no tie."""
+    return _evaluate(formula, signal, k, table, boolean=True) > 0.0
 
 
 def robustness(formula: Formula, signal: Signal, k: int, table: PredicateTable) -> float:
@@ -510,13 +511,22 @@ def robustness(formula: Formula, signal: Signal, k: int, table: PredicateTable) 
     evaluated only on the steps that the windows reach from ``k``; a predicate
     that returns NaN raises :class:`StlError`.
     """
+    return _evaluate(formula, signal, k, table, boolean=False)
+
+
+def _evaluate(
+    formula: Formula, signal: Signal, k: int, table: PredicateTable, boolean: bool
+) -> float:
     if not 0 <= k <= signal.last_index:
         raise IndexError(f"step index {k} outside signal of length {len(signal)}")
-    return float(_rho(desugar(formula), signal, table, k, k)[0])
+    return float(_rho(desugar(formula), signal, table, k, k, boolean)[0])
 
 
-def _rho(f: Formula, signal: Signal, table: PredicateTable, lo: int, hi: int) -> np.ndarray:
-    """Robustness of the core formula ``f`` at each step ``lo..hi`` (``hi <= last``)."""
+def _rho(
+    f: Formula, signal: Signal, table: PredicateTable, lo: int, hi: int, boolean: bool
+) -> np.ndarray:
+    """Robustness of the core formula ``f`` at each step ``lo..hi`` (``hi <= last``);
+    with ``boolean`` each predicate value is replaced by its sign, +1 or -1."""
     if isinstance(f, Literal):
         return np.full(hi - lo + 1, math.inf if f.value else -math.inf)
     if isinstance(f, Predicate):
@@ -524,17 +534,20 @@ def _rho(f: Formula, signal: Signal, table: PredicateTable, lo: int, hi: int) ->
         nan = np.flatnonzero(np.isnan(values))
         if nan.size:
             raise StlError(f"predicate {f.name!r} is NaN at step {lo + int(nan[0])}")
-        return values
+        return np.where(values >= 0.0, 1.0, -1.0) if boolean else values
     if isinstance(f, Not):
-        return -_rho(f.child, signal, table, lo, hi)
+        return -_rho(f.child, signal, table, lo, hi, boolean)
     if isinstance(f, Or):
         return np.maximum(
-            _rho(f.left, signal, table, lo, hi), _rho(f.right, signal, table, lo, hi)
+            _rho(f.left, signal, table, lo, hi, boolean),
+            _rho(f.right, signal, table, lo, hi, boolean),
         )
-    return _until(f, signal, table, lo, hi)
+    return _until(f, signal, table, lo, hi, boolean)
 
 
-def _until(f: Until, signal: Signal, table: PredicateTable, lo: int, hi: int) -> np.ndarray:
+def _until(
+    f: Until, signal: Signal, table: PredicateTable, lo: int, hi: int, boolean: bool
+) -> np.ndarray:
     """``f.left U[a,b] f.right`` at each step ``lo..hi``.
 
     Step ``i`` looks at the steps ``i + first .. i + span`` up to the end of
@@ -553,12 +566,13 @@ def _until(f: Until, signal: Signal, table: PredicateTable, lo: int, hi: int) ->
         return out
     n = top - lo + 1
     reach = min(last, top + span)
-    q = _rho(f.right, signal, table, lo + first, reach)
-    p = _rho(f.left, signal, table, lo, reach - 1 if span > 0 else lo - 1)
+    q = _rho(f.right, signal, table, lo + first, reach, boolean)
+    p = _rho(f.left, signal, table, lo, reach - 1 if span > 0 else lo - 1, boolean)
     if lo + span >= last:
         # every window runs to the end of the signal, so an O(K) backward
         # recursion gives the until from step lo+first+j without offsets:
-        # u[j] = max(q[j], min(p[j], u[j+1]))
+        # u[j] = max(q[j], min(p[j], u[j+1])).  The sweep below would take
+        # O(K^2) here when a nested untimed operator asks for all K steps.
         u = q.tolist()
         left = p[first:].tolist()
         for j in range(len(u) - 2, -1, -1):

@@ -202,13 +202,19 @@ def test_window_fully_past_end_on_short_signal():
 
 
 def test_zero_predicate_value_counts_as_satisfied():
-    table = PredicateTable({"z": lambda s: 0.0})
+    fns = {"z": lambda s: 0.0, "e": lambda s: -1.0}
+    table = PredicateTable(fns)
     sig = const_signal(1.0, length=2)
     f = parse_formula("z")
     assert satisfies(f, sig, 0, table) is True
     assert robustness(f, sig, 0, table) == 0.0
-    # satisfaction is robustness >= 0, so at a tie the negation holds too
-    assert satisfies(Not(f), sig, 0, table) is True
+    # at a robustness of 0 the formula holds, so its negation must fail, and
+    # with "z" as a guard, as the safety contract's "near", "e" is required
+    for text in ("!z", "G( z => e )", "G( (z & z) => e )", "F[0,1] !z"):
+        f = parse_formula(text)
+        expected = brute_satisfies(f, sig.states, sig.dt, 0, fns)
+        assert expected is False
+        assert satisfies(f, sig, 0, table) is expected
 
 
 def test_nan_predicate_raises_in_either_operand_order():
@@ -310,3 +316,21 @@ def test_random_formulas_match_brute_force():
             assert sat == brute_satisfies(f, sig.states, sig.dt, k, fns)
             assert rho == brute_robustness(f, sig.states, sig.dt, k, fns)
             assert (rho >= 0) == sat
+
+
+def test_random_formulas_with_ties_match_brute_force():
+    # integer states make "p" and "q" exactly 0 on many rows
+    rng = np.random.default_rng(6)
+    leaves = [Predicate("p"), Predicate("q"), Literal(True), Literal(False)]
+    intervals = [(0.0, 0.5), (0.0, 1.0), (0.5, 2.0), (0.0, math.inf)]
+    for _ in range(400):
+        f = random_formula(rng, 4, leaves, intervals)
+        n = int(rng.integers(1, 11))
+        sig = Signal(rng.integers(-3, 4, size=(n, 2)), dt=float(rng.choice([0.5, 1.0])))
+        for k in (0, n // 2):
+            rho = robustness(f, sig, k, TABLE)
+            sat = satisfies(f, sig, k, TABLE)
+            assert sat == brute_satisfies(f, sig.states, sig.dt, k, FNS)
+            assert rho == brute_robustness(f, sig.states, sig.dt, k, FNS)
+            if rho != 0:
+                assert sat == (rho > 0)
