@@ -13,7 +13,8 @@ from saferl.stl import PredicateTable, Signal, format_formula, parse_formula, ro
 spec = parse_formula("!( true U[0,2] over2 )")
 print("specification:", format_formula(spec))
 
-table = PredicateTable({"over2": lambda s: abs(s[0]) - 2.0})
+# a predicate maps a block of states (one row per sample) to one value per row
+table = PredicateTable({"over2": lambda s: np.abs(s[..., 0]) - 2.0})
 
 flat = Signal(np.zeros((8, 1)), dt=1.0)
 spike = Signal(np.array([[0.0], [0.5], [3.0], [0.5], [0.0]]), dt=1.0)
@@ -31,7 +32,7 @@ print("spike signal at step 3:", satisfies(spec, spike, 3, table))
 
 # windows reaching past the end of the signal constrain only available steps
 tail = parse_formula("G[0,100] inside")
-table2 = PredicateTable({"inside": lambda s: 1.0 - abs(s[0])})
+table2 = PredicateTable({"inside": lambda s: 1.0 - np.abs(s[..., 0])})
 short = Signal(np.array([[0.2], [-0.4], [0.9]]), dt=1.0)
 print("always-inside on a short signal:", robustness(tail, short, 0, table2))
 

@@ -84,9 +84,13 @@ class IntervalBox:
 
     # -- sampling and serialization ---------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One uniform draw from the box (degenerate axes return the bound)."""
-        return rng.uniform(self.lower, self.upper)
+    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+        """One uniform draw from the box, or with ``n`` an ``(n, dim)`` array of
+        draws in one call (degenerate axes return the bound).  The rows equal
+        ``n`` single draws from the same generator, bit for bit."""
+        if n is None:
+            return rng.uniform(self.lower, self.upper)
+        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
     def to_dict(self) -> dict:
         return {"lower": self.lower.tolist(), "upper": self.upper.tolist()}

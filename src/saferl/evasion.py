@@ -16,6 +16,7 @@ scores a goal-progress term plus a time bonus (see :func:`perform`).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,6 +33,7 @@ __all__ = [
     "EpisodeTrace",
     "EvasionEnv",
     "EvasionSource",
+    "ContainmentViolation",
     "wrap_angle",
     "heading_vector",
     "path_heading",
@@ -178,22 +180,28 @@ def unicycle_step(state, control, dt: float):
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _time_grid(dt: float, lookahead: float) -> np.ndarray:
+    """Read-only grid {0, dt, 2*dt, ...} up to and including ``lookahead``."""
+    n = int(math.floor(lookahead / dt + 1e-9))
+    ts = np.arange(n + 1) * dt
+    ts.flags.writeable = False
+    return ts
+
+
 def mindistance(r: RobotState, o: ObstacleState, dt: float, lookahead: float) -> float:
     """Minimum gap between constant-velocity projections on the grid
     t in {0, dt, 2*dt, ...} up to and including ``lookahead``."""
-    n = int(math.floor(lookahead / dt + 1e-9))
-    ts = np.arange(n + 1) * dt
-    rel0 = np.array([r.x - o.x, r.y - o.y])
-    relv = heading_vector(r.theta) * r.v - heading_vector(o.theta) * o.v
-    gaps = rel0[None, :] + ts[:, None] * relv[None, :]
-    return float(np.min(np.hypot(gaps[:, 0], gaps[:, 1])))
+    ts = _time_grid(dt, lookahead)
+    vx = math.cos(r.theta) * r.v - math.cos(o.theta) * o.v
+    vy = math.sin(r.theta) * r.v - math.sin(o.theta) * o.v
+    return float(np.hypot((r.x - o.x) + ts * vx, (r.y - o.y) + ts * vy).min())
 
 
 def infront_margin(r: RobotState, o: ObstacleState) -> float:
     """Signed distance of the obstacle past the line through the robot
     perpendicular to its heading (>= 0 means ahead, boundary inclusive)."""
-    h = heading_vector(r.theta)
-    return float((o.x - r.x) * h[0] + (o.y - r.y) * h[1])
+    return float((o.x - r.x) * math.cos(r.theta) + (o.y - r.y) * math.sin(r.theta))
 
 
 def infront(r: RobotState, o: ObstacleState) -> bool:
@@ -209,10 +217,10 @@ def classify_encounter(r: RobotState, o: ObstacleState) -> tuple[int, int]:
     Cases 1 and 3 return sign +1, cases 2 and 4 return -1, and mirroring
     the scene flips the sign.
     """
-    h = heading_vector(r.theta)
+    hx, hy = math.cos(r.theta), math.sin(r.theta)
     rel_x, rel_y = o.x - r.x, o.y - r.y
-    cross = h[0] * rel_y - h[1] * rel_x
-    dot = h[0] * math.cos(o.theta) + h[1] * math.sin(o.theta)
+    cross = hx * rel_y - hy * rel_x
+    dot = hx * math.cos(o.theta) + hy * math.sin(o.theta)
     plus_side = cross >= 0.0
     opposing = dot < 0.0
     if opposing:
@@ -368,21 +376,44 @@ class EpisodeTrace:
 
 
 def safety_predicates(cfg: TaskConfig) -> PredicateTable:
-    """Monitor predicates over trace rows (see the module docstring)."""
+    """Monitor predicates over blocks of trace rows (see the module docstring).
 
-    def h_infront(row) -> float:
-        r = RobotState(row[COL_XR], row[COL_YR], row[COL_THR], row[COL_VR])
-        o = ObstacleState(row[COL_XO], row[COL_YO], row[COL_THO], row[COL_VO])
-        return infront_margin(r, o)
+    Each column repeats, row by row, the IEEE operations of
+    :func:`infront_margin`, :func:`mindistance` and :func:`evade`, so the
+    values are bit-equal to those scalar functions on one row.
+    """
+    ts = _time_grid(cfg.dt, cfg.lookahead)
 
-    def h_near(row) -> float:
-        r = RobotState(row[COL_XR], row[COL_YR], row[COL_THR], row[COL_VR])
-        o = ObstacleState(row[COL_XO], row[COL_YO], row[COL_THO], row[COL_VO])
-        return cfg.danger_radius - mindistance(r, o, cfg.dt, cfg.lookahead)
+    def headings(block, col):
+        theta = block[:, col].tolist()
+        return (
+            np.array([math.cos(t) for t in theta]),
+            np.array([math.sin(t) for t in theta]),
+        )
 
-    def h_evade(row) -> float:
-        ok = evade(row[COL_CMD_W], row[COL_DTHETA], int(row[COL_SIGN]), cfg)
-        return 1.0 if ok else -1.0
+    def h_infront(block) -> np.ndarray:
+        cos_r, sin_r = headings(block, COL_THR)
+        return (block[:, COL_XO] - block[:, COL_XR]) * cos_r + (
+            block[:, COL_YO] - block[:, COL_YR]
+        ) * sin_r
+
+    def h_near(block) -> np.ndarray:
+        cos_r, sin_r = headings(block, COL_THR)
+        cos_o, sin_o = headings(block, COL_THO)
+        vx = cos_r * block[:, COL_VR] - cos_o * block[:, COL_VO]
+        vy = sin_r * block[:, COL_VR] - sin_o * block[:, COL_VO]
+        gx = (block[:, COL_XR] - block[:, COL_XO])[:, None] + ts * vx[:, None]
+        gy = (block[:, COL_YR] - block[:, COL_YO])[:, None] + ts * vy[:, None]
+        return cfg.danger_radius - np.hypot(gx, gy).min(axis=1)
+
+    def h_evade(block) -> np.ndarray:
+        w, dth = block[:, COL_CMD_W], block[:, COL_DTHETA]
+        rate = np.abs(w)
+        turning = (rate <= cfg.evade_rate_bound) & (np.sign(w) == np.trunc(block[:, COL_SIGN]))
+        holding = ((dth >= 0.0) | (np.abs(dth) <= cfg.evade_angle_tol)) & (
+            rate <= cfg.evade_rate_tol
+        )
+        return np.where(turning | holding, 1.0, -1.0)
 
     return PredicateTable({"infront": h_infront, "near": h_near, "evade": h_evade})
 
@@ -426,6 +457,10 @@ def sample_obstacle(cfg: TaskConfig, rng: np.random.Generator) -> ObstacleState:
             return ObstacleState(float(pos[0]), float(pos[1]), theta, speed)
 
 
+class ContainmentViolation(RuntimeError):
+    """An applied control left the verified action box around the safe control."""
+
+
 def require_zero_offset(mask: IntervalBox) -> None:
     """Raise ``ValueError`` unless the action box admits the zero offset, so
     the unmodified safe control is always available to a masked agent."""
@@ -441,7 +476,8 @@ class EvasionEnv:
     stream), while :meth:`reset`/:meth:`step_raw` expose the learning
     interface where a raw action in [-1, 1]^2 is mapped affinely into the
     action box around the controller output.  Every applied control is
-    checked against that box; violations are counted and must stay zero.
+    checked against that box; a violation is counted and raises
+    :class:`ContainmentViolation` at that step.
     """
 
     def __init__(
@@ -510,6 +546,10 @@ class EvasionEnv:
         offset = np.asarray(applied) - np.asarray(u_safe)
         if not self.mask.contains(offset, tol=1e-9):
             self.containment_violations += 1
+            raise ContainmentViolation(
+                f"step {self._k}: applied offset {offset.tolist()} from the safe "
+                f"control {list(u_safe)} lies outside the action box {self.mask!r}"
+            )
 
     # -- controller-driven episodes ---------------------------------------
 

@@ -22,6 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .boxes import IntervalBox
 from .controller import ControllerConfig, SafeController
 from .evasion import EvasionEnv, EvasionSource, TaskConfig
@@ -237,7 +238,7 @@ def _safe_source(cfg: PipelineConfig) -> EvasionSource:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -481,7 +482,7 @@ def run_train(
         },
     )
     log_path = out / "training_log.csv"
-    with open(log_path, "w", newline="") as fh:
+    with atomic_open(log_path, newline="") as fh:
         fh.write(",".join(_LOG_COLUMNS) + "\n")
         for row in log_rows:
             fh.write(

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .atomic import atomic_open
 from .boxes import IntervalBox
 from .evasion import observe, require_zero_offset
 from .mlp import (
@@ -524,7 +525,8 @@ def save_policy(params: PolicyParams, path, meta: dict | None = None) -> Path:
         blob += _pack_u32(a.ndim, *a.shape)
     for a in arrays:
         blob += np.ascontiguousarray(a, dtype="<f8").tobytes()
-    path.write_bytes(bytes(blob))
+    with atomic_open(path, "wb") as fh:
+        fh.write(bytes(blob))
 
     sidecar = {
         "format_version": _POLICY_VERSION,
@@ -535,7 +537,7 @@ def save_policy(params: PolicyParams, path, meta: dict | None = None) -> Path:
     }
     sidecar.update(meta or {})
     sidecar_path = path.with_suffix(".json")
-    with open(sidecar_path, "w") as fh:
+    with atomic_open(sidecar_path) as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return sidecar_path

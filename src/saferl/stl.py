@@ -24,18 +24,23 @@ the upper one.  ``U``, ``F`` and ``G`` act as operators only when directly
 followed by ``[`` (or ``(`` for the untimed always); elsewhere they are
 ordinary predicate identifiers.
 
-Predicates are named real-valued functions of the state vector, held in a
+Predicates are named real-valued functions of the state, held in a
 :class:`PredicateTable`; the robustness of a predicate is its function value,
-and it holds at a state exactly when that value is >= 0.  A predicate that
-returns NaN raises :class:`StlError`.  A robustness > 0 implies satisfaction
-and < 0 violation; at 0 ``satisfies`` decides, exact at ties.
+and it holds at a state exactly when that value is >= 0.  Predicates are
+column functions: each one maps a block of consecutive states, an ``(m, n)``
+array, to its ``m`` values in one call, and a 0-d result stands for the same
+value on every row.  Any other result shape, and a NaN value, raise
+:class:`StlError`.  A function written with ``s[..., i]`` indexing, such as
+``lambda s: s[..., 0] - 1.0``, works on one row and on a block alike.  A
+robustness > 0 implies satisfaction and < 0 violation; at 0 ``satisfies``
+decides, exact at ties.
 
 The evaluator works bottom-up over the desugared tree and keeps one array per
-node over the steps it needs: each predicate node is evaluated once on each
-row that a window reaches, an Until whose windows all run to the end of the
-signal is an O(K) backward recursion, and any other Until sweeps its window
-offsets vectorised over steps (after Donze et al., *Efficient Robust
-Monitoring for STL*, CAV 2013).
+node over the steps it needs: each predicate node is evaluated in one call on
+the block of rows that its windows reach, an Until whose windows all run to
+the end of the signal is an O(K) backward recursion, and any other Until
+sweeps its window offsets vectorised over steps (after Donze et al.,
+*Efficient Robust Monitoring for STL*, CAV 2013).
 
 Timing is discrete: a window ``[a, b]`` anchored at step ``k`` covers the
 steps ``k'`` with ``a <= (k' - k) * dt <= b``, clipped to the end of the
@@ -216,17 +221,32 @@ def desugar(formula: Formula) -> Formula:
 
 
 class PredicateTable:
-    """Mapping from predicate names to functions ``state -> float``."""
+    """Mapping from predicate names to column functions.
+
+    A function takes a block of states, an ``(m, n)`` array whose rows are
+    consecutive signal samples, and returns the ``m`` predicate values, one
+    per row.  A 0-d result is a constant for every row.
+    """
 
     def __init__(self, functions: Mapping[str, Callable] | None = None):
         self._functions: dict[str, Callable] = dict(functions or {})
 
-    def evaluate(self, name: str, state) -> float:
+    def evaluate(self, name: str, states: np.ndarray) -> np.ndarray:
+        """Values of predicate ``name`` on each row of the block ``states``."""
         try:
             fn = self._functions[name]
         except KeyError:
             raise UnknownPredicateError(f"unresolved predicate {name!r}") from None
-        return float(fn(state))
+        m = states.shape[0]
+        values = np.asarray(fn(states), dtype=float)
+        if values.ndim == 0:
+            return np.full(m, float(values))
+        if values.shape != (m,):
+            raise StlError(
+                f"predicate {name!r} returned shape {values.shape} for {m} rows; "
+                f"expected ({m},) or a scalar"
+            )
+        return values
 
 
 @dataclass(frozen=True)
@@ -530,7 +550,7 @@ def _rho(
     if isinstance(f, Literal):
         return np.full(hi - lo + 1, math.inf if f.value else -math.inf)
     if isinstance(f, Predicate):
-        values = np.array([table.evaluate(f.name, signal.states[i]) for i in range(lo, hi + 1)])
+        values = table.evaluate(f.name, signal.states[lo : hi + 1])
         nan = np.flatnonzero(np.isnan(values))
         if nan.size:
             raise StlError(f"predicate {f.name!r} is NaN at step {lo + int(nan[0])}")

@@ -21,6 +21,7 @@ and a report can be reproduced bit-for-bit from its recorded seed.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from .atomic import atomic_open
 from .boxes import IntervalBox
 
 __all__ = [
@@ -182,7 +184,7 @@ class VerificationReport:
 
 
 def write_report_json(report: VerificationReport, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -201,7 +203,7 @@ def write_samples_csv(
         labels = [f"ic_{i}" for i in range(width)]
     if len(labels) != width:
         raise ValueError("label count does not match initial-condition width")
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "seed", "robustness", *labels])
         for i, (seed, rho, params) in enumerate(
@@ -219,6 +221,17 @@ def _sample_seed(base_seed: int, i: int) -> int:
     return int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
 
 
+_PERTURB_CHUNK = 64
+
+
+def _perturbation_stream(box: IntervalBox, rng: np.random.Generator):
+    """Endless per-step draws from ``box``, taken from ``rng`` in chunks of
+    rows; the rows equal one ``box.sample(rng)`` per step bit for bit, and
+    rows drawn past the episode's end are never used by anything else."""
+    while True:
+        yield from box.sample(rng, _PERTURB_CHUNK)
+
+
 def _run_sample(
     source: RolloutSource,
     expansion: IntervalBox | None,
@@ -231,7 +244,7 @@ def _run_sample(
     initial = np.asarray(source.sample_initial(init_rng), dtype=float)
     if expansion is not None:
         perturb_rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, 1]))
-        perturb = lambda: expansion.sample(perturb_rng)  # noqa: E731
+        perturb = functools.partial(next, _perturbation_stream(expansion, perturb_rng))
     else:
         perturb = None
     try:

@@ -83,7 +83,7 @@ def test_criterion_2_stl_monitor_soundness():
     # it exceeds 1e9 trees), against a pool of 200 random signals; the
     # library Boolean and quantitative semantics must agree with each other
     # in sign and with the independent brute-force evaluators in value.
-    fns = {"p": lambda s: s[0] - 1.0, "q": lambda s: 2.0 - abs(s[1])}
+    fns = {"p": lambda s: s[..., 0] - 1.0, "q": lambda s: 2.0 - np.abs(s[..., 1])}
     table = PredicateTable(fns)
     leaves = [Predicate("p"), Predicate("q"), Literal(True), Literal(False)]
     rng = np.random.default_rng(1234)

@@ -11,6 +11,7 @@ from saferl.evasion import (
     COL_CMD_W,
     COL_DTHETA,
     COL_SIGN,
+    ContainmentViolation,
     EpisodeTrace,
     EvasionEnv,
     EvasionSource,
@@ -231,6 +232,102 @@ def test_delta_theta_semantics():
 
 
 # ---------------------------------------------------------------------------
+# Reference kernels: the per-row implementations that the scalar kernels and
+# the column predicates replaced; results must agree bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _heading_ref(theta):
+    return np.array([math.cos(theta), math.sin(theta)])
+
+
+def mindistance_ref(r, o, dt, lookahead):
+    n = int(math.floor(lookahead / dt + 1e-9))
+    ts = np.arange(n + 1) * dt
+    rel0 = np.array([r.x - o.x, r.y - o.y])
+    relv = _heading_ref(r.theta) * r.v - _heading_ref(o.theta) * o.v
+    gaps = rel0[None, :] + ts[:, None] * relv[None, :]
+    return float(np.min(np.hypot(gaps[:, 0], gaps[:, 1])))
+
+
+def infront_margin_ref(r, o):
+    h = _heading_ref(r.theta)
+    return float((o.x - r.x) * h[0] + (o.y - r.y) * h[1])
+
+
+def classify_encounter_ref(r, o):
+    h = _heading_ref(r.theta)
+    rel_x, rel_y = o.x - r.x, o.y - r.y
+    cross = h[0] * rel_y - h[1] * rel_x
+    dot = h[0] * math.cos(o.theta) + h[1] * math.sin(o.theta)
+    plus_side = cross >= 0.0
+    opposing = dot < 0.0
+    if opposing:
+        case = 1 if plus_side else 2
+    else:
+        case = 3 if plus_side else 4
+    return case, (1 if case in (1, 3) else -1)
+
+
+def predicate_rows_ref(rows, cfg):
+    """The per-row monitor predicates, one column per predicate."""
+    out = {"infront": [], "near": [], "evade": []}
+    for row in rows:
+        r = RobotState(row[0], row[1], row[2], row[3])
+        o = ObstacleState(row[4], row[5], row[6], row[7])
+        out["infront"].append(infront_margin_ref(r, o))
+        out["near"].append(cfg.danger_radius - mindistance_ref(r, o, cfg.dt, cfg.lookahead))
+        ok = evade(row[COL_CMD_W], row[COL_DTHETA], int(row[COL_SIGN]), cfg)
+        out["evade"].append(1.0 if ok else -1.0)
+    return {k: np.array(v) for k, v in out.items()}
+
+
+def random_signal_rows(rng, n):
+    """Signal rows over the arena with exact zeros mixed in: speeds (v = 0),
+    turn rates and orientation gaps, and turn rates and gaps at the evade
+    thresholds."""
+    rows = np.zeros((n, 12))
+    rows[:, [0, 4]] = rng.uniform(-1.6, 1.6, size=(n, 2))
+    rows[:, [1, 5]] = rng.uniform(-1.0, 1.0, size=(n, 2))
+    rows[:, [2, 6]] = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    rows[:, 3] = rng.uniform(0.0, 0.2, size=n)
+    rows[:, 7] = rng.uniform(0.0, 0.15, size=n)
+    rows[rng.random(n) < 0.1, 3] = 0.0
+    rows[rng.random(n) < 0.1, 7] = 0.0
+    rows[:, 9] = rng.choice([-1.6, -1.5, -1.2, -0.01, 0.0, 0.005, 0.01, 1.2, 1.5, 3.6], size=n)
+    rows[:, 10] = rng.choice([-1.0, 1.0], size=n)
+    rows[:, 11] = rng.choice([-0.02, -0.01, -0.0, 0.0, 0.3], size=n)
+    for col, bound in ((9, 3.6), (11, math.pi)):
+        redraw = rng.random(n) < 0.5
+        rows[redraw, col] = rng.uniform(-bound, bound, size=int(redraw.sum()))
+    return rows
+
+
+def test_scalar_kernels_bit_equal_to_reference():
+    rows = random_signal_rows(np.random.default_rng(404), 10_000)
+    got, want = [], []
+    for row in rows.tolist():
+        r, o = RobotState(*row[0:4]), ObstacleState(*row[4:8])
+        got.append((mindistance(r, o, CFG.dt, CFG.lookahead), infront_margin(r, o)))
+        want.append((mindistance_ref(r, o, CFG.dt, CFG.lookahead), infront_margin_ref(r, o)))
+        assert classify_encounter(r, o) == classify_encounter_ref(r, o)
+    got, want = np.array(got), np.array(want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_predicate_columns_bit_equal_to_per_row_reference():
+    rows = random_signal_rows(np.random.default_rng(405), 10_000)
+    table = safety_predicates(CFG)
+    want = predicate_rows_ref(rows, CFG)
+    for name in ("infront", "near", "evade"):
+        got = table.evaluate(name, rows)
+        assert np.array_equal(got.view(np.int64), want[name].view(np.int64)), name
+        # a block that starts part-way through gives the same rows
+        assert np.array_equal(table.evaluate(name, rows[17:40]), got[17:40]), name
+    assert set(want["evade"]) == {-1.0, 1.0}
+
+
+# ---------------------------------------------------------------------------
 # Episode scoring
 # ---------------------------------------------------------------------------
 
@@ -405,6 +502,20 @@ def test_env_step_contract(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("k,robot_x,robot_y,robot_theta")
     assert len(lines) == total_steps + 1
+
+
+def test_containment_violation_raises_at_the_step():
+    env = EvasionEnv(
+        CFG, lambda: SafeController(CFG, ControllerConfig()), mask=IntervalBox.zero(2)
+    )
+    env.reset_random(np.random.default_rng(0))
+    env.step_raw([0.0, 0.0])
+    # a box without the zero offset: the clamp to v_max cuts the offset to
+    # 0.08, below the box's lower bound on the speed axis
+    env.mask = IntervalBox([0.1, 0.0], [0.2, 0.0])
+    with pytest.raises(ContainmentViolation, match=r"step 1: applied offset .*IntervalBox\(\[0\.1, 0\.2\]"):
+        env.step_raw([0.0, 0.0])
+    assert env.containment_violations == 1
 
 
 def test_sample_obstacle_respects_constraints():

@@ -26,10 +26,12 @@ from saferl.stl import (
     satisfies,
 )
 
+# column functions: each works on one state row and on an (m, n) block alike,
+# so the brute-force oracle can take the same dict
 FNS = {
-    "over2": lambda s: abs(s[0]) - 2.0,
-    "p": lambda s: s[0] - 1.0,
-    "q": lambda s: 2.0 - abs(s[1]),
+    "over2": lambda s: np.abs(s[..., 0]) - 2.0,
+    "p": lambda s: s[..., 0] - 1.0,
+    "q": lambda s: 2.0 - np.abs(s[..., 1]),
     "pred_a": lambda s: 1.0,
 }
 TABLE = PredicateTable(FNS)
@@ -175,7 +177,7 @@ def test_window_truncates_at_signal_end():
     # G over a window reaching past the end only constrains available steps.
     sig = Signal(np.array([[2.0], [2.0], [-1.0]]), dt=1.0)
     g = parse_formula("G[0,10] pos")
-    table = PredicateTable({"pos": lambda s: s[0]})
+    table = PredicateTable({"pos": lambda s: s[..., 0]})
     assert robustness(g, sig, 0, table) == -1.0
     assert satisfies(g, sig, 0, table) is False
     assert robustness(g, sig, 1, table) == -1.0
@@ -232,7 +234,7 @@ def test_window_rounding_at_non_representable_dt():
     # 0.825 / 0.033 fall just below 21 and 25, 8.085 / 0.033 just above 245.
     # The value of "row" is the step index, so F gives the window's last
     # offset and G its first.
-    table = PredicateTable({"row": lambda s: s[0]})
+    table = PredicateTable({"row": lambda s: s[..., 0]})
     sig = Signal(np.arange(300.0)[:, None], dt=0.033)
     for a, b, first, last in [
         ("0.066", "0.099", 2, 3),
@@ -248,7 +250,7 @@ def test_bounded_formula_evaluates_only_the_rows_its_windows_reach():
 
     def counting(name):
         def fn(s):
-            seen.append((name, int(s[0])))
+            seen.extend((name, int(v)) for v in s[:, 0])
             return 1.0
 
         return fn
@@ -260,6 +262,30 @@ def test_bounded_formula_evaluates_only_the_rows_its_windows_reach():
     assert sorted(seen) == [("p", i) for i in range(k, k + 4)] + [
         ("q", i) for i in range(k + 1, k + 6)
     ]
+
+
+def test_predicate_of_wrong_shape_raises():
+    sig = Signal(np.zeros((5, 2)), dt=1.0)
+    for fn in (lambda s: s[0], lambda s: s, lambda s: s[:-1, 0]):
+        table = PredicateTable({"bad": fn})
+        for evaluate in (satisfies, robustness):
+            with pytest.raises(StlError, match="'bad'"):
+                evaluate(parse_formula("G[0,4] bad"), sig, 0, table)
+
+
+def test_scalar_predicate_broadcasts_to_every_row():
+    seen = []
+
+    def const(s):
+        seen.append(s.shape)
+        return 0.5
+
+    table = PredicateTable({"c": const, "p": FNS["p"]})
+    sig = Signal(np.arange(6.0)[:, None], dt=1.0)
+    assert robustness(parse_formula("G[0,4] (c | p)"), sig, 0, table) == 0.5
+    assert robustness(parse_formula("G[0,4] (c & p)"), sig, 0, table) == -1.0
+    assert satisfies(parse_formula("G[1,5] (c & p)"), sig, 0, table) is True
+    assert seen == [(5, 1), (5, 1), (5, 1)]
 
 
 def test_unresolved_predicate_raises():

@@ -169,6 +169,35 @@ def test_probv_perturbation_changes_rollouts():
     assert perturbed != clean
 
 
+class RecordingSource:
+    """Rollout draws ``steps`` perturbations and returns them as its trajectory."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def sample_initial(self, rng):
+        return np.array([rng.uniform()])
+
+    def rollout(self, initial, perturb=None):
+        return np.array([perturb() for _ in range(self.steps)])
+
+
+def test_perturbation_stream_equals_per_step_draws():
+    box = IntervalBox([-0.3, 0.0, 2.0], [0.5, 0.0, 2.5])  # degenerate middle axis
+    drawn = []
+
+    def record(draws):
+        drawn.append(draws)
+        return 0.0
+
+    probv(RecordingSource(300), box, record, n=3, epsilon=0.05, base_seed=17)
+    assert len(drawn) == 3
+    for i, draws in enumerate(drawn):
+        rng = np.random.default_rng(np.random.SeedSequence([17, i, 1]))
+        expected = np.array([box.sample(rng) for _ in range(300)])
+        assert np.array_equal(draws.view(np.int64), expected.view(np.int64))
+
+
 def test_probv_rollout_failure_reports_index_and_seed():
     class FailingSource(LineSource):
         def rollout(self, initial, perturb=None):
