@@ -43,7 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON configuration file")
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--seed", type=int, help="stage seed override")
-        p.add_argument("--jobs", type=int, help="worker cap for rollout evaluation")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            help="rollout threads; results are identical for any value, and "
+            "threads give no speedup (the rollouts hold the GIL)",
+        )
 
     p = sub.add_parser("verify-safe", help="verify the perturbed safe controller")
     common(p)

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .atomic import atomic_open
 from .boxes import IntervalBox
 from .stl import PredicateTable, Signal, parse_formula, satisfies
 
@@ -309,10 +310,9 @@ COL_XR, COL_YR, COL_THR, COL_VR = 0, 1, 2, 3
 COL_XO, COL_YO, COL_THO, COL_VO = 4, 5, 6, 7
 COL_CMD_V, COL_CMD_W = 8, 9
 COL_SIGN, COL_DTHETA = 10, 11
-COL_SAFE_V, COL_SAFE_W = 12, 13
-COL_TRIGGER, COL_EVADE_OK, COL_CASE = 14, 15, 16
+COL_SAFE_V, COL_SAFE_W, COL_CASE = 12, 13, 14
 _SIGNAL_WIDTH = 12
-_ROW_WIDTH = 17
+_ROW_WIDTH = 15
 
 TRACE_COLUMNS = (
     "robot_x",
@@ -329,8 +329,6 @@ TRACE_COLUMNS = (
     "delta_theta",
     "safe_v",
     "safe_omega",
-    "trigger",
-    "evade_ok",
     "case",
 )
 
@@ -339,9 +337,9 @@ TRACE_COLUMNS = (
 class EpisodeTrace:
     """One closed-loop episode: a row per executed step plus the final state.
 
-    Row ``k`` holds the joint state at step ``k`` together with the control
-    applied there and the monitor bookkeeping (turn sign, orientation gap,
-    trigger and evade flags).
+    Row ``k`` holds the joint state at step ``k``, the control applied there,
+    the turn sign and orientation gap, the safe control and the encounter
+    case; the monitor (:func:`safety_predicates`) reads the first 12 columns.
     """
 
     rows: np.ndarray
@@ -367,11 +365,15 @@ class EpisodeTrace:
     def signal(self) -> Signal:
         return Signal(self.rows[:, :_SIGNAL_WIDTH], self.dt)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+    def to_csv(self, path, cfg: TaskConfig) -> None:
+        """One row per step: the trace columns, then the monitor's margins under
+        ``cfg``; the trigger holds where ``infront`` and ``near`` are both >= 0."""
+        table, states = safety_predicates(cfg), self.signal().states
+        margins = {name: table.evaluate(name, states) for name in ("infront", "near", "evade")}
+        with atomic_open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(("k",) + TRACE_COLUMNS)
-            for k, row in enumerate(self.rows):
+            writer.writerow(("k",) + TRACE_COLUMNS + tuple(margins))
+            for k, row in enumerate(np.column_stack([self.rows, *margins.values()])):
                 writer.writerow([k] + [repr(float(v)) for v in row])
 
 
@@ -477,7 +479,8 @@ class EvasionEnv:
     interface where a raw action in [-1, 1]^2 is mapped affinely into the
     action box around the controller output.  Every applied control is
     checked against that box; a violation is counted and raises
-    :class:`ContainmentViolation` at that step.
+    :class:`ContainmentViolation` at that step.  A step records one trace row
+    and evaluates no monitor predicate; :func:`safety_predicates` does that.
     """
 
     def __init__(
@@ -513,14 +516,11 @@ class EvasionEnv:
         u_safe = self._clamp(self._controller(r, o))
         case, sign = classify_encounter(r, o)
         dth = delta_theta(r.theta, sign, self.theta_path)
-        near = mindistance(r, o, self.cfg.dt, self.cfg.lookahead) <= self.cfg.danger_radius
-        trig = near and infront(r, o)
-        return u_safe, sign, case, dth, trig
+        return u_safe, sign, case, dth
 
-    def _advance(self, applied, u_safe, sign, case, dth, trig) -> None:
+    def _advance(self, applied, u_safe, sign, case, dth) -> None:
         cfg = self.cfg
         r, o = self._robot, self._obstacle
-        ok = evade(applied[1], dth, sign, cfg)
         self._rows.append(
             np.array(
                 [
@@ -528,8 +528,7 @@ class EvasionEnv:
                     o.x, o.y, o.theta, o.v,
                     applied[0], applied[1],
                     float(sign), dth,
-                    u_safe[0], u_safe[1],
-                    float(trig), float(ok), float(case),
+                    u_safe[0], u_safe[1], float(case),
                 ]
             )
         )
@@ -562,13 +561,13 @@ class EvasionEnv:
         once per step and added to the controller output before clamping."""
         self.reset(obstacle)
         while not self._done:
-            u_safe, sign, case, dth, trig = self._context()
+            u_safe, sign, case, dth = self._context()
             if perturb is not None:
                 xi = perturb()
                 applied = self._clamp((u_safe[0] + float(xi[0]), u_safe[1] + float(xi[1])))
             else:
                 applied = u_safe
-            self._advance(applied, u_safe, sign, case, dth, trig)
+            self._advance(applied, u_safe, sign, case, dth)
         return self.trace()
 
     # -- learning interface ------------------------------------------------
@@ -591,7 +590,7 @@ class EvasionEnv:
             raise RuntimeError("episode finished; call reset() first")
         if self.mask is None:
             raise RuntimeError("learning interface requires an action mask box")
-        u_safe, sign, case, dth, trig = self._context()
+        u_safe, sign, case, dth = self._context()
         raw = np.clip(np.asarray(raw_action, dtype=float), -1.0, 1.0)
         offset = self.mask.lower + 0.5 * (raw + 1.0) * self.mask.widths
         applied = self._clamp((u_safe[0] + offset[0], u_safe[1] + offset[1]))
@@ -600,7 +599,7 @@ class EvasionEnv:
         half = np.maximum(0.5 * self.mask.widths, 1e-12)
         diff = np.asarray(applied) - np.asarray(u_safe) - self.mask.center
         action_diff = float(np.linalg.norm(diff / half) / math.sqrt(self.mask.dim))
-        self._advance(applied, u_safe, sign, case, dth, trig)
+        self._advance(applied, u_safe, sign, case, dth)
         info = {
             "action_diff": action_diff,
             "termination": self._termination,

@@ -78,7 +78,7 @@ class VerifyConfig:
     n_samples: int = 50
     epsilon: float = 0.05
     seed: int = 2024
-    jobs: int = 1
+    jobs: int = 1  # rollout threads: the same results for any value, no speedup (GIL)
 
 
 def _default_e_init() -> IntervalBox:

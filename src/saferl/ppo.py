@@ -545,7 +545,8 @@ def save_policy(params: PolicyParams, path, meta: dict | None = None) -> Path:
 
 def load_policy(path) -> tuple[PolicyParams, dict]:
     """Read a policy file and its sidecar; raises :class:`PolicyLoadError`
-    with a reason on any structural problem."""
+    with a reason on any structural problem, including a sidecar whose format
+    version, dimensions or layer sizes differ from the binary's."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -607,6 +608,7 @@ def load_policy(path) -> tuple[PolicyParams, dict]:
     if log_std.ndim != 1 or log_std.shape[0] != policy.sizes[-1]:
         raise PolicyLoadError("log-std shape does not match the policy head")
 
+    params = PolicyParams(policy=policy, log_std=log_std, value=value)
     sidecar_path = path.with_suffix(".json")
     meta: dict = {}
     if sidecar_path.exists():
@@ -614,4 +616,23 @@ def load_policy(path) -> tuple[PolicyParams, dict]:
             meta = json.loads(sidecar_path.read_text())
         except json.JSONDecodeError as exc:
             raise PolicyLoadError(f"corrupt policy sidecar {sidecar_path}: {exc}") from exc
-    return PolicyParams(policy=policy, log_std=log_std, value=value), meta
+        if not isinstance(meta, dict):
+            raise PolicyLoadError(f"corrupt policy sidecar {sidecar_path}: not a JSON object")
+        binary = {
+            "format_version": version,
+            "obs_dim": params.obs_dim,
+            "act_dim": params.act_dim,
+            "policy_sizes": list(policy.sizes),
+            "value_sizes": list(value.sizes),
+        }
+        for key, want in binary.items():
+            if key not in meta:
+                raise PolicyLoadError(
+                    f"policy sidecar {sidecar_path} lacks {key} ({want!r} in the binary {path})"
+                )
+            if meta[key] != want:
+                raise PolicyLoadError(
+                    f"policy sidecar {sidecar_path} does not match {path}: "
+                    f"{key} is {meta[key]!r} in the sidecar, {want!r} in the binary"
+                )
+    return params, meta

@@ -5,8 +5,6 @@ import pytest
 
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import (
-    COL_EVADE_OK,
-    COL_TRIGGER,
     EvasionSource,
     ObstacleState,
     RobotState,
@@ -17,6 +15,7 @@ from saferl.evasion import (
     infront,
     infront_margin,
     mindistance,
+    safety_predicates,
 )
 
 TASK = TaskConfig()
@@ -103,16 +102,17 @@ def test_clone_resets_mode():
 
 def test_evade_consistency_over_random_episodes():
     # At every step where the monitor antecedent holds, the emitted command
-    # satisfies the evade predicate (flags recorded by the environment).
+    # satisfies the evade predicate (the monitor's predicate columns).
     source = EvasionSource(TASK, fresh)
+    table = safety_predicates(TASK)
     rng = np.random.default_rng(10)
     triggered_steps = 0
     for _ in range(40):
         trace = source.rollout(source.sample_initial(rng))
-        rows = trace.rows
-        triggered = rows[:, COL_TRIGGER] > 0
+        states = trace.signal().states
+        triggered = (table.evaluate("infront", states) >= 0) & (table.evaluate("near", states) >= 0)
         triggered_steps += int(triggered.sum())
-        assert np.all(rows[triggered, COL_EVADE_OK] > 0)
+        assert np.all(table.evaluate("evade", states)[triggered] > 0)
     assert triggered_steps > 0
 
 

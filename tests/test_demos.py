@@ -25,3 +25,24 @@ def test_safe_controller_rollouts_demo_runs(capsys, monkeypatch, tmp_path):
         "296 steps, 165 conflict steps, ends by goal   , robustness +0.952"
     ) in out
     assert (tmp_path / "demo_trace.csv").is_file()
+
+
+def test_expansion_search_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "04_expansion_search.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "verified box: IntervalBox([-0.0022, 0.0022] x [-0.01, 0.01])" in out.splitlines()
+
+
+def test_masked_training_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "05_masked_training.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    line = "trained policy, deterministic eval over 20 episodes: +1.633 +- 0.764"
+    assert line in out.splitlines()
+
+
+def test_full_pipeline_demo_runs(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # the demo writes demo_out/
+    runpy.run_path(str(DEMOS / "06_full_pipeline.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "  agent    : mean +0.926, std 0.497" in out.splitlines()
+    assert (tmp_path / "demo_out").is_dir()

@@ -43,7 +43,7 @@ CFG = TaskConfig()
 
 def make_safe_rows(n, robot_xy=(0.0, 0.0)):
     """Rows with the obstacle far behind the robot: trigger never active."""
-    rows = np.zeros((n, 17))
+    rows = np.zeros((n, 15))
     rows[:, 0] = robot_xy[0]
     rows[:, 1] = robot_xy[1]
     rows[:, 2] = 0.0  # heading +x
@@ -360,7 +360,7 @@ def test_episode_robustness_no_progress():
 
 def test_episode_robustness_empty_trace():
     with pytest.raises(ValueError):
-        episode_robustness(make_trace(np.zeros((0, 17)), RobotState(0, 0, 0, 0)), CFG)
+        episode_robustness(make_trace(np.zeros((0, 15)), RobotState(0, 0, 0, 0)), CFG)
 
 
 def test_measure_sign_matches_formula(tmp_path):
@@ -498,10 +498,47 @@ def test_env_step_contract(tmp_path):
     # degenerate mask: applied control equals the safe control bit-exactly
     assert np.array_equal(trace.rows[:, 8:10], trace.rows[:, 12:14])
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    trace.to_csv(path, CFG)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("k,robot_x,robot_y,robot_theta")
+    assert lines[0].endswith(",safe_v,safe_omega,case,infront,near,evade")
     assert len(lines) == total_steps + 1
+    assert all(len(line.split(",")) == 19 for line in lines)
+
+
+def step_flags_ref(row, cfg):
+    """The trigger and evade flags as the environment once computed them at
+    every step from the live state, before traces dropped their flag columns:
+    rows hold that state, the applied command, the turn sign and the
+    orientation gap exactly, so the flags are recomputed from the row."""
+    r, o = RobotState(*row[0:4]), ObstacleState(*row[4:8])
+    near = mindistance(r, o, cfg.dt, cfg.lookahead) <= cfg.danger_radius
+    trig = near and infront(r, o)
+    ok = evade(row[COL_CMD_W], row[COL_DTHETA], int(row[COL_SIGN]), cfg)
+    return trig, ok
+
+
+def test_trigger_and_evade_from_predicate_columns_equal_step_flags():
+    source = EvasionSource(CFG, lambda: SafeController(CFG, ControllerConfig()))
+    table = safety_predicates(CFG)
+    box = IntervalBox([-0.01, -0.08], [0.01, 0.08])
+    rng = np.random.default_rng(21)
+    seen = set()
+    for i in range(48):
+        ic = source.sample_initial(rng)
+        if i % 2:
+            prng = np.random.default_rng(i)
+            trace = source.rollout(ic, lambda: box.sample(prng))
+        else:
+            trace = source.rollout(ic)
+        states = trace.signal().states
+        trigger = (table.evaluate("infront", states) >= 0) & (table.evaluate("near", states) >= 0)
+        ok = table.evaluate("evade", states) >= 0
+        want = [step_flags_ref(row, CFG) for row in trace.rows.tolist()]
+        assert trigger.tolist() == [t for t, _ in want], i
+        assert ok.tolist() == [e for _, e in want], i
+        seen.update(zip(trigger.tolist(), ok.tolist()))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_containment_violation_raises_at_the_step():

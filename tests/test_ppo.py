@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -367,3 +368,35 @@ def test_policy_load_errors(tmp_path):
 
     with pytest.raises(PolicyLoadError, match="cannot read"):
         load_policy(tmp_path / "missing.bin")
+
+
+def test_policy_load_rejects_a_sidecar_of_another_binary(tmp_path):
+    small = init_policy(7, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
+    large = init_policy(7, 2, PpoConfig(hidden=(8,)), np.random.default_rng(0))
+    path = tmp_path / "policy.bin"
+    save_policy(small, path)
+    sidecar = path.with_suffix(".json").read_text()
+    save_policy(large, path)
+    path.with_suffix(".json").write_text(sidecar)  # the new binary beside the old sidecar
+    with pytest.raises(
+        PolicyLoadError, match=r"policy_sizes is \[7, 4, 2\] in the sidecar, \[7, 8, 2\] in the binary"
+    ):
+        load_policy(path)
+
+    save_policy(small, path)
+    assert path.with_suffix(".json").read_text() == sidecar
+    load_policy(path)  # a matching pair loads
+    meta = json.loads(sidecar)
+    del meta["value_sizes"]
+    path.with_suffix(".json").write_text(json.dumps(meta))
+    with pytest.raises(PolicyLoadError, match=r"lacks value_sizes \(\[7, 4, 1\] in the binary"):
+        load_policy(path)
+
+    for key, bad in (("format_version", 2), ("obs_dim", 6), ("act_dim", 3)):
+        path.with_suffix(".json").write_text(json.dumps(dict(json.loads(sidecar), **{key: bad})))
+        with pytest.raises(PolicyLoadError, match=f"{key} is {bad} in the sidecar"):
+            load_policy(path)
+
+    path.with_suffix(".json").write_text("[1, 2]")
+    with pytest.raises(PolicyLoadError, match="not a JSON object"):
+        load_policy(path)
