@@ -29,10 +29,9 @@ import numpy as np
 
 from .evasion import (
     TaskConfig,
+    _closest_on_path,
     classify_encounter,
-    closest_point_on_segment,
     delta_theta,
-    heading_vector,
     infront,
     mindistance,
     path_heading,
@@ -62,6 +61,8 @@ class SafeController:
         self.task = task
         self.cfg = cfg or ControllerConfig()
         self.theta_path = path_heading(task.start, task.goal)
+        self._direction = (math.cos(self.theta_path), math.sin(self.theta_path))
+        self._span = np.subtract(task.goal, task.start)
         self._evading = False
         if self.cfg.evade_turn_rate > task.evade_rate_bound:
             raise ValueError("evade turn rate exceeds the admissible bound")
@@ -94,12 +95,12 @@ class SafeController:
                 omega = sign * cfg.evade_turn_rate
             v = cfg.cruise_speed
         else:
-            target = self._track_target(robot)
-            to_target = target - robot.position()
-            dist = float(np.hypot(*to_target))
-            theta_des = (
-                math.atan2(to_target[1], to_target[0]) if dist > 1e-9 else self.theta_path
-            )
+            tx, ty = self._track_target(robot)
+            dx, dy = tx - robot.x, ty - robot.y
+            # hypot(dx, dy) >= max(|dx|, |dy|), so numpy's hypot is needed
+            # only when both offsets are tiny
+            far = abs(dx) > 1e-9 or abs(dy) > 1e-9 or float(np.hypot(dx, dy)) > 1e-9
+            theta_des = math.atan2(dy, dx) if far else self.theta_path
             err = wrap_angle(theta_des - robot.theta)
             omega = min(max(cfg.heading_gain * err, -cfg.track_turn_cap), cfg.track_turn_cap)
             v = cfg.cruise_speed
@@ -108,13 +109,14 @@ class SafeController:
         omega = min(max(omega, -task.omega_max), task.omega_max)
         return v, omega
 
-    def _track_target(self, robot) -> np.ndarray:
-        start = np.asarray(self.task.start)
-        goal = np.asarray(self.task.goal)
-        proj = closest_point_on_segment(robot.position(), start, goal)
-        direction = heading_vector(self.theta_path)
-        advanced = proj + self.cfg.target_lookahead * direction
-        # Do not aim past the goal.
-        span = goal - start
-        overshoot = float((advanced - goal) @ span)
-        return goal if overshoot > 0 else advanced
+    def _track_target(self, robot) -> tuple[float, float]:
+        """The point ``target_lookahead`` ahead of the robot's projection on
+        the start-goal segment, capped at the goal."""
+        task = self.task
+        px, py = _closest_on_path(robot.x, robot.y, task.start, task.goal)
+        lookahead = self.cfg.target_lookahead
+        ax, ay = px + lookahead * self._direction[0], py + lookahead * self._direction[1]
+        gx, gy = task.goal
+        # Do not aim past the goal; a 2-element numpy dot (see _closest_on_path).
+        overshoot = np.array((ax - gx, ay - gy)).dot(self._span)
+        return (gx, gy) if overshoot > 0 else (ax, ay)

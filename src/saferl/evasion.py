@@ -170,7 +170,7 @@ def unicycle_step(state, control, dt: float):
     v_cmd, omega_cmd = float(control[0]), float(control[1])
     if not (math.isfinite(v_cmd) and math.isfinite(omega_cmd)):
         raise ValueError(f"non-finite control ({v_cmd}, {omega_cmd})")
-    if not all(math.isfinite(f) for f in (state.x, state.y, state.theta)):
+    if not (math.isfinite(state.x) and math.isfinite(state.y) and math.isfinite(state.theta)):
         raise ValueError("non-finite state")
     cls = type(state)
     return cls(
@@ -262,16 +262,38 @@ def closest_point_on_segment(point, seg_start, seg_end) -> np.ndarray:
     return a + t * ab
 
 
+@functools.lru_cache(maxsize=8)
+def _segment(start: tuple[float, float], goal: tuple[float, float]):
+    """Constants of the start-goal segment: its direction vector as floats
+    and as a read-only array, and its squared length."""
+    ab = np.array([goal[0] - start[0], goal[1] - start[1]])
+    ab.flags.writeable = False
+    return ab.tolist(), ab, float(ab @ ab)
+
+
+def _closest_on_path(x: float, y: float, start, goal) -> tuple[float, float]:
+    """:func:`closest_point_on_segment` of ``(x, y)`` on the start-goal
+    segment, as floats with the same IEEE operations.  The projection's dot
+    product stays a numpy call: numpy rounds a 2-element dot as
+    ``fma(x1, y1, x0*y0)``, which ``x0*y0 + x1*y1`` does not reproduce."""
+    (abx, aby), ab, denom = _segment(start, goal)
+    ax, ay = start
+    if denom == 0.0:
+        return ax, ay
+    t = min(max(float(np.array((x - ax, y - ay)).dot(ab)) / denom, 0.0), 1.0)
+    return ax + t * abx, ay + t * aby
+
+
 def observe(robot: RobotState, obstacle: ObstacleState, cfg: TaskConfig) -> np.ndarray:
     """Seven-component observation: goal offset (2), offset to the closest
     point of the start-goal segment (2), heading error to the path
     direction (1), obstacle offset (2)."""
-    pos = robot.position()
-    goal = np.asarray(cfg.goal)
-    proj = closest_point_on_segment(pos, cfg.start, cfg.goal)
+    x, y = robot.x, robot.y
+    gx, gy = cfg.goal
+    px, py = _closest_on_path(x, y, cfg.start, cfg.goal)
     heading_err = wrap_angle(path_heading(cfg.start, cfg.goal) - robot.theta)
-    return np.concatenate(
-        [goal - pos, proj - pos, [heading_err], obstacle.position() - pos]
+    return np.array(
+        [gx - x, gy - y, px - x, py - y, heading_err, obstacle.x - x, obstacle.y - y]
     )
 
 
@@ -481,6 +503,10 @@ class EvasionEnv:
     checked against that box; a violation is counted and raises
     :class:`ContainmentViolation` at that step.  A step records one trace row
     and evaluates no monitor predicate; :func:`safety_predicates` does that.
+
+    The per-step arithmetic runs on Python floats; it repeats, operation for
+    operation, the IEEE arithmetic of the array expressions given in the
+    comments, so results are bit-equal to them.
     """
 
     def __init__(
@@ -496,13 +522,38 @@ class EvasionEnv:
         self.mask = mask
         self.theta_path = path_heading(cfg.start, cfg.goal)
         self.containment_violations = 0
-        self._rows: list[np.ndarray] | None = None
+        self._rows: np.ndarray | None = None
         self._robot: RobotState | None = None
         self._obstacle: ObstacleState | None = None
         self._controller = None
         self._k = 0
         self._done = True
         self._termination = ""
+
+    @property
+    def mask(self) -> IntervalBox | None:
+        return self._mask
+
+    @mask.setter
+    def mask(self, box: IntervalBox | None) -> None:
+        """Install the action box and the per-axis floats that
+        :meth:`step_raw` reads: lower bound, width, containment bounds with
+        the 1e-9 tolerance, center and half-width of the normalised offset."""
+        self._mask = box
+        if box is None:
+            return
+        if box.dim != 2:
+            raise ValueError(f"action mask box must be 2-D (speed, turn rate), got {box!r}")
+        widths = box.widths
+        self._mask_floats = (
+            box.lower.tolist(),
+            widths.tolist(),
+            (box.lower - 1e-9).tolist(),
+            (box.upper + 1e-9).tolist(),
+            box.center.tolist(),
+            np.maximum(0.5 * widths, 1e-12).tolist(),
+            math.sqrt(box.dim),
+        )
 
     # -- shared machinery -------------------------------------------------
 
@@ -521,16 +572,12 @@ class EvasionEnv:
     def _advance(self, applied, u_safe, sign, case, dth) -> None:
         cfg = self.cfg
         r, o = self._robot, self._obstacle
-        self._rows.append(
-            np.array(
-                [
-                    r.x, r.y, r.theta, r.v,
-                    o.x, o.y, o.theta, o.v,
-                    applied[0], applied[1],
-                    float(sign), dth,
-                    u_safe[0], u_safe[1], float(case),
-                ]
-            )
+        self._rows[self._k] = (
+            r.x, r.y, r.theta, r.v,
+            o.x, o.y, o.theta, o.v,
+            applied[0], applied[1],
+            sign, dth,
+            u_safe[0], u_safe[1], case,
         )
         self._robot = unicycle_step(r, applied, cfg.dt)
         self._obstacle = unicycle_step(o, (o.v, 0.0), cfg.dt)
@@ -576,7 +623,7 @@ class EvasionEnv:
         self._robot = RobotState(self.cfg.start[0], self.cfg.start[1], self.theta_path, 0.0)
         self._obstacle = obstacle
         self._controller = self.controller_factory()
-        self._rows = []
+        self._rows = np.empty((self.cfg.k_max, _ROW_WIDTH))
         self._k = 0
         self._done = False
         self._termination = ""
@@ -586,19 +633,36 @@ class EvasionEnv:
         return self.reset(sample_obstacle(self.cfg, rng))
 
     def step_raw(self, raw_action) -> tuple[np.ndarray, float, bool, dict]:
+        """Map ``raw_action`` (clipped to [-1, 1]^2) into the action box around
+        the safe control, apply it and return ``(observation, reward, done,
+        info)``.  A NaN raw action raises ``ValueError`` before anything is
+        mapped or applied; it is not a containment violation."""
         if self._done:
             raise RuntimeError("episode finished; call reset() first")
-        if self.mask is None:
+        if self._mask is None:
             raise RuntimeError("learning interface requires an action mask box")
+        r0, r1 = np.asarray(raw_action, dtype=float).tolist()
+        if math.isnan(r0) or math.isnan(r1):
+            raise ValueError(f"step {self._k}: raw action {[r0, r1]} is not a number")
         u_safe, sign, case, dth = self._context()
-        raw = np.clip(np.asarray(raw_action, dtype=float), -1.0, 1.0)
-        offset = self.mask.lower + 0.5 * (raw + 1.0) * self.mask.widths
-        applied = self._clamp((u_safe[0] + offset[0], u_safe[1] + offset[1]))
-        self._check_mask(applied, u_safe)
+        (lo0, lo1), (w0, w1), (in_lo0, in_lo1), (in_hi0, in_hi1), (c0, c1), (h0, h1), root_dim = (
+            self._mask_floats
+        )
+        # offset = lower + 0.5 * (clip(raw, -1, 1) + 1) * widths
+        r0 = min(max(r0, -1.0), 1.0)
+        r1 = min(max(r1, -1.0), 1.0)
+        u0, u1 = u_safe
+        applied = self._clamp(
+            (u0 + (lo0 + 0.5 * (r0 + 1.0) * w0), u1 + (lo1 + 0.5 * (r1 + 1.0) * w1))
+        )
+        d0, d1 = applied[0] - u0, applied[1] - u1
+        if not (in_lo0 <= d0 <= in_hi0 and in_lo1 <= d1 <= in_hi1):
+            self._check_mask(applied, u_safe)
         step_reward = reward(self._robot, applied, u_safe, self.cfg)
-        half = np.maximum(0.5 * self.mask.widths, 1e-12)
-        diff = np.asarray(applied) - np.asarray(u_safe) - self.mask.center
-        action_diff = float(np.linalg.norm(diff / half) / math.sqrt(self.mask.dim))
+        # action_diff = norm((applied - u_safe - center) / half) / sqrt(dim);
+        # the norm is numpy's 2-element dot (see _closest_on_path)
+        q = np.array(((d0 - c0) / h0, (d1 - c1) / h1))
+        action_diff = math.sqrt(q.dot(q)) / root_dim
         self._advance(applied, u_safe, sign, case, dth)
         info = {
             "action_diff": action_diff,
@@ -616,7 +680,7 @@ class EvasionEnv:
         if self._rows is None or not self._done:
             raise RuntimeError("no finished episode to export")
         return EpisodeTrace(
-            rows=np.stack(self._rows),
+            rows=self._rows[: self._k],
             final_robot=self._robot,
             final_obstacle=self._obstacle,
             dt=self.cfg.dt,

@@ -69,67 +69,90 @@ def net_init(
 
 def net_forward(net: DenseNet, x: np.ndarray):
     """Returns (output, cache); cache feeds net_backward."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    activations = [x]
-    h = x
-    n_layers = len(net.weights)
+    h = np.asarray(x, dtype=float)
+    if h.ndim < 2:
+        h = h.reshape(1, -1)
+    activations = [h]
+    last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        h = z if i == n_layers - 1 else np.tanh(z)
+        h = h @ w
+        h += b
+        if i != last:
+            np.tanh(h, out=h)
         activations.append(h)
     return h, activations
 
 
-def net_backward(net: DenseNet, cache: list[np.ndarray], dout: np.ndarray):
+def net_backward(net: DenseNet, cache: list[np.ndarray], dout: np.ndarray, out=None):
     """Backprop dout (B, d_out) through the net.
 
-    Returns (grads, dx) with grads ordered like net.params().
+    Returns (grads, dx) with grads ordered like net.params().  With ``out``,
+    arrays shaped like net.params(), the gradients are written into them and
+    ``out`` is returned as grads.
     """
     n_layers = len(net.weights)
-    grads_w: list[np.ndarray] = [None] * n_layers
-    grads_b: list[np.ndarray] = [None] * n_layers
+    grads = [np.empty_like(p) for p in net.params()] if out is None else out
     dh = np.atleast_2d(np.asarray(dout, dtype=float))
     for i in range(n_layers - 1, -1, -1):
         # output layer is linear; hidden activations are tanh
         dz = dh if i == n_layers - 1 else dh * (1.0 - cache[i + 1] ** 2)
-        grads_w[i] = cache[i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(cache[i].T, dz, out=grads[2 * i])
+        dz.sum(axis=0, out=grads[2 * i + 1])
         dh = dz @ net.weights[i].T
-    grads = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.append(gw)
-        grads.append(gb)
     return grads, dh
 
 
 class Adam:
-    """Standard Adam with bias correction; lr 0 leaves parameters untouched."""
+    """Standard Adam with bias correction over one flat parameter vector;
+    lr 0 leaves parameters untouched.
 
-    def __init__(self, shapes, lr: float, beta1=0.9, beta2=0.999, eps=1e-5):
+    ``step`` updates in place through two scratch vectors, with the
+    elementwise operations of
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in that order.
+    """
+
+    def __init__(self, size: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-5):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One update of the flat vector ``params`` from the flat ``grads``."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= b1
+        np.multiply(grads, 1 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(grads, 1 - b2, out=a)
+        a *= grads
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def clip_by_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale grads in place so their joint 2-norm is at most max_norm."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    """Scale grads in place so their joint 2-norm is at most max_norm.
+
+    Each array's sum of squares runs in row-major order, whatever its memory
+    order, so the norm does not depend on the layout.
+    """
+    total = float(np.sqrt(sum(float((g * g).ravel().sum()) for g in grads)))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads:

@@ -86,11 +86,45 @@ class PpoConfig:
 
 @dataclass
 class PolicyParams:
-    """Policy net (obs -> action means), state-independent log stds, value net."""
+    """Policy net (obs -> action means), state-independent log stds, value net.
+
+    On construction the arrays are copied into one float64 vector ``flat``, in
+    :meth:`param_list` order, and every array becomes a view of it; the
+    optimizer updates ``flat`` in place.  Each array keeps its memory order
+    (a transposed orthogonal init is column-major): BLAS rounds a product
+    with a column-major matrix differently, so the order is part of the
+    parameters' value.
+    """
 
     policy: DenseNet
     log_std: np.ndarray
     value: DenseNet
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = self.param_list()
+        self._layout = [
+            (a.shape, "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C")
+            for a in arrays
+        ]
+        self.flat = np.empty(sum(a.size for a in arrays))
+        views = self.views(self.flat)
+        for view, a in zip(views, arrays):
+            view[...] = a
+        n_policy = len(self.policy.weights)
+        self.policy = DenseNet(views[0 : 2 * n_policy : 2], views[1 : 2 * n_policy : 2])
+        self.log_std = views[2 * n_policy]
+        self.value = DenseNet(views[2 * n_policy + 1 :: 2], views[2 * n_policy + 2 :: 2])
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Arrays shaped and ordered like :meth:`param_list`, as views of a
+        flat vector laid out like ``self.flat``."""
+        out, offset = [], 0
+        for shape, order in self._layout:
+            size = math.prod(shape)
+            out.append(flat[offset : offset + size].reshape(shape, order=order))
+            offset += size
+        return out
 
     @property
     def obs_dim(self) -> int:
@@ -134,7 +168,7 @@ def mask_action(raw, safe_u, box: IntervalBox) -> np.ndarray:
 
 
 def _clipped_log_std(params: PolicyParams, cfg: PpoConfig) -> np.ndarray:
-    return np.clip(params.log_std, cfg.log_std_min, cfg.log_std_max)
+    return params.log_std.clip(cfg.log_std_min, cfg.log_std_max)
 
 
 def _log_prob_of_z(mean, log_std, z) -> np.ndarray:
@@ -149,27 +183,31 @@ def _log_prob_of_z(mean, log_std, z) -> np.ndarray:
 def policy_sample(
     params: PolicyParams, obs, rng: np.random.Generator, cfg: PpoConfig
 ):
-    """Draw one action: returns (raw action in (-1, 1), pre-squash draw, log prob)."""
-    mean, _ = net_forward(params.policy, obs)
-    mean = mean[0]
+    """Draw one action: returns (raw action in (-1, 1), pre-squash draw, log prob).
+
+    The log prob is :func:`_log_prob_of_z` of one row, with the same
+    reductions in the same order.
+    """
+    mean = net_forward(params.policy, obs)[0][0]
     log_std = _clipped_log_std(params, cfg)
-    z = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
-    if not np.all(np.isfinite(z)):
+    std = np.exp(log_std)
+    z = mean + std * rng.standard_normal(mean.shape)
+    if not np.isfinite(z).all():
         raise RuntimeError(f"non-finite policy output: mean={mean}, log_std={log_std}")
     raw = np.tanh(z)
-    logp = float(_log_prob_of_z(mean[None, :], log_std, z[None, :])[0])
-    return raw, z, logp
+    zn = (z - mean) / std
+    gauss = -0.5 * (zn * zn).sum() - log_std.sum() - 0.5 * z.shape[-1] * _LOG_2PI
+    correction = np.log(1.0 - raw**2 + _SQUASH_EPS).sum()
+    return raw, z, float(gauss - correction)
 
 
 def policy_mean(params: PolicyParams, obs) -> np.ndarray:
     """Deterministic raw action: squashed network mean."""
-    mean, _ = net_forward(params.policy, obs)
-    return np.tanh(mean[0])
+    return np.tanh(net_forward(params.policy, obs)[0][0])
 
 
 def value_estimate(params: PolicyParams, obs) -> float:
-    v, _ = net_forward(params.value, obs)
-    return float(v[0, 0])
+    return float(net_forward(params.value, obs)[0][0, 0])
 
 
 def agent_controller_factory(
@@ -326,8 +364,14 @@ def ppo_loss(params: PolicyParams, batch: dict, cfg: PpoConfig) -> float:
     return _loss_forward(params, batch, cfg)["total"]
 
 
-def ppo_loss_and_grads(params: PolicyParams, batch: dict, cfg: PpoConfig):
-    """Loss statistics plus exact gradients ordered like ``param_list()``."""
+def ppo_loss_and_grads(params: PolicyParams, batch: dict, cfg: PpoConfig, out=None):
+    """Loss statistics plus exact gradients ordered like ``param_list()``.
+
+    The gradients are views of one flat vector laid out like ``params.flat``:
+    ``out`` when given, else a fresh one.
+    """
+    grads = params.views(np.empty_like(params.flat) if out is None else out)
+    n_policy = 2 * len(params.policy.weights)
     fwd = _loss_forward(params, batch, cfg)
     B = fwd["B"]
     z = batch["z"]
@@ -351,13 +395,12 @@ def ppo_loss_and_grads(params: PolicyParams, batch: dict, cfg: PpoConfig):
     dls = (dlogp[:, None] * (zn * zn - 1.0)).sum(axis=0)
     dls -= cfg.ent_coef  # entropy bonus, per dimension
     ls_inside = (params.log_std > cfg.log_std_min) & (params.log_std < cfg.log_std_max)
-    dls = dls * ls_inside
+    np.multiply(dls, ls_inside, out=grads[n_policy])
 
-    grads_policy, _ = net_backward(params.policy, fwd["cache_p"], dmean)
+    net_backward(params.policy, fwd["cache_p"], dmean, out=grads[:n_policy])
     dv = (2.0 * cfg.vf_coef / B) * (fwd["v"] - ret)
-    grads_value, _ = net_backward(params.value, fwd["cache_v"], dv[:, None])
+    net_backward(params.value, fwd["cache_v"], dv[:, None], out=grads[n_policy + 1 :])
 
-    grads = grads_policy + [dls] + grads_value
     log_ratio = fwd["logp"] - batch["logp"]
     stats = {
         "loss": fwd["total"],
@@ -384,7 +427,7 @@ def ppo_update(
     n = buffer.n_steps
     stats_sum: dict[str, float] = {}
     count = 0
-    param_arrays = params.param_list()
+    grad_flat = np.empty_like(params.flat)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for lo in range(0, n, cfg.minibatch_size):
@@ -398,11 +441,11 @@ def ppo_update(
                 "advantages": adv,
                 "returns": buffer.returns[idx],
             }
-            stats, grads = ppo_loss_and_grads(params, batch, cfg)
+            stats, grads = ppo_loss_and_grads(params, batch, cfg, out=grad_flat)
             if not math.isfinite(stats["loss"]):
                 raise RuntimeError(f"non-finite loss during update: {stats}")
             clip_by_global_norm(grads, cfg.max_grad_norm)
-            adam.step(param_arrays, grads)
+            adam.step(params.flat, grad_flat)
             for key, val in stats.items():
                 stats_sum[key] = stats_sum.get(key, 0.0) + val
             count += 1
@@ -436,7 +479,7 @@ def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
     probe = env.mask
     act_dim = probe.dim if probe is not None else 2
     params = init_policy(obs_dim, act_dim, cfg, init_rng)
-    adam = Adam([p.shape for p in params.param_list()], cfg.learning_rate, eps=cfg.adam_eps)
+    adam = Adam(params.flat.size, cfg.learning_rate, eps=cfg.adam_eps)
     buffer = RolloutBuffer(cfg.n_steps, obs_dim, act_dim)
 
     n_updates = max(1, cfg.steps // cfg.n_steps)
@@ -577,11 +620,7 @@ def load_policy(path) -> tuple[PolicyParams, dict]:
         nbytes = 8 * count
         if offset + nbytes > len(view):
             raise PolicyLoadError(f"truncated policy payload in {path}")
-        arrays.append(
-            np.frombuffer(view[offset : offset + nbytes], dtype="<f8")
-            .astype(float)
-            .reshape(dims)
-        )
+        arrays.append(np.frombuffer(view[offset : offset + nbytes], dtype="<f8").reshape(dims))
         offset += nbytes
     if offset != len(view):
         raise PolicyLoadError(f"trailing bytes in policy file {path}")
@@ -608,6 +647,7 @@ def load_policy(path) -> tuple[PolicyParams, dict]:
     if log_std.ndim != 1 or log_std.shape[0] != policy.sizes[-1]:
         raise PolicyLoadError("log-std shape does not match the policy head")
 
+    # copies the payload into the parameters' one float64 vector
     params = PolicyParams(policy=policy, log_std=log_std, value=value)
     sidecar_path = path.with_suffix(".json")
     meta: dict = {}

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ from saferl.evasion import (
     RobotState,
     TaskConfig,
     classify_encounter,
+    closest_point_on_segment,
     delta_theta,
     episode_robustness,
     evade,
+    heading_vector,
     infront,
     infront_margin,
     mindistance,
     observe,
+    path_heading,
     perform,
     reward,
     safety_formula,
@@ -553,6 +557,163 @@ def test_containment_violation_raises_at_the_step():
     with pytest.raises(ContainmentViolation, match=r"step 1: applied offset .*IntervalBox\(\[0\.1, 0\.2\]"):
         env.step_raw([0.0, 0.0])
     assert env.containment_violations == 1
+
+
+STEP_MASK = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+
+
+def test_nan_raw_action_raises_before_mapping():
+    def make():
+        return EvasionEnv(CFG, lambda: SafeController(CFG, ControllerConfig()), mask=STEP_MASK)
+
+    env, twin = make(), make()
+    obstacle = sample_obstacle(CFG, np.random.default_rng(0))
+    env.reset(obstacle)
+    twin.reset(obstacle)
+    for raw in ([math.nan, 0.0], np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match=r"step 0: raw action \[.*nan.*\] is not a number"):
+            env.step_raw(raw)
+    assert env.containment_violations == 0
+    # nothing was mapped or applied, and +-inf is still clipped to the box edge
+    got = env.step_raw([math.inf, -math.inf])
+    want = twin.step_raw([1.0, -1.0])
+    assert np.array_equal(got[0], want[0]) and got[1:3] == want[1:3]
+    assert got[3] == want[3]
+    assert np.array_equal(env._rows[:1], twin._rows[:1])
+
+
+# ---------------------------------------------------------------------------
+# Float step path against the array code it replaced.  Bits are compared:
+# numpy rounds a 2-element dot or norm as fma(x1, y1, x0*y0), which
+# x0*y0 + x1*y1 does not reproduce once no component is zero, so the tilted
+# tasks (start-goal segment off both axes) are where a mismatch shows.  The
+# controller's overshoot dot enters only through its sign, which no sampled
+# state flips.
+# ---------------------------------------------------------------------------
+
+TILTED = (
+    replace(CFG, start=(-0.37, -0.21), goal=(0.43, 0.18)),
+    replace(CFG, start=(0.35, -0.3), goal=(-0.31, 0.27)),
+)
+
+
+def observe_ref(robot, obstacle, cfg):
+    pos = robot.position()
+    goal = np.asarray(cfg.goal)
+    proj = closest_point_on_segment(pos, cfg.start, cfg.goal)
+    heading_err = wrap_angle(path_heading(cfg.start, cfg.goal) - robot.theta)
+    return np.concatenate([goal - pos, proj - pos, [heading_err], obstacle.position() - pos])
+
+
+def step_raw_ref(env, raw_action):
+    """EvasionEnv.step_raw in array code: (observation, reward, done, action_diff)."""
+    u_safe, sign, case, dth = env._context()
+    raw = np.clip(np.asarray(raw_action, dtype=float), -1.0, 1.0)
+    offset = env.mask.lower + 0.5 * (raw + 1.0) * env.mask.widths
+    applied = env._clamp((u_safe[0] + offset[0], u_safe[1] + offset[1]))
+    env._check_mask(applied, u_safe)
+    step_reward = reward(env._robot, applied, u_safe, env.cfg)
+    half = np.maximum(0.5 * env.mask.widths, 1e-12)
+    diff = np.asarray(applied) - np.asarray(u_safe) - env.mask.center
+    action_diff = float(np.linalg.norm(diff / half) / math.sqrt(env.mask.dim))
+    env._advance(applied, u_safe, sign, case, dth)
+    return observe_ref(env._robot, env._obstacle, env.cfg), step_reward, env.done, action_diff
+
+
+def safe_call_ref(ctl, robot, obstacle):
+    """SafeController.__call__ with the target tracked in array code."""
+    task, cfg = ctl.task, ctl.cfg
+    gap = mindistance(robot, obstacle, task.dt, task.lookahead)
+    ahead = infront(robot, obstacle)
+    if ahead and gap <= task.danger_radius:
+        ctl._evading = True
+    elif ctl._evading and not (ahead and gap <= task.danger_radius + cfg.exit_margin):
+        ctl._evading = False
+    if ctl._evading:
+        _, sign = classify_encounter(robot, obstacle)
+        dth = delta_theta(robot.theta, sign, ctl.theta_path)
+        if dth >= 0.0 or abs(dth) <= task.evade_angle_tol:
+            omega = 0.0
+        else:
+            omega = sign * cfg.evade_turn_rate
+    else:
+        start, goal = np.asarray(task.start), np.asarray(task.goal)
+        proj = closest_point_on_segment(robot.position(), start, goal)
+        advanced = proj + cfg.target_lookahead * heading_vector(ctl.theta_path)
+        overshoot = float((advanced - goal) @ (goal - start))
+        target = goal if overshoot > 0 else advanced
+        to_target = target - robot.position()
+        dist = float(np.hypot(*to_target))
+        theta_des = math.atan2(to_target[1], to_target[0]) if dist > 1e-9 else ctl.theta_path
+        err = wrap_angle(theta_des - robot.theta)
+        omega = min(max(cfg.heading_gain * err, -cfg.track_turn_cap), cfg.track_turn_cap)
+    v = min(max(cfg.cruise_speed, task.v_min), task.v_max)
+    omega = min(max(omega, -task.omega_max), task.omega_max)
+    return v, omega
+
+
+def random_step_states(cfg, rng, n):
+    """Robot and obstacle states over the arena, a fifth of the robots on the
+    start-goal segment (some exactly at its ends), and raw actions with the
+    box edges, zeros and infinities mixed in."""
+    (x0, y0), (x1, y1) = cfg.start, cfg.goal
+    for i in range(n):
+        if i % 5 == 0:
+            t = float(rng.choice([0.0, 1.0, rng.uniform(-0.1, 1.1)]))
+            x, y = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+        else:
+            x, y = cfg.arena.sample(rng).tolist()
+        robot = RobotState(x, y, float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0, 0.2)))
+        ox, oy = cfg.arena.sample(rng).tolist()
+        obstacle = ObstacleState(
+            ox, oy, float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0, 0.15))
+        )
+        raw = rng.uniform(-1.2, 1.2, 2)
+        raw[rng.random(2) < 0.2] = rng.choice([-math.inf, -1.0, 0.0, 1.0, math.inf])
+        yield robot, obstacle, raw
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("cfg, n", [(CFG, 10_000), (TILTED[0], 5_000), (TILTED[1], 5_000)])
+def test_step_raw_bit_equal_to_array_reference(cfg, n):
+    def make(mask):
+        return EvasionEnv(cfg, lambda: SafeController(cfg, ControllerConfig()), mask=mask)
+
+    rng = np.random.default_rng(606)
+    pairs = [(make(mask), make(mask)) for mask in (IntervalBox.zero(2), STEP_MASK)]
+    for i, (robot, obstacle, raw) in enumerate(random_step_states(cfg, rng, n)):
+        env, ref = pairs[bool(i % 10)]
+        assert np.array_equal(bits(env.reset(obstacle)), bits(ref.reset(obstacle)))
+        env._robot = ref._robot = robot
+        got_obs, want_obs = observe(robot, obstacle, cfg), observe_ref(robot, obstacle, cfg)
+        assert np.array_equal(bits(got_obs), bits(want_obs)), i
+        obs, r, done, info = env.step_raw(raw)
+        want_obs, want_r, want_done, want_diff = step_raw_ref(ref, raw)
+        assert np.array_equal(bits(obs), bits(want_obs)), i
+        assert np.array_equal(bits([r, info["action_diff"]]), bits([want_r, want_diff])), i
+        assert done == want_done
+        assert np.array_equal(bits(env._rows[0]), bits(ref._rows[0])), i
+
+
+@pytest.mark.parametrize("cfg", [CFG, *TILTED])
+def test_safe_controller_bit_equal_to_array_reference(cfg):
+    ctl, ref = SafeController(cfg), SafeController(cfg)
+    rng = np.random.default_rng(607)
+    tracked = 0
+    for robot, obstacle, _ in random_step_states(cfg, rng, 10_000):
+        ctl._evading = ref._evading = bool(rng.random() < 0.3)
+        got, want = ctl(robot, obstacle), safe_call_ref(ref, robot, obstacle)
+        assert np.array_equal(bits(got), bits(want)), (robot, obstacle)
+        assert ctl.evading == ref.evading
+        tracked += not ctl.evading
+    assert tracked > 5_000
+    # the robot exactly at the goal: no direction to the target, the path heading
+    goal = RobotState(cfg.goal[0], cfg.goal[1], 0.3, 0.1)
+    far = ObstacleState(cfg.goal[0] + 5.0, cfg.goal[1], 0.0, 0.0)
+    assert ctl(goal, far) == safe_call_ref(ref, goal, far)
 
 
 def test_sample_obstacle_respects_constraints():

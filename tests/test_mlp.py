@@ -79,21 +79,20 @@ def test_orthogonal_init_properties():
 def test_adam_zero_lr_is_identity():
     rng = np.random.default_rng(3)
     net = net_init((2, 3, 1), rng)
-    params = net.params()
-    before = [p.copy() for p in params]
-    adam = Adam([p.shape for p in params], lr=0.0)
+    params = flatten_arrays(net.params())
+    before = params.copy()
+    adam = Adam(params.size, lr=0.0)
     for _ in range(3):
-        adam.step(params, [np.ones_like(p) for p in params])
-    for p, b in zip(params, before):
-        assert np.array_equal(p, b)
+        adam.step(params, np.ones_like(params))
+    assert np.array_equal(params, before)
 
 
 def test_adam_descends_quadratic():
-    p = [np.array([5.0])]
-    adam = Adam([(1,)], lr=0.1)
+    p = np.array([5.0])
+    adam = Adam(1, lr=0.1)
     for _ in range(500):
-        adam.step(p, [2.0 * p[0]])
-    assert abs(p[0][0]) < 1e-3
+        adam.step(p, 2.0 * p)
+    assert abs(p[0]) < 1e-3
 
 
 def test_global_norm_clip():

@@ -3,11 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import EvasionEnv, TaskConfig
-from saferl.mlp import flatten_arrays, net_forward, unflatten_arrays
+from saferl.mlp import (
+    DenseNet,
+    clip_by_global_norm,
+    flatten_arrays,
+    net_forward,
+    unflatten_arrays,
+)
 from saferl.ppo import (
     PolicyLoadError,
     PpoConfig,
@@ -25,6 +33,7 @@ from saferl.ppo import (
     ppo_update,
     save_policy,
     train,
+    value_estimate,
 )
 from saferl.ppo import _log_prob_of_z
 from saferl.mlp import Adam
@@ -162,6 +171,45 @@ def test_gae_respects_episode_boundaries():
     assert adv[1] == pytest.approx(1.0 - 5.0)
 
 
+def lambda_returns(rewards, values, dones, gamma, lam, bootstrap_value):
+    """Episodic lambda-returns (Sutton & Barto, eq. 12.3) summed directly:
+    n-step returns from each t to the end of its episode, bootstrapped from
+    the value n steps ahead; the episode's last transition bootstraps nothing
+    when it is terminal and ``bootstrap_value`` when the window truncates it."""
+    T = len(rewards)
+    out = []
+    for t in range(T):
+        end = next((k for k in range(t, T) if dones[k]), T - 1)
+        tail = 0.0 if dones[end] else bootstrap_value
+        n_max = end - t + 1
+        g_lam = 0.0
+        for n in range(1, n_max + 1):
+            g_n = sum(gamma**k * rewards[t + k] for k in range(n))
+            g_n += gamma**n * (values[t + n] if n < n_max else tail)
+            g_lam += (lam ** (n - 1) if n == n_max else (1.0 - lam) * lam ** (n - 1)) * g_n
+        out.append(g_lam)
+    return np.array(out)
+
+
+_unit = st.floats(0.0, 1.0)
+_finite = st.floats(-10.0, 10.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.tuples(_finite, _finite, st.booleans()), min_size=1, max_size=25),
+    gamma=_unit,
+    lam=_unit,
+    bootstrap_value=_finite,
+)
+def test_gae_equals_per_episode_lambda_return(steps, gamma, lam, bootstrap_value):
+    rewards, values, dones = (list(col) for col in zip(*steps))
+    adv, ret = gae_advantages(rewards, values, dones, gamma, lam, bootstrap_value)
+    want = lambda_returns(rewards, values, dones, gamma, lam, bootstrap_value)
+    assert np.allclose(ret, want, rtol=1e-9, atol=1e-9)
+    assert np.allclose(adv, want - np.array(values), rtol=1e-9, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Loss and gradients
 # ---------------------------------------------------------------------------
@@ -249,7 +297,7 @@ def test_update_with_zero_learning_rate_is_identity():
         raw, z, logp = policy_sample(params, obs, rng, cfg)
         buffer.add(obs, z, raw, logp, 0.0, rng.standard_normal(), False, 0.0)
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
-    adam = Adam([p.shape for p in params.param_list()], cfg.learning_rate, eps=cfg.adam_eps)
+    adam = Adam(params.flat.size, cfg.learning_rate, eps=cfg.adam_eps)
     ppo_update(params, buffer, cfg, adam, np.random.default_rng(0))
     for p, b in zip(params.param_list(), before):
         assert np.array_equal(p, b)
@@ -265,7 +313,7 @@ def test_nonfinite_loss_aborts_update():
         raw, z, logp = policy_sample(params, obs, rng, cfg)
         buffer.add(obs, z, raw, logp, 0.0, math.inf if i == 3 else 0.0, False, 0.0)
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
-    adam = Adam([p.shape for p in params.param_list()], cfg.learning_rate)
+    adam = Adam(params.flat.size, cfg.learning_rate)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite"):
         ppo_update(params, buffer, cfg, adam, np.random.default_rng(0))
 
@@ -325,6 +373,128 @@ def test_deterministic_extraction_bit_identical():
     u_safe = SafeController(TASK, ControllerConfig())(robot, obstacle)
     out = c1(robot, obstacle)
     assert BOX.contains(np.asarray(out) - np.asarray(u_safe), tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batch-1 policy calls and the flat in-place Adam against the code they
+# replaced, bit for bit, on parameters stored as standalone arrays
+# ---------------------------------------------------------------------------
+
+
+def net_forward_ref(net, x):
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    n_layers = len(net.weights)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        h = z if i == n_layers - 1 else np.tanh(z)
+    return h
+
+
+def log_prob_of_z_ref(mean, log_std, z):
+    std = np.exp(log_std)
+    zn = (z - mean) / std
+    gauss = -0.5 * np.sum(zn * zn, axis=-1) - np.sum(log_std) - 0.5 * z.shape[-1] * math.log(2.0 * math.pi)
+    correction = np.sum(np.log(1.0 - np.tanh(z) ** 2 + 1e-6), axis=-1)
+    return gauss - correction
+
+
+def policy_sample_ref(policy, log_std, obs, rng, cfg):
+    mean = net_forward_ref(policy, obs)[0]
+    log_std = np.clip(log_std, cfg.log_std_min, cfg.log_std_max)
+    z = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+    assert np.all(np.isfinite(z))
+    logp = float(log_prob_of_z_ref(mean[None, :], log_std, z[None, :])[0])
+    return np.tanh(z), z, logp
+
+
+class AdamRef:
+    """Adam over a list of arrays, one array at a time."""
+
+    def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-5):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def standalone(arrays):
+    """Copies that keep each array's memory order, as separate allocations."""
+    return [a.copy(order="K") for a in arrays]
+
+
+def perturbed_policy(rng):
+    """A default-size policy with nonzero biases and log stds on both sides
+    of the clip range; its first layer is column-major, as initialised."""
+    params = init_policy(7, 2, PpoConfig(), rng)
+    params.flat += rng.normal(0.0, 0.05, params.flat.size)
+    params.log_std[...] = [-6.5, 1.4]
+    assert params.policy.weights[0].flags.f_contiguous
+    return params
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("source", ["init", "loaded"])
+def test_policy_calls_bit_equal_to_array_reference(source, tmp_path):
+    cfg = PpoConfig()
+    params = perturbed_policy(np.random.default_rng(31))
+    if source == "loaded":  # row-major arrays, copied out of the file payload
+        save_policy(params, tmp_path / "p.bin")
+        params, _ = load_policy(tmp_path / "p.bin")
+    policy = DenseNet(standalone(params.policy.weights), standalone(params.policy.biases))
+    value = DenseNet(standalone(params.value.weights), standalone(params.value.biases))
+    log_std = params.log_std.copy()
+    rng = np.random.default_rng(32)
+    draws, draws_ref = np.random.default_rng(33), np.random.default_rng(33)
+    for i, obs in enumerate(rng.uniform(-2.0, 2.0, (10_000, 7))):
+        obs = obs.tolist() if i % 3 == 0 else obs
+        raw, z, logp = policy_sample(params, obs, draws, cfg)
+        raw_ref, z_ref, logp_ref = policy_sample_ref(policy, log_std, obs, draws_ref, cfg)
+        assert np.array_equal(bits([*raw, *z, logp]), bits([*raw_ref, *z_ref, logp_ref])), i
+        got = [*policy_mean(params, obs), value_estimate(params, obs)]
+        want = [*np.tanh(net_forward_ref(policy, obs)[0]), float(net_forward_ref(value, obs)[0, 0])]
+        assert np.array_equal(bits(got), bits(want)), i
+
+
+def test_flat_adam_and_clip_bit_equal_to_per_array_reference():
+    rng = np.random.default_rng(34)
+    params = perturbed_policy(rng)
+    ref = standalone(params.param_list())
+    adam = Adam(params.flat.size, 3e-4, eps=1e-5)
+    adam_ref = AdamRef([p.shape for p in ref], 3e-4, eps=1e-5)
+    grad_flat = np.empty_like(params.flat)
+    grads = params.views(grad_flat)
+    for step in range(50):
+        scale = 10.0 ** rng.uniform(-4.0, 2.0)
+        grads_ref = [rng.standard_normal(p.shape) * scale for p in ref]
+        for g, g_ref in zip(grads, grads_ref):
+            g[...] = g_ref
+        # the column-major first layer alone: its sum runs in row-major order
+        first = clip_by_global_norm(grads[:1], math.inf)
+        assert bits(first) == bits(math.sqrt(float(np.sum(grads_ref[0] * grads_ref[0])))), step
+        total = clip_by_global_norm(grads, 0.5)
+        total_ref = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads_ref)))
+        assert bits(total) == bits(total_ref), step
+        if total_ref > 0.5:
+            for g in grads_ref:
+                g *= 0.5 / total_ref
+        adam.step(params.flat, grad_flat)
+        adam_ref.step(ref, grads_ref)
+        for p, p_ref in zip(params.param_list(), ref):
+            assert np.array_equal(bits(p), bits(p_ref)), step
 
 
 # ---------------------------------------------------------------------------
