@@ -43,12 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON configuration file")
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--seed", type=int, help="stage seed override")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            help="rollout threads; results are identical for any value, and "
-            "threads give no speedup (the rollouts hold the GIL)",
-        )
 
     p = sub.add_parser("verify-safe", help="verify the perturbed safe controller")
     common(p)
@@ -84,7 +78,7 @@ def main(argv=None) -> int:
             sys.stdout.write("\n")
             return EXIT_PASS
         if args.command == "verify-safe":
-            report, paths = run_verify_safe(cfg, args.out, args.seed, args.jobs)
+            report, paths = run_verify_safe(cfg, args.out, args.seed)
             print(
                 f"rho_star = {report.rho_star:.6g}  "
                 f"(n = {report.n_samples}, epsilon = {report.epsilon}, "
@@ -93,7 +87,7 @@ def main(argv=None) -> int:
             print(f"report: {paths['report']}")
             return EXIT_PASS if report.passed else EXIT_FAIL
         if args.command == "expand":
-            result, paths = run_expand(cfg, args.out, args.seed, args.jobs)
+            result, paths = run_expand(cfg, args.out, args.seed)
             status = "converged" if result.converged else "iteration cap reached"
             print(f"expansion set: {result.box} ({status}, {result.growth_steps} growth steps)")
             print(f"persisted: {paths['expansion']}")
@@ -107,7 +101,7 @@ def main(argv=None) -> int:
             print(f"policy: {paths['policy']}")
             return EXIT_PASS
         if args.command == "verify-agent":
-            report, paths = run_verify_agent(cfg, args.policy, args.out, args.seed, args.jobs)
+            report, paths = run_verify_agent(cfg, args.policy, args.out, args.seed)
             print(
                 f"rho_star = {report.rho_star:.6g}  "
                 f"(n = {report.n_samples}, epsilon = {report.epsilon}, "
@@ -116,9 +110,7 @@ def main(argv=None) -> int:
             print(f"report: {paths['report']}")
             return EXIT_PASS if report.passed else EXIT_FAIL
         if args.command == "histogram":
-            summary, paths = run_histogram(
-                cfg, args.policy, args.out, args.n, args.seed, args.jobs
-            )
+            summary, paths = run_histogram(cfg, args.policy, args.out, args.n, args.seed)
             for name in ("safe", "perturbed", "agent"):
                 if name in summary:
                     s = summary[name]

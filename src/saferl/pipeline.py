@@ -37,6 +37,7 @@ from .ppo import (
 from .verify import (
     ExpansionSearchResult,
     VerificationReport,
+    derive_seed,
     find_expansion_set,
     probv,
     write_report_json,
@@ -78,7 +79,16 @@ class VerifyConfig:
     n_samples: int = 50
     epsilon: float = 0.05
     seed: int = 2024
-    jobs: int = 1  # rollout threads: the same results for any value, no speedup (GIL)
+    # Rollouts run sequentially; the field is pinned to 1 and kept only
+    # because every stage manifest records it.
+    jobs: int = 1
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise ValueError(
+                f"VerifyConfig.jobs must be 1, not {self.jobs!r}: rollouts run "
+                "sequentially and the field is kept only because manifests record it"
+            )
 
 
 def _default_e_init() -> IntervalBox:
@@ -278,7 +288,6 @@ def run_verify_safe(
     cfg: PipelineConfig,
     out_dir=None,
     seed: int | None = None,
-    jobs: int | None = None,
     expansion: IntervalBox | None = None,
 ) -> tuple[VerificationReport, dict]:
     """Verify the safe controller under uniform input perturbation.
@@ -289,13 +298,8 @@ def run_verify_safe(
     """
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.verification.seed if seed is None else seed
-    used_jobs = cfg.verification.jobs if jobs is None else jobs
     if expansion is None:
-        persisted = out / "expansion.json"
-        if persisted.exists():
-            expansion = IntervalBox.from_dict(json.loads(persisted.read_text())["box"])
-        else:
-            expansion = cfg.expansion.e_init
+        expansion = _persisted_box(out) or cfg.expansion.e_init
     source = _safe_source(cfg)
     report = probv(
         source,
@@ -304,7 +308,6 @@ def run_verify_safe(
         cfg.verification.n_samples,
         cfg.verification.epsilon,
         used_seed,
-        jobs=used_jobs,
     )
     report_path = out / "verify_safe_report.json"
     samples_path = out / "verify_safe_samples.csv"
@@ -316,7 +319,7 @@ def run_verify_safe(
         out,
         "verify_safe",
         cfg,
-        {"seed": used_seed, "jobs": used_jobs, "expansion": expansion.to_dict()},
+        {"seed": used_seed, "jobs": cfg.verification.jobs, "expansion": expansion.to_dict()},
         [report_path.name, samples_path.name, extra.name],
     )
     paths = {
@@ -332,12 +335,10 @@ def run_expand(
     cfg: PipelineConfig,
     out_dir=None,
     seed: int | None = None,
-    jobs: int | None = None,
 ) -> tuple[ExpansionSearchResult, dict]:
     """Search for the largest verifiable perturbation box and persist it."""
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.expansion.seed if seed is None else seed
-    used_jobs = cfg.verification.jobs if jobs is None else jobs
     source = _safe_source(cfg)
     result = find_expansion_set(
         source,
@@ -348,7 +349,6 @@ def run_expand(
         cfg.verification.epsilon,
         used_seed,
         max_iters=cfg.expansion.max_iters,
-        jobs=used_jobs,
     )
     box_path = out / "expansion.json"
     payload = {
@@ -367,19 +367,29 @@ def run_expand(
         out,
         "expand",
         cfg,
-        {"seed": used_seed, "jobs": used_jobs},
+        {"seed": used_seed, "jobs": cfg.verification.jobs},
         [box_path.name],
     )
     return result, {"expansion": box_path, "manifest": manifest}
 
 
-def _load_verified_expansion(out: Path) -> IntervalBox:
+def _persisted_expansion(out: Path) -> dict | None:
     path = out / "expansion.json"
-    if not path.exists():
+    return json.loads(path.read_text()) if path.exists() else None
+
+
+def _persisted_box(out: Path) -> IntervalBox | None:
+    """The box persisted by the expand stage in ``out``, None when absent."""
+    data = _persisted_expansion(out)
+    return IntervalBox.from_dict(data["box"]) if data is not None else None
+
+
+def _load_verified_expansion(out: Path) -> IntervalBox:
+    data = _persisted_expansion(out)
+    if data is None:
         raise PipelineError(
             "training requires a persisted verified expansion set; run the expand stage first"
         )
-    data = json.loads(path.read_text())
     report = VerificationReport.from_json_dict(data["verified_report"])
     if report.rho_star < 0:
         raise PipelineError(
@@ -459,7 +469,7 @@ def run_train(
     env_factory = lambda: EvasionEnv(task, safe_factory, mask=box)  # noqa: E731
     params, log_rows = train(env_factory, ppo_cfg, used_seed)
 
-    eval_seed = int(np.random.SeedSequence([used_seed, 777]).generate_state(1)[0])
+    eval_seed = derive_seed(used_seed, 777)
     eval_mean, eval_std, eval_returns = evaluate_policy(
         env_factory, params, ppo_cfg.eval_episodes, eval_seed
     )
@@ -531,12 +541,10 @@ def run_verify_agent(
     policy_path,
     out_dir=None,
     seed: int | None = None,
-    jobs: int | None = None,
 ) -> tuple[VerificationReport, dict]:
     """Verify the trained deterministic policy (no input perturbation)."""
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.verification.seed if seed is None else seed
-    used_jobs = cfg.verification.jobs if jobs is None else jobs
     source = _agent_source(cfg, policy_path)
     report = probv(
         source,
@@ -545,7 +553,6 @@ def run_verify_agent(
         cfg.verification.n_samples,
         cfg.verification.epsilon,
         used_seed,
-        jobs=used_jobs,
     )
     report_path = out / "verify_agent_report.json"
     samples_path = out / "verify_agent_samples.csv"
@@ -555,7 +562,7 @@ def run_verify_agent(
         out,
         "verify_agent",
         cfg,
-        {"seed": used_seed, "jobs": used_jobs, "policy": str(policy_path)},
+        {"seed": used_seed, "jobs": cfg.verification.jobs, "policy": str(policy_path)},
         [report_path.name, samples_path.name],
     )
     return report, {"report": report_path, "samples": samples_path, "manifest": manifest}
@@ -567,19 +574,14 @@ def run_histogram(
     out_dir=None,
     n: int | None = None,
     seed: int | None = None,
-    jobs: int | None = None,
 ) -> tuple[dict, dict]:
     """Export robustness samples for the deterministic safe controller, the
     perturbed safe controller (when an expansion set is persisted) and the
     trained agent (when a policy file is given), with summary statistics."""
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.histogram.seed if seed is None else seed
-    used_jobs = cfg.verification.jobs if jobs is None else jobs
     used_n = cfg.histogram.n_samples if n is None else n
     epsilon = cfg.verification.epsilon
-
-    def stage_seed(idx: int) -> int:
-        return int(np.random.SeedSequence([used_seed, idx]).generate_state(1)[0])
 
     def summarize(report: VerificationReport) -> dict:
         values = np.asarray(report.robustnesses)
@@ -593,18 +595,17 @@ def run_histogram(
     safe_source = _safe_source(cfg)
     runs: dict[str, VerificationReport] = {}
     runs["safe"] = probv(
-        safe_source, None, safe_source.robustness, used_n, epsilon, stage_seed(0), used_jobs
+        safe_source, None, safe_source.robustness, used_n, epsilon, derive_seed(used_seed, 0)
     )
-    expansion_path = out / "expansion.json"
-    if expansion_path.exists():
-        box = IntervalBox.from_dict(json.loads(expansion_path.read_text())["box"])
+    box = _persisted_box(out)
+    if box is not None:
         runs["perturbed"] = probv(
-            safe_source, box, safe_source.robustness, used_n, epsilon, stage_seed(1), used_jobs
+            safe_source, box, safe_source.robustness, used_n, epsilon, derive_seed(used_seed, 1)
         )
     if policy_path is not None:
         agent_source = _agent_source(cfg, policy_path)
         runs["agent"] = probv(
-            agent_source, None, agent_source.robustness, used_n, epsilon, stage_seed(2), used_jobs
+            agent_source, None, agent_source.robustness, used_n, epsilon, derive_seed(used_seed, 2)
         )
 
     artifacts = []
@@ -623,7 +624,7 @@ def run_histogram(
         cfg,
         {
             "seed": used_seed,
-            "jobs": used_jobs,
+            "jobs": cfg.verification.jobs,
             "n": used_n,
             "policy": str(policy_path) if policy_path is not None else None,
         },

@@ -24,7 +24,6 @@ import csv
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
@@ -41,6 +40,7 @@ __all__ = [
     "InitialSetTooLarge",
     "confidence",
     "min_samples_for",
+    "derive_seed",
     "probv",
     "find_expansion_set",
     "write_report_json",
@@ -217,8 +217,11 @@ def write_samples_csv(
 # ---------------------------------------------------------------------------
 
 
-def _sample_seed(base_seed: int, i: int) -> int:
-    return int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
+def derive_seed(base_seed: int, index: int) -> int:
+    """The 32-bit seed of child ``index`` of ``base_seed``: the recorded seed
+    of sample ``index`` in :func:`probv`, and the base seed of the
+    ``index``-th verification of a multi-run stage."""
+    return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
 _PERTURB_CHUNK = 64
@@ -239,7 +242,7 @@ def _run_sample(
     base_seed: int,
     i: int,
 ):
-    seed = _sample_seed(base_seed, i)
+    seed = derive_seed(base_seed, i)
     init_rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, 0]))
     initial = np.asarray(source.sample_initial(init_rng), dtype=float)
     if expansion is not None:
@@ -266,40 +269,22 @@ def probv(
     n: int,
     epsilon: float,
     base_seed: int,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Verify ``source`` on ``n`` independent rollouts.
 
     With ``expansion`` present, every step of every rollout adds a fresh
     uniform draw from the box to the controller output; with ``expansion``
     None the system runs unperturbed (the deterministic-policy case).
-    Results are identical for any ``jobs`` value; rollouts only share the
-    read-only source.
+    Samples run in index order; a failing rollout raises
+    :class:`RolloutFailure` for the lowest failing index.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     conf = confidence(epsilon, n)  # validates epsilon
 
-    if jobs > 1:
-        results: list = [None] * n
-        failures: dict[int, RolloutFailure] = {}
-
-        def task(i: int):
-            try:
-                results[i] = _run_sample(source, expansion, robustness_fn, base_seed, i)
-            except RolloutFailure as exc:
-                failures[i] = exc
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(task, range(n)))
-        if failures:
-            raise failures[min(failures)]
-    else:
-        results = [
-            _run_sample(source, expansion, robustness_fn, base_seed, i) for i in range(n)
-        ]
-
-    seeds, params, rhos = zip(*results)
+    seeds, params, rhos = zip(
+        *(_run_sample(source, expansion, robustness_fn, base_seed, i) for i in range(n))
+    )
     return VerificationReport(
         robustnesses=rhos,
         rho_star=min(rhos),
@@ -334,10 +319,6 @@ class ExpansionSearchResult:
     failed_report: VerificationReport | None
 
 
-def _iteration_seed(base_seed: int, iteration: int) -> int:
-    return int(np.random.SeedSequence([base_seed, iteration]).generate_state(1)[0])
-
-
 def find_expansion_set(
     source: RolloutSource,
     e_init: IntervalBox,
@@ -347,7 +328,6 @@ def find_expansion_set(
     epsilon: float,
     base_seed: int,
     max_iters: int = 100,
-    jobs: int = 1,
 ) -> ExpansionSearchResult:
     """Grow ``e_init`` axis-wise until verification first fails.
 
@@ -366,9 +346,7 @@ def find_expansion_set(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    report = probv(
-        source, e_init, robustness_fn, n, epsilon, _iteration_seed(base_seed, 0), jobs
-    )
+    report = probv(source, e_init, robustness_fn, n, epsilon, derive_seed(base_seed, 0))
     if report.rho_star < 0:
         raise InitialSetTooLarge(report)
 
@@ -385,7 +363,7 @@ def find_expansion_set(
             )
         candidate = e_init.scale(1.0 + i * delta)
         report = probv(
-            source, candidate, robustness_fn, n, epsilon, _iteration_seed(base_seed, i), jobs
+            source, candidate, robustness_fn, n, epsilon, derive_seed(base_seed, i)
         )
         if report.rho_star < 0:
             return ExpansionSearchResult(

@@ -75,6 +75,8 @@ def test_print_config_cli(capsys):
     out = capsys.readouterr().out
     data = json.loads(out)
     assert config_from_dict(data) == default_config()
+    # every stage manifest records the pinned field
+    assert data["verification"]["jobs"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +234,15 @@ def test_cli_error_paths(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["print-config", "--config", str(bad)]) == 2
         assert "must be" in capsys.readouterr().err
+    # rollouts run sequentially: the pinned jobs field takes no other value
+    bad.write_text('{"verification": {"jobs": 4}}')
+    capsys.readouterr()
+    assert cli_main(["print-config", "--config", str(bad)]) == 2
+    assert "jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify-safe", "--jobs", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     # an int is accepted where a float is declared
     bad.write_text('{"task": {"danger_radius": 1}}')
     assert cli_main(["print-config", "--config", str(bad)]) == 0
