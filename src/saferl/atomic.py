@@ -6,15 +6,19 @@ finished, so a reader sees either the previous file or the complete new one,
 never a partial write.  If the block raises, the temporary file is removed
 and the previous file is left as it was.  The data is not fsynced: the
 guarantee covers a crash of the writing process, not a power loss.
+
+:func:`write_json` is the one writer of JSON artifacts (reports, manifests,
+policy sidecars), so it alone fixes their byte format.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from pathlib import Path
 
-__all__ = ["atomic_open"]
+__all__ = ["atomic_open", "write_json"]
 
 
 @contextlib.contextmanager
@@ -29,3 +33,11 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` atomically as JSON: 2-space indent, sorted keys and a
+    trailing newline."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -22,7 +22,7 @@ from .pipeline import (
     run_verify_safe,
 )
 from .ppo import PolicyLoadError
-from .verify import InitialSetTooLarge, RolloutFailure
+from .verify import InitialSetTooLarge, RolloutFailure, VerificationReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -69,6 +69,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verdict(report: VerificationReport, paths: dict) -> int:
+    """Print a verification stage's verdict; its exit code."""
+    print(
+        f"rho_star = {report.rho_star:.6g}  "
+        f"(n = {report.n_samples}, epsilon = {report.epsilon}, "
+        f"confidence = {report.confidence:.6g})"
+    )
+    print(f"report: {paths['report']}")
+    return EXIT_PASS if report.passed else EXIT_FAIL
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -78,14 +89,7 @@ def main(argv=None) -> int:
             sys.stdout.write("\n")
             return EXIT_PASS
         if args.command == "verify-safe":
-            report, paths = run_verify_safe(cfg, args.out, args.seed)
-            print(
-                f"rho_star = {report.rho_star:.6g}  "
-                f"(n = {report.n_samples}, epsilon = {report.epsilon}, "
-                f"confidence = {report.confidence:.6g})"
-            )
-            print(f"report: {paths['report']}")
-            return EXIT_PASS if report.passed else EXIT_FAIL
+            return _verdict(*run_verify_safe(cfg, args.out, args.seed))
         if args.command == "expand":
             result, paths = run_expand(cfg, args.out, args.seed)
             status = "converged" if result.converged else "iteration cap reached"
@@ -101,14 +105,7 @@ def main(argv=None) -> int:
             print(f"policy: {paths['policy']}")
             return EXIT_PASS
         if args.command == "verify-agent":
-            report, paths = run_verify_agent(cfg, args.policy, args.out, args.seed)
-            print(
-                f"rho_star = {report.rho_star:.6g}  "
-                f"(n = {report.n_samples}, epsilon = {report.epsilon}, "
-                f"confidence = {report.confidence:.6g})"
-            )
-            print(f"report: {paths['report']}")
-            return EXIT_PASS if report.passed else EXIT_FAIL
+            return _verdict(*run_verify_agent(cfg, args.policy, args.out, args.seed))
         if args.command == "histogram":
             summary, paths = run_histogram(cfg, args.policy, args.out, args.n, args.seed)
             for name in ("safe", "perturbed", "agent"):

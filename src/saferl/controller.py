@@ -67,12 +67,6 @@ class SafeController:
         if self.cfg.evade_turn_rate > task.evade_rate_bound:
             raise ValueError("evade turn rate exceeds the admissible bound")
 
-    def reset(self) -> None:
-        self._evading = False
-
-    def clone(self) -> "SafeController":
-        return SafeController(self.task, self.cfg)
-
     @property
     def evading(self) -> bool:
         return self._evading

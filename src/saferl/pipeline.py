@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
 from .controller import ControllerConfig, SafeController
 from .evasion import EvasionEnv, EvasionSource, TaskConfig
@@ -247,18 +247,14 @@ def _safe_source(cfg: PipelineConfig) -> EvasionSource:
     return EvasionSource(cfg.task, _safe_factory(cfg))
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(
-    out_dir: Path, stage: str, cfg: PipelineConfig, overrides: dict, artifacts: list[str]
-) -> Path:
+    out: Path, stage: str, cfg: PipelineConfig, overrides: dict, paths: dict
+) -> dict:
+    """Write ``manifest_<stage>.json``, whose artifact list is the file names
+    in ``paths``, and return ``paths`` with the manifest added."""
     manifest = {
         "stage": stage,
-        "overrides": {k: v for k, v in sorted(overrides.items())},
+        "overrides": overrides,
         "config": config_to_dict(cfg),
         "config_sha256": config_hash(cfg),
         "versions": {
@@ -266,17 +262,90 @@ def _write_manifest(
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(p.name for p in paths.values()),
     }
-    path = out_dir / f"manifest_{stage}.json"
-    _write_json(path, manifest)
-    return path
+    path = out / f"manifest_{stage}.json"
+    write_json(path, manifest)
+    return {**paths, "manifest": path}
 
 
 def _prepare_out(cfg: PipelineConfig, out_dir) -> Path:
     path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _verify(
+    cfg: PipelineConfig,
+    out: Path,
+    stage: str,
+    source: EvasionSource,
+    box: IntervalBox | None,
+    seed: int,
+) -> tuple[VerificationReport, dict]:
+    """Run :func:`probv` at the configured N and epsilon and write
+    ``<stage>_report.json`` and ``<stage>_samples.csv``."""
+    report = probv(
+        source,
+        box,
+        source.robustness,
+        cfg.verification.n_samples,
+        cfg.verification.epsilon,
+        seed,
+    )
+    paths = {"report": out / f"{stage}_report.json", "samples": out / f"{stage}_samples.csv"}
+    write_report_json(report, paths["report"])
+    write_samples_csv(report, paths["samples"], EvasionSource.initial_labels)
+    return report, paths
+
+
+def _persisted_expansion(out: Path, with_report: bool = False):
+    """Read ``expansion.json`` written by the expand stage in ``out``.
+
+    Returns None when the file is absent, else its box, or with
+    ``with_report`` the pair (box, verified report).  Raises
+    :class:`PipelineError` naming the file and key when the file is not a
+    JSON object, lacks a key or holds a box that is not a 2-D (speed, turn
+    rate) :class:`IntervalBox` of numbers.
+    """
+    path = out / "expansion.json"
+    if not path.exists():
+        return None
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise PipelineError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise PipelineError(f"{path} must hold a JSON object, not {type(data).__name__}")
+
+    def read(key, parse):
+        if key not in data:
+            raise PipelineError(f"{path} has no {key!r} key")
+        try:
+            return parse(data[key])
+        except (PipelineError, KeyError, TypeError, ValueError) as exc:
+            raise PipelineError(f"{path} key {key!r}: {exc!r}") from exc
+
+    box = read("box", lambda d: config_from_dict(d, IntervalBox))
+    if box.dim != 2:
+        raise PipelineError(f"{path} key 'box' must be 2-D (speed, turn rate), not {box.dim}-D")
+    if not with_report:
+        return box
+    return box, read("verified_report", VerificationReport.from_json_dict)
+
+
+def _load_verified_expansion(out: Path) -> IntervalBox:
+    persisted = _persisted_expansion(out, with_report=True)
+    if persisted is None:
+        raise PipelineError(
+            "training requires a persisted verified expansion set; run the expand stage first"
+        )
+    box, report = persisted
+    if report.rho_star < 0:
+        raise PipelineError(
+            f"persisted expansion set is not verified (rho_star = {report.rho_star:.6g})"
+        )
+    return box
 
 
 # ---------------------------------------------------------------------------
@@ -299,36 +368,12 @@ def run_verify_safe(
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.verification.seed if seed is None else seed
     if expansion is None:
-        expansion = _persisted_box(out) or cfg.expansion.e_init
-    source = _safe_source(cfg)
-    report = probv(
-        source,
-        expansion,
-        source.robustness,
-        cfg.verification.n_samples,
-        cfg.verification.epsilon,
-        used_seed,
-    )
-    report_path = out / "verify_safe_report.json"
-    samples_path = out / "verify_safe_samples.csv"
-    write_report_json(report, report_path)
-    write_samples_csv(report, samples_path, EvasionSource.initial_labels)
-    extra = out / "verify_safe_expansion.json"
-    _write_json(extra, {"expansion": expansion.to_dict(), "rho_star": report.rho_star})
-    manifest = _write_manifest(
-        out,
-        "verify_safe",
-        cfg,
-        {"seed": used_seed, "jobs": cfg.verification.jobs, "expansion": expansion.to_dict()},
-        [report_path.name, samples_path.name, extra.name],
-    )
-    paths = {
-        "report": report_path,
-        "samples": samples_path,
-        "expansion": extra,
-        "manifest": manifest,
-    }
-    return report, paths
+        expansion = _persisted_expansion(out) or cfg.expansion.e_init
+    report, paths = _verify(cfg, out, "verify_safe", _safe_source(cfg), expansion, used_seed)
+    paths["expansion"] = out / "verify_safe_expansion.json"
+    write_json(paths["expansion"], {"expansion": expansion.to_dict(), "rho_star": report.rho_star})
+    overrides = {"seed": used_seed, "jobs": cfg.verification.jobs, "expansion": expansion.to_dict()}
+    return report, _write_manifest(out, "verify_safe", cfg, overrides, paths)
 
 
 def run_expand(
@@ -350,7 +395,6 @@ def run_expand(
         used_seed,
         max_iters=cfg.expansion.max_iters,
     )
-    box_path = out / "expansion.json"
     payload = {
         "box": result.box.to_dict(),
         "converged": result.converged,
@@ -362,40 +406,10 @@ def run_expand(
             result.failed_report.to_json_dict() if result.failed_report else None
         ),
     }
-    _write_json(box_path, payload)
-    manifest = _write_manifest(
-        out,
-        "expand",
-        cfg,
-        {"seed": used_seed, "jobs": cfg.verification.jobs},
-        [box_path.name],
-    )
-    return result, {"expansion": box_path, "manifest": manifest}
-
-
-def _persisted_expansion(out: Path) -> dict | None:
-    path = out / "expansion.json"
-    return json.loads(path.read_text()) if path.exists() else None
-
-
-def _persisted_box(out: Path) -> IntervalBox | None:
-    """The box persisted by the expand stage in ``out``, None when absent."""
-    data = _persisted_expansion(out)
-    return IntervalBox.from_dict(data["box"]) if data is not None else None
-
-
-def _load_verified_expansion(out: Path) -> IntervalBox:
-    data = _persisted_expansion(out)
-    if data is None:
-        raise PipelineError(
-            "training requires a persisted verified expansion set; run the expand stage first"
-        )
-    report = VerificationReport.from_json_dict(data["verified_report"])
-    if report.rho_star < 0:
-        raise PipelineError(
-            f"persisted expansion set is not verified (rho_star = {report.rho_star:.6g})"
-        )
-    return IntervalBox.from_dict(data["box"])
+    paths = {"expansion": out / "expansion.json"}
+    write_json(paths["expansion"], payload)
+    overrides = {"seed": used_seed, "jobs": cfg.verification.jobs}
+    return result, _write_manifest(out, "expand", cfg, overrides, paths)
 
 
 def calibrate_reward_scale(
@@ -474,10 +488,10 @@ def run_train(
         env_factory, params, ppo_cfg.eval_episodes, eval_seed
     )
 
-    policy_path = out / "policy.bin"
-    sidecar = save_policy(
+    paths = {"policy": out / "policy.bin", "log": out / "training_log.csv"}
+    paths["sidecar"] = save_policy(
         params,
-        policy_path,
+        paths["policy"],
         meta={
             "mask": box.to_dict(),
             "ppo": config_to_dict(ppo_cfg),
@@ -491,8 +505,7 @@ def run_train(
             },
         },
     )
-    log_path = out / "training_log.csv"
-    with atomic_open(log_path, newline="") as fh:
+    with atomic_open(paths["log"], newline="") as fh:
         fh.write(",".join(_LOG_COLUMNS) + "\n")
         for row in log_rows:
             fh.write(
@@ -502,13 +515,6 @@ def run_train(
                 )
                 + "\n"
             )
-    manifest = _write_manifest(
-        out,
-        "train",
-        cfg,
-        {"seed": used_seed, "steps": ppo_cfg.steps, "r_diff": task.r_diff},
-        [policy_path.name, sidecar.name, log_path.name],
-    )
     summary = {
         "eval_mean_return": eval_mean,
         "eval_std_return": eval_std,
@@ -516,13 +522,8 @@ def run_train(
         "r_diff": task.r_diff,
         "updates": len(log_rows),
     }
-    paths = {
-        "policy": policy_path,
-        "sidecar": sidecar,
-        "log": log_path,
-        "manifest": manifest,
-    }
-    return summary, paths
+    overrides = {"seed": used_seed, "steps": ppo_cfg.steps, "r_diff": task.r_diff}
+    return summary, _write_manifest(out, "train", cfg, overrides, paths)
 
 
 def _agent_source(cfg: PipelineConfig, policy_path) -> EvasionSource:
@@ -546,26 +547,9 @@ def run_verify_agent(
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.verification.seed if seed is None else seed
     source = _agent_source(cfg, policy_path)
-    report = probv(
-        source,
-        None,
-        source.robustness,
-        cfg.verification.n_samples,
-        cfg.verification.epsilon,
-        used_seed,
-    )
-    report_path = out / "verify_agent_report.json"
-    samples_path = out / "verify_agent_samples.csv"
-    write_report_json(report, report_path)
-    write_samples_csv(report, samples_path, EvasionSource.initial_labels)
-    manifest = _write_manifest(
-        out,
-        "verify_agent",
-        cfg,
-        {"seed": used_seed, "jobs": cfg.verification.jobs, "policy": str(policy_path)},
-        [report_path.name, samples_path.name],
-    )
-    return report, {"report": report_path, "samples": samples_path, "manifest": manifest}
+    report, paths = _verify(cfg, out, "verify_agent", source, None, used_seed)
+    overrides = {"seed": used_seed, "jobs": cfg.verification.jobs, "policy": str(policy_path)}
+    return report, _write_manifest(out, "verify_agent", cfg, overrides, paths)
 
 
 def run_histogram(
@@ -577,60 +561,47 @@ def run_histogram(
 ) -> tuple[dict, dict]:
     """Export robustness samples for the deterministic safe controller, the
     perturbed safe controller (when an expansion set is persisted) and the
-    trained agent (when a policy file is given), with summary statistics."""
+    trained agent (when a policy file is given), with summary statistics.
+
+    Run ``k`` of (safe, perturbed, agent) is seeded ``derive_seed(seed, k)``
+    whether or not the runs before it take place."""
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.histogram.seed if seed is None else seed
     used_n = cfg.histogram.n_samples if n is None else n
-    epsilon = cfg.verification.epsilon
+    safe_source = _safe_source(cfg)
+    box = _persisted_expansion(out)
+    runs = [(0, "safe", safe_source, None)]
+    if box is not None:
+        runs.append((1, "perturbed", safe_source, box))
+    if policy_path is not None:
+        runs.append((2, "agent", _agent_source(cfg, policy_path), None))
 
-    def summarize(report: VerificationReport) -> dict:
+    summary, paths = {}, {}
+    for k, name, source, perturbation in runs:
+        report = probv(
+            source,
+            perturbation,
+            source.robustness,
+            used_n,
+            cfg.verification.epsilon,
+            derive_seed(used_seed, k),
+        )
+        paths[name] = out / f"histogram_{name}.csv"
+        write_samples_csv(report, paths[name], EvasionSource.initial_labels)
         values = np.asarray(report.robustnesses)
-        return {
+        summary[name] = {
             "n": report.n_samples,
             "mean": float(values.mean()),
             "std": float(values.std()),
             "rho_star": report.rho_star,
         }
-
-    safe_source = _safe_source(cfg)
-    runs: dict[str, VerificationReport] = {}
-    runs["safe"] = probv(
-        safe_source, None, safe_source.robustness, used_n, epsilon, derive_seed(used_seed, 0)
-    )
-    box = _persisted_box(out)
-    if box is not None:
-        runs["perturbed"] = probv(
-            safe_source, box, safe_source.robustness, used_n, epsilon, derive_seed(used_seed, 1)
-        )
-    if policy_path is not None:
-        agent_source = _agent_source(cfg, policy_path)
-        runs["agent"] = probv(
-            agent_source, None, agent_source.robustness, used_n, epsilon, derive_seed(used_seed, 2)
-        )
-
-    artifacts = []
-    for name, report in runs.items():
-        path = out / f"histogram_{name}.csv"
-        write_samples_csv(report, path, EvasionSource.initial_labels)
-        artifacts.append(path.name)
-    summary = {name: summarize(report) for name, report in runs.items()}
     summary["benchmark"] = config_to_dict(cfg.histogram.benchmark)
-    summary_path = out / "histogram_summary.json"
-    _write_json(summary_path, summary)
-    artifacts.append(summary_path.name)
-    manifest = _write_manifest(
-        out,
-        "histogram",
-        cfg,
-        {
-            "seed": used_seed,
-            "jobs": cfg.verification.jobs,
-            "n": used_n,
-            "policy": str(policy_path) if policy_path is not None else None,
-        },
-        artifacts,
-    )
-    paths = {name: out / f"histogram_{name}.csv" for name in runs}
-    paths["summary"] = summary_path
-    paths["manifest"] = manifest
-    return summary, paths
+    paths["summary"] = out / "histogram_summary.json"
+    write_json(paths["summary"], summary)
+    overrides = {
+        "seed": used_seed,
+        "jobs": cfg.verification.jobs,
+        "n": used_n,
+        "policy": str(policy_path) if policy_path is not None else None,
+    }
+    return summary, _write_manifest(out, "histogram", cfg, overrides, paths)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
 from .evasion import observe, require_zero_offset
 from .mlp import (
@@ -82,6 +82,12 @@ class PpoConfig:
     log_std_min: float = -5.0
     log_std_max: float = 1.0
     eval_episodes: int = 50
+
+    def __post_init__(self):
+        for name in ("steps", "n_steps", "minibatch_size", "epochs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"PpoConfig.{name} must be at least 1, not {value!r}")
 
 
 @dataclass
@@ -273,7 +279,6 @@ class RolloutBuffer:
         self.n_steps = n_steps
         self.obs = np.zeros((n_steps, obs_dim))
         self.z = np.zeros((n_steps, act_dim))
-        self.raw = np.zeros((n_steps, act_dim))
         self.logp = np.zeros(n_steps)
         self.value = np.zeros(n_steps)
         self.reward = np.zeros(n_steps)
@@ -283,13 +288,12 @@ class RolloutBuffer:
         self.returns = np.zeros(n_steps)
         self.ptr = 0
 
-    def add(self, obs, z, raw, logp, value, reward, done, action_diff):
+    def add(self, obs, z, logp, value, reward, done, action_diff):
         i = self.ptr
         if i >= self.n_steps:
             raise RuntimeError("rollout buffer overflow")
         self.obs[i] = obs
         self.z[i] = z
-        self.raw[i] = raw
         self.logp[i] = logp
         self.value[i] = value
         self.reward[i] = reward
@@ -492,7 +496,7 @@ def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
             raw, z, logp = policy_sample(params, obs, sample_rng, cfg)
             value = value_estimate(params, obs)
             next_obs, step_reward, done, info = env.step_raw(raw)
-            buffer.add(obs, z, raw, logp, value, step_reward, done, info["action_diff"])
+            buffer.add(obs, z, logp, value, step_reward, done, info["action_diff"])
             episode_return += step_reward
             if done:
                 window_returns.append(episode_return)
@@ -580,9 +584,7 @@ def save_policy(params: PolicyParams, path, meta: dict | None = None) -> Path:
     }
     sidecar.update(meta or {})
     sidecar_path = path.with_suffix(".json")
-    with atomic_open(sidecar_path) as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar_path, sidecar)
     return sidecar_path
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
 
 __all__ = [
@@ -184,9 +184,7 @@ class VerificationReport:
 
 
 def write_report_json(report: VerificationReport, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_json_dict())
 
 
 def read_report_json(path) -> VerificationReport:

@@ -89,17 +89,6 @@ def test_output_always_within_actuator_limits():
         assert abs(omega) <= TASK.omega_max
 
 
-def test_clone_resets_mode():
-    ctrl = fresh()
-    robot = RobotState(0.0, 0.0, 0.0, 0.12)
-    obstacle = ObstacleState(0.25, 0.05, math.pi, 0.1)
-    ctrl(robot, obstacle)
-    assert ctrl.evading
-    assert not ctrl.clone().evading
-    ctrl.reset()
-    assert not ctrl.evading
-
-
 def test_evade_consistency_over_random_episodes():
     # At every step where the monitor antecedent holds, the emitted command
     # satisfies the evade predicate (the monitor's predicate columns).

@@ -109,6 +109,15 @@ def test_verify_safe_seed_override_changes_samples(tmp_path):
     assert r1.robustnesses != r2.robustnesses
 
 
+def assert_manifest_lists_paths(paths: dict) -> None:
+    """The stage manifest lists exactly the returned artifacts, all written."""
+    manifest = json.loads(paths["manifest"].read_text())
+    names = sorted(p.name for key, p in paths.items() if key != "manifest")
+    assert manifest["artifacts"] == names
+    for name in names:
+        assert (paths["manifest"].parent / name).exists()
+
+
 def test_full_pipeline_end_to_end(tmp_path):
     cfg = tiny_config()
     out = tmp_path / "run"
@@ -117,6 +126,18 @@ def test_full_pipeline_end_to_end(tmp_path):
     assert result.verified_report.rho_star >= 0
     persisted = json.loads(expand_paths["expansion"].read_text())
     assert IntervalBox.from_dict(persisted["box"]) == result.box
+    assert_manifest_lists_paths(expand_paths)
+
+    _, safe_paths = run_verify_safe(cfg, out)
+    used = json.loads(safe_paths["expansion"].read_text())
+    assert IntervalBox.from_dict(used["expansion"]) == result.box
+    assert set(safe_paths) == {"report", "samples", "expansion", "manifest"}
+    assert_manifest_lists_paths(safe_paths)
+
+    hist_summary, hist_paths = run_histogram(cfg, None, out)
+    assert [k for k in hist_summary if k != "benchmark"] == ["safe", "perturbed"]
+    assert set(hist_paths) == {"safe", "perturbed", "summary", "manifest"}
+    assert_manifest_lists_paths(hist_paths)
 
     summary, train_paths = run_train(cfg, out)
     assert train_paths["policy"].exists()
@@ -125,10 +146,14 @@ def test_full_pipeline_end_to_end(tmp_path):
     assert log_lines[0].startswith("step,mean_reward,std_reward,action_diff")
     assert len(log_lines) == 1 + 2  # two updates at these settings
     assert summary["r_diff"] > 0
+    assert set(train_paths) == {"policy", "sidecar", "log", "manifest"}
+    assert_manifest_lists_paths(train_paths)
 
     report, agent_paths = run_verify_agent(cfg, train_paths["policy"], out)
     assert report.n_samples == 3
     assert report.rho_star >= 0  # masked agent stays admissible
+    assert set(agent_paths) == {"report", "samples", "manifest"}
+    assert_manifest_lists_paths(agent_paths)
 
     hist_summary, hist_paths = run_histogram(cfg, train_paths["policy"], out)
     for name in ("safe", "perturbed", "agent"):
@@ -137,6 +162,7 @@ def test_full_pipeline_end_to_end(tmp_path):
         assert hist_summary[name]["n"] == 4
     assert "benchmark" in hist_summary
     assert json.loads(hist_paths["summary"].read_text()) == hist_summary
+    assert_manifest_lists_paths(hist_paths)
 
 
 def test_train_refuses_without_verified_expansion(tmp_path):
@@ -247,10 +273,39 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text('{"task": {"danger_radius": 1}}')
     assert cli_main(["print-config", "--config", str(bad)]) == 0
     capsys.readouterr()
+    # a PPO step count below 1 would divide by zero or train a window the
+    # manifest does not record
+    for key in ("steps", "n_steps", "minibatch_size", "epochs"):
+        bad.write_text(json.dumps({"training": {"ppo": {key: 0}}}))
+        capsys.readouterr()
+        assert cli_main(["print-config", "--config", str(bad)]) == 2
+        assert f"PpoConfig.{key}" in capsys.readouterr().err
     # train before expand
     cfg_path = write_config(tmp_path, tiny_config())
     assert cli_main(["train", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 2
     capsys.readouterr()
+    run_expand(tiny_config(), tmp_path / "t")
+    args = ["train", "--config", cfg_path, "--out", str(tmp_path / "t"), "--steps", "0"]
+    assert cli_main(args) == 2
+    assert "PpoConfig.steps" in capsys.readouterr().err
+    # a malformed expansion.json is an input error naming the file and key
+    out = tmp_path / "e"
+    out.mkdir()
+    box = IntervalBox([-2e-4, -5e-3], [2e-4, 5e-3]).to_dict()
+    every = ("verify-safe", "train", "histogram")
+    for payload, commands, key in (
+        ({}, every, "'box'"),
+        ([1], every, "JSON object"),
+        ({"box": {"lower": [0.0], "upper": [0.0]}}, every, "2-D"),
+        ({"box": {"lower": ["a", 0.0], "upper": [0.0, 0.0]}}, every, "'box'"),
+        ({"box": box}, ("train",), "'verified_report'"),
+    ):
+        (out / "expansion.json").write_text(json.dumps(payload))
+        for command in commands:
+            capsys.readouterr()
+            assert cli_main([command, "--config", cfg_path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "expansion.json" in err and key in err
 
 
 def test_cli_corrupt_policy_file(tmp_path, capsys):

@@ -294,8 +294,8 @@ def test_update_with_zero_learning_rate_is_identity():
     buffer = RolloutBuffer(16, 3, 2)
     for _ in range(16):
         obs = rng.standard_normal(3)
-        raw, z, logp = policy_sample(params, obs, rng, cfg)
-        buffer.add(obs, z, raw, logp, 0.0, rng.standard_normal(), False, 0.0)
+        _, z, logp = policy_sample(params, obs, rng, cfg)
+        buffer.add(obs, z, logp, 0.0, rng.standard_normal(), False, 0.0)
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
     adam = Adam(params.flat.size, cfg.learning_rate, eps=cfg.adam_eps)
     ppo_update(params, buffer, cfg, adam, np.random.default_rng(0))
@@ -310,8 +310,8 @@ def test_nonfinite_loss_aborts_update():
     buffer = RolloutBuffer(8, 2, 1)
     for i in range(8):
         obs = rng.standard_normal(2)
-        raw, z, logp = policy_sample(params, obs, rng, cfg)
-        buffer.add(obs, z, raw, logp, 0.0, math.inf if i == 3 else 0.0, False, 0.0)
+        _, z, logp = policy_sample(params, obs, rng, cfg)
+        buffer.add(obs, z, logp, 0.0, math.inf if i == 3 else 0.0, False, 0.0)
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
     adam = Adam(params.flat.size, cfg.learning_rate)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite"):
