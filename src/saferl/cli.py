@@ -52,7 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the masked agent inside the verified box")
     common(p)
-    p.add_argument("--steps", type=int, help="training step override")
+    p.add_argument(
+        "--steps",
+        type=int,
+        help="training step budget; rounds down to whole update windows of "
+        "training.ppo.n_steps steps, with at least one",
+    )
 
     p = sub.add_parser("verify-agent", help="verify the trained deterministic policy")
     common(p)
@@ -99,7 +104,8 @@ def main(argv=None) -> int:
         if args.command == "train":
             summary, paths = run_train(cfg, args.out, args.seed, args.steps)
             print(
-                f"trained {summary['updates']} updates; deterministic eval return "
+                f"trained {summary['trained_steps']} steps in {summary['updates']} updates; "
+                f"deterministic eval return "
                 f"{summary['eval_mean_return']:.4g} +- {summary['eval_std_return']:.4g}"
             )
             print(f"policy: {paths['policy']}")

@@ -29,7 +29,14 @@ import numpy as np
 
 from .evasion import (
     TaskConfig,
+    _clamp_rows,
     _closest_on_path,
+    _cos_sin,
+    _min_gaps,
+    _references,
+    _segment,
+    _time_grid,
+    _wrap_angles,
     classify_encounter,
     delta_theta,
     infront,
@@ -62,7 +69,12 @@ class SafeController:
         self.cfg = cfg or ControllerConfig()
         self.theta_path = path_heading(task.start, task.goal)
         self._direction = (math.cos(self.theta_path), math.sin(self.theta_path))
+        # the target's lead along the path, as _track_target computes it
+        lead = self.cfg.target_lookahead
+        self._lead = (lead * self._direction[0], lead * self._direction[1])
         self._span = np.subtract(task.goal, task.start)
+        self._ends = np.array(task.start), np.array(task.goal)
+        self._references = _references(self.theta_path)
         self._evading = False
         if self.cfg.evade_turn_rate > task.evade_rate_bound:
             raise ValueError("evade turn rate exceeds the admissible bound")
@@ -103,13 +115,80 @@ class SafeController:
         omega = min(max(omega, -task.omega_max), task.omega_max)
         return v, omega
 
+    def batch(self, robot, obstacle, evading, headings=None):
+        """:meth:`__call__` for many independent controllers at once.
+
+        ``robot`` and ``obstacle`` are ``(rows, 4)`` arrays of states with
+        columns ``(x, y, theta, v)``, and ``evading`` is each row's mode
+        before the call; returns the ``(v, omega, evading)`` arrays.  Row ``i``
+        equals calling a controller in mode ``evading[i]`` on row ``i``'s
+        states, bit for bit; ``self``'s own mode is not touched.  A caller
+        that has the cosines and sines of the (robot, obstacle) headings may
+        pass them as ``headings``: ``_cos_sin`` of the ``(rows, 2)`` array of
+        both thetas, of shape ``(2, rows, 2)``.
+        """
+        task, cfg = self.task, self.cfg
+        n = robot.shape[0]
+        pos, rth = robot[:, :2], robot[:, 2]
+        rel = obstacle[:, :2] - pos
+        cs = headings
+        if cs is None:
+            cs = _cos_sin(np.concatenate((robot[:, 2:3], obstacle[:, 2:3]), axis=1))
+        speeds = np.concatenate((robot[:, 3:4], obstacle[:, 3:4]), axis=1)
+        gap = _min_gaps(rel, cs, speeds, _time_grid(task.dt, task.lookahead))
+        ahead = rel[:, 0] * cs[0, :, 0] + rel[:, 1] * cs[1, :, 0] >= 0.0
+        evading = ahead & (
+            (gap <= task.danger_radius)
+            | (evading & (gap <= task.danger_radius + cfg.exit_margin))
+        )
+
+        # _track_target and the heading correction; the 2-element dots are
+        # np.vecdot over C-ordered rows, which rounds as the per-row .dot
+        start, goal = self._ends
+        _, ab, denom = _segment(task.start, task.goal)
+        if denom == 0.0:
+            aim = np.tile(start, (n, 1))
+        else:
+            t = np.vecdot(np.subtract(pos, start, order="C"), ab) / denom
+            aim = start + _clamp_rows(t, 0.0, 1.0)[:, None] * ab
+        aim += self._lead
+        overshoot = np.vecdot(np.subtract(aim, goal, order="C"), self._span) > 0
+        if np.count_nonzero(overshoot):
+            aim[overshoot] = goal
+        to_aim = aim - pos
+        theta_des = np.array([math.atan2(dy, dx) for dx, dy in to_aim.tolist()])
+        # hypot(dx, dy) >= max(|dx|, |dy|): the offsets matter only where it is tiny
+        far = np.hypot(to_aim[:, 0], to_aim[:, 1]) > 1e-9
+        if np.count_nonzero(far) < n:
+            far |= (np.abs(to_aim) > 1e-9).any(axis=1)
+            theta_des[~far] = self.theta_path
+        # One wrap serves both modes: tracking rows wrap the heading error,
+        # evading rows the gap to delta_theta's reference heading.
+        evade_rows = np.count_nonzero(evading)
+        if evade_rows:
+            # classify_encounter's turn side, as in _encounters
+            plus = cs[0, :, 0] * rel[:, 1] - cs[1, :, 0] * rel[:, 0] >= 0.0
+            theta_des = np.where(evading, np.where(plus, *self._references), theta_des)
+        err = _wrap_angles(theta_des - rth)
+        omega = _clamp_rows(cfg.heading_gain * err, -cfg.track_turn_cap, cfg.track_turn_cap)
+        if evade_rows:
+            # hold: delta_theta >= 0 or |delta_theta| <= tol, that is
+            # delta_theta >= -tol, or >= 0 where no |delta_theta| <= tol
+            tol = task.evade_angle_tol
+            dth = np.where(plus, err, -err)
+            hold = dth >= (-tol if tol >= 0.0 else 0.0)
+            turn = np.where(plus, cfg.evade_turn_rate, -cfg.evade_turn_rate)
+            omega = np.where(evading, np.where(hold, 0.0, turn), omega)
+
+        v = np.full(n, min(max(cfg.cruise_speed, task.v_min), task.v_max))
+        return v, _clamp_rows(omega, -task.omega_max, task.omega_max), evading
+
     def _track_target(self, robot) -> tuple[float, float]:
         """The point ``target_lookahead`` ahead of the robot's projection on
         the start-goal segment, capped at the goal."""
         task = self.task
         px, py = _closest_on_path(robot.x, robot.y, task.start, task.goal)
-        lookahead = self.cfg.target_lookahead
-        ax, ay = px + lookahead * self._direction[0], py + lookahead * self._direction[1]
+        ax, ay = px + self._lead[0], py + self._lead[1]
         gx, gy = task.goal
         # Do not aim past the goal; a 2-element numpy dot (see _closest_on_path).
         overshoot = np.array((ax - gx, ay - gy)).dot(self._span)

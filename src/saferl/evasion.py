@@ -19,7 +19,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -284,6 +284,61 @@ def _closest_on_path(x: float, y: float, start, goal) -> tuple[float, float]:
     return ax + t * abx, ay + t * aby
 
 
+# ---------------------------------------------------------------------------
+# Row-wise kernels: one row per sample, each repeating the IEEE operations of
+# the scalar function it names, so a row is bit-equal to that function.
+# ---------------------------------------------------------------------------
+
+
+def _cos_sin(theta: np.ndarray) -> np.ndarray:
+    """``math.cos`` and ``math.sin`` of every element, stacked on a new first
+    axis; ``np.cos`` is not guaranteed to round as libm does on every build."""
+    t = theta.ravel().tolist()
+    return np.array([*map(math.cos, t), *map(math.sin, t)]).reshape((2, *theta.shape))
+
+
+def _wrap_angles(angle: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of every element (``np.fmod`` equals ``math.fmod``)."""
+    w = np.fmod(angle + math.pi, 2.0 * math.pi)
+    np.add(w, 2.0 * math.pi, out=w, where=w <= 0.0)
+    w -= math.pi
+    return w
+
+
+def _clamp_rows(x: np.ndarray, lo, hi, out=None) -> np.ndarray:
+    """``min(max(x, lo), hi)`` per element.  On a tie numpy returns the
+    second operand, as Python's ``max(x, lo)`` returns ``x`` (``-0.0``
+    against ``0.0``), and NaN propagates in both."""
+    return np.minimum(hi, np.maximum(lo, x, out=out), out=out)
+
+
+def _min_gaps(rel: np.ndarray, cs: np.ndarray, speeds: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """:func:`mindistance` per row.  ``rel`` holds the obstacle's position
+    minus the robot's, ``speeds`` the (robot, obstacle) speeds and ``cs``
+    the cosines and sines of their headings (see :func:`_cos_sin`); the
+    robot's offset ``r.x - o.x`` is ``-(o.x - r.x)`` exactly."""
+    vel = cs * speeds
+    v = vel[..., 0] - vel[..., 1]
+    g = -rel.T[..., None] + ts * v[..., None]
+    return np.hypot(g[0], g[1]).min(axis=1)
+
+
+def _references(theta_path: float) -> tuple[float, float]:
+    """:func:`delta_theta`'s reference headings for turn signs +1 and -1."""
+    return theta_path - 1 * 0.5 * math.pi, theta_path - -1 * 0.5 * math.pi
+
+
+def _encounters(rth: np.ndarray, cs: np.ndarray, rel: np.ndarray, theta_path: float):
+    """:func:`classify_encounter` and :func:`delta_theta` per row (arguments
+    as for :func:`_min_gaps`): the case, the turn sign and the orientation
+    gap, as float arrays."""
+    (cos_r, cos_o), (sin_r, sin_o) = cs.transpose(0, 2, 1)
+    plus = cos_r * rel[:, 1] - sin_r * rel[:, 0] >= 0.0
+    case = 4.0 - plus - 2.0 * (cos_r * cos_o + sin_r * sin_o < 0.0)
+    sign = np.where(plus, 1.0, -1.0)
+    return case, sign, sign * _wrap_angles(np.where(plus, *_references(theta_path)) - rth)
+
+
 def observe(robot: RobotState, obstacle: ObstacleState, cfg: TaskConfig) -> np.ndarray:
     """Seven-component observation: goal offset (2), offset to the closest
     point of the start-goal segment (2), heading error to the path
@@ -408,27 +463,16 @@ def safety_predicates(cfg: TaskConfig) -> PredicateTable:
     """
     ts = _time_grid(cfg.dt, cfg.lookahead)
 
-    def headings(block, col):
-        theta = block[:, col].tolist()
-        return (
-            np.array([math.cos(t) for t in theta]),
-            np.array([math.sin(t) for t in theta]),
-        )
-
     def h_infront(block) -> np.ndarray:
-        cos_r, sin_r = headings(block, COL_THR)
+        cos_r, sin_r = _cos_sin(block[:, COL_THR])
         return (block[:, COL_XO] - block[:, COL_XR]) * cos_r + (
             block[:, COL_YO] - block[:, COL_YR]
         ) * sin_r
 
     def h_near(block) -> np.ndarray:
-        cos_r, sin_r = headings(block, COL_THR)
-        cos_o, sin_o = headings(block, COL_THO)
-        vx = cos_r * block[:, COL_VR] - cos_o * block[:, COL_VO]
-        vy = sin_r * block[:, COL_VR] - sin_o * block[:, COL_VO]
-        gx = (block[:, COL_XR] - block[:, COL_XO])[:, None] + ts * vx[:, None]
-        gy = (block[:, COL_YR] - block[:, COL_YO])[:, None] + ts * vy[:, None]
-        return cfg.danger_radius - np.hypot(gx, gy).min(axis=1)
+        rel = block[:, COL_XO : COL_YO + 1] - block[:, COL_XR : COL_YR + 1]
+        cs = _cos_sin(block[:, COL_THR : COL_THO + 1 : 4])
+        return cfg.danger_radius - _min_gaps(rel, cs, block[:, COL_VR : COL_VO + 1 : 4], ts)
 
     def h_evade(block) -> np.ndarray:
         w, dth = block[:, COL_CMD_W], block[:, COL_DTHETA]
@@ -717,6 +761,116 @@ class EvasionSource:
         o = ObstacleState(*(float(v) for v in initial))
         env = EvasionEnv(self.cfg, self.controller_factory)
         return env.run_episode(o, perturb)
+
+    @functools.cached_property
+    def lockstep(self) -> bool:
+        """Whether the controller has an array method ``batch`` (see
+        :meth:`saferl.controller.SafeController.batch`), which
+        :meth:`rollout_batch` needs; an opaque controller has none."""
+        return callable(getattr(self.controller_factory(), "batch", None))
+
+    def rollout_batch(self, initials, perturbations=None) -> Iterator[tuple[int, EpisodeTrace]]:
+        """Roll one episode per row of ``initials`` with all rows stepped
+        together; yield ``(row, trace)`` as each row finishes, so that a
+        caller can score and drop a trace before the others end.
+
+        ``perturbations`` is None or a sequence of one iterator per row, each
+        yielding blocks of per-step perturbation rows; a row's next block is
+        taken when its step count reaches the end of the current one.  Row ``i``'s
+        trace equals :meth:`rollout` of ``initials[i]`` with the rows of its
+        blocks as the per-step stream, bit for bit: every step repeats
+        :meth:`EvasionEnv.run_episode`'s operations on arrays with one row
+        per sample, and a finished row leaves the active set.  The sign,
+        orientation gap and case columns do not feed back into the episode,
+        so they are filled in once a row finishes.  A non-finite control or
+        state raises ``ValueError``.
+        """
+        cfg, dt = self.cfg, self.cfg.dt
+        step = self.controller_factory().batch
+        initials = np.asarray(initials, dtype=float)
+        n = initials.shape[0]
+        theta_path = path_heading(cfg.start, cfg.goal)
+        gx, gy = cfg.goal
+        lo, hi = np.array((cfg.v_min, -cfg.omega_max)), np.array((cfg.v_max, cfg.omega_max))
+        block = np.empty((n, cfg.k_max, _ROW_WIDTH))
+        headings = np.empty((2, n, cfg.k_max, 2))  # _cos_sin of each step's thetas
+        # The active samples' current trace rows; columns 0-7 hold the robot
+        # and obstacle states, viewed as (row, robot|obstacle, x|y|theta|v).
+        cur = np.empty((n, _ROW_WIDTH))
+        cur[:, :COL_XO] = (*cfg.start, theta_path, 0.0)
+        cur[:, COL_XO : COL_VO + 1] = initials
+
+        def views(cur):
+            safe = cur[:, COL_SAFE_V : COL_SAFE_W + 1]
+            return cur[:, :COL_CMD_V].reshape(-1, 2, 4), safe, cur[:, COL_CMD_V : COL_CMD_W + 1]
+
+        state, u, applied = views(cur)
+        active = np.arange(n)
+        evading = np.zeros(n, dtype=bool)
+        chunk, drawn = None, 0  # perturbation rows (step, row, axis), drawn at step `drawn`
+        k = 0
+        while True:
+            if perturbations is not None and (chunk is None or k - drawn == chunk.shape[0]):
+                chunk = np.stack([next(perturbations[i]) for i in active.tolist()], axis=1)
+                drawn = k
+            thetas = state[:, :, 2]
+            cs = _cos_sin(thetas)
+            v, omega, evading = step(state[:, 0], state[:, 1], evading, cs)
+            u[:, 0], u[:, 1] = v, omega
+            _clamp_rows(u, lo, hi, out=u)
+            if chunk is None:
+                applied[...] = u
+            else:
+                _clamp_rows(np.add(u, chunk[k - drawn], out=applied), lo, hi, out=applied)
+            block[active, k] = cur
+            headings[:, active, k] = cs
+            if not np.isfinite(cur[:, : COL_CMD_W + 1]).all():
+                raise ValueError(f"step {k}: non-finite control or state")
+            # unicycle_step of the robot under the applied control and of the
+            # obstacle under (its speed, 0); the obstacle's theta + 0.0 * dt
+            # wraps to the same angle as its theta
+            state[:, 0, 3] = applied[:, 0]
+            step_x, step_y = cs * state[:, :, 3] * dt
+            state[:, :, 0] += step_x
+            state[:, :, 1] += step_y
+            state[:, 0, 2] += applied[:, 1] * dt
+            thetas[...] = _wrap_angles(thetas)
+            k += 1
+            # hypot(dx, dy) >= |dx|, so only rows near the goal in x can be there
+            dx = state[:, 0, 0] - gx
+            done = np.abs(dx) <= 2.0 * cfg.goal_radius
+            if np.count_nonzero(done):
+                done[done] = [
+                    math.hypot(x, y - gy) <= cfg.goal_radius
+                    for x, y in zip(dx[done].tolist(), state[done, 0, 1].tolist())
+                ]
+            finished = np.count_nonzero(done)
+            if not finished and k < cfg.k_max:
+                continue
+            at_horizon = k >= cfg.k_max
+            for j in np.flatnonzero(done | at_horizon).tolist():
+                i = int(active[j])
+                rows = block[i, :k]
+                rel = rows[:, COL_XO : COL_YO + 1] - rows[:, COL_XR : COL_YR + 1]
+                rows[:, COL_CASE], rows[:, COL_SIGN], rows[:, COL_DTHETA] = _encounters(
+                    rows[:, COL_THR], headings[:, i, :k], rel, theta_path
+                )
+                yield i, EpisodeTrace(
+                    rows=rows,
+                    final_robot=RobotState(*cur[j, :COL_XO].tolist()),
+                    final_obstacle=ObstacleState(*cur[j, COL_XO : COL_VO + 1].tolist()),
+                    dt=dt,
+                    termination="goal" if done[j] else "horizon",
+                    start=cfg.start,
+                    goal=cfg.goal,
+                )
+            if at_horizon or finished == len(active):
+                return
+            keep = ~done
+            active, cur, evading = active[keep], cur[keep], evading[keep]
+            state, u, applied = views(cur)
+            if chunk is not None:
+                chunk = chunk[:, keep]
 
     def robustness(self, trace: EpisodeTrace) -> float:
         return episode_robustness(trace, self.cfg)

@@ -461,7 +461,13 @@ def run_train(
     seed: int | None = None,
     steps: int | None = None,
 ) -> tuple[dict, dict]:
-    """Train the masked agent inside the persisted verified expansion set."""
+    """Train the masked agent inside the persisted verified expansion set.
+
+    The step budget (``steps``, default ``training.ppo.steps``) rounds down
+    to whole update windows of ``n_steps``, with at least one: the run trains
+    ``max(1, steps // n_steps) * n_steps`` steps, reported as the summary's
+    ``trained_steps``, while the manifest's ``overrides.steps`` records the
+    requested budget."""
     out = _prepare_out(cfg, out_dir)
     box = _load_verified_expansion(out)
     used_seed = cfg.training.seed if seed is None else seed
@@ -521,18 +527,28 @@ def run_train(
         "eval_returns": eval_returns,
         "r_diff": task.r_diff,
         "updates": len(log_rows),
+        "trained_steps": log_rows[-1]["step"],
     }
     overrides = {"seed": used_seed, "steps": ppo_cfg.steps, "r_diff": task.r_diff}
     return summary, _write_manifest(out, "train", cfg, overrides, paths)
 
 
 def _agent_source(cfg: PipelineConfig, policy_path) -> EvasionSource:
+    """The trained policy as a rollout source.  Raises :class:`PipelineError`
+    naming the sidecar when its ``mask`` is missing or is not a 2-D
+    (speed, turn rate) :class:`IntervalBox` of numbers."""
     params, meta = load_policy(policy_path)
+    sidecar = Path(policy_path).with_suffix(".json")
     if "mask" not in meta:
+        raise PipelineError(f"policy sidecar {sidecar} lacks the action mask box 'mask'")
+    try:
+        box = config_from_dict(meta["mask"], IntervalBox)
+    except (PipelineError, KeyError, TypeError, ValueError) as exc:
+        raise PipelineError(f"policy sidecar {sidecar} key 'mask': {exc}") from exc
+    if box.dim != 2:
         raise PipelineError(
-            f"policy sidecar for {policy_path} lacks the action mask box"
+            f"policy sidecar {sidecar} key 'mask' must be 2-D (speed, turn rate), not {box.dim}-D"
         )
-    box = IntervalBox.from_dict(meta["mask"])
     factory = agent_controller_factory(params, box, cfg.task, _safe_factory(cfg))
     return EvasionSource(cfg.task, factory)
 

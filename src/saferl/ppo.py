@@ -168,6 +168,21 @@ def mask_action(raw, safe_u, box: IntervalBox) -> np.ndarray:
     return np.asarray(safe_u, dtype=float) + box.lower + 0.5 * (raw + 1.0) * box.widths
 
 
+def _float_mask(box: IntervalBox) -> Callable:
+    """:func:`mask_action` for one box on Python floats: the box's bounds and
+    widths are read once, and each axis repeats mask_action's IEEE
+    operations in its order, ``(u + lower) + 0.5 * (clip(raw) + 1.0) * width``."""
+    lower, widths = box.lower.tolist(), box.widths.tolist()
+
+    def mapped(raw, safe_u) -> tuple[float, ...]:
+        return tuple(
+            (u + lo) + 0.5 * (min(max(r, -1.0), 1.0) + 1.0) * w
+            for u, lo, r, w in zip(safe_u, lower, raw, widths)
+        )
+
+    return mapped
+
+
 # ---------------------------------------------------------------------------
 # Policy evaluation
 # ---------------------------------------------------------------------------
@@ -225,10 +240,12 @@ def agent_controller_factory(
     """Deterministic extracted policy as an opaque controller factory.
 
     Each created controller owns a fresh safe controller and maps
-    (robot, obstacle) to ``mask_action(policy_mean(obs), safe_control)``.
-    Raises ``ValueError`` when ``mask`` lacks the zero offset.
+    (robot, obstacle) to ``mask_action(policy_mean(obs), safe_control)``,
+    computed on floats (see :func:`_float_mask`).  Raises ``ValueError``
+    when ``mask`` lacks the zero offset.
     """
     require_zero_offset(mask)
+    mapped = _float_mask(mask)
 
     def make() -> Callable:
         safe = safe_factory()
@@ -236,8 +253,7 @@ def agent_controller_factory(
         def control(robot, obstacle):
             u_safe = safe(robot, obstacle)
             raw = policy_mean(params, observe(robot, obstacle, task_cfg))
-            out = mask_action(raw, u_safe, mask)
-            return float(out[0]), float(out[1])
+            return mapped(raw.tolist(), u_safe)
 
         return control
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -59,6 +60,13 @@ class RolloutSource(Protocol):
     (a zero-argument callable producing one perturbation vector per step,
     or None for an unperturbed run).  The returned trajectory object is
     passed to the robustness function unchanged.
+
+    A source may also step many samples together: when its ``lockstep``
+    attribute is true, :func:`probv` calls ``rollout_batch(initials,
+    perturbations)`` with one row per sample and, when perturbed, one
+    iterator of per-step perturbation blocks per sample, and scores each
+    ``(row, trajectory)`` pair it yields (see
+    :meth:`saferl.evasion.EvasionSource.rollout_batch`).
     """
 
     def sample_initial(self, rng: np.random.Generator): ...
@@ -224,13 +232,31 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 _PERTURB_CHUNK = 64
 
+# probv steps the samples of a lockstep-capable source together from this
+# many samples on.  A lockstep step has a fixed cost of about a hundred numpy
+# calls; on the safe controller it broke even with one-by-one rollouts at
+# about 8 samples (BENCH_9.json).
+_LOCKSTEP_MIN_N = 9
 
-def _perturbation_stream(box: IntervalBox, rng: np.random.Generator):
-    """Endless per-step draws from ``box``, taken from ``rng`` in chunks of
-    rows; the rows equal one ``box.sample(rng)`` per step bit for bit, and
-    rows drawn past the episode's end are never used by anything else."""
+
+def _perturbation_chunks(box: IntervalBox, rng: np.random.Generator):
+    """Endless blocks of per-step draws from ``box``; their rows equal one
+    ``box.sample(rng)`` per step bit for bit, and rows drawn past the
+    episode's end are never used by anything else."""
     while True:
-        yield from box.sample(rng, _PERTURB_CHUNK)
+        yield box.sample(rng, _PERTURB_CHUNK)
+
+
+def _sample_inputs(source: RolloutSource, expansion: IntervalBox | None, base_seed: int, i: int):
+    """Sample ``i``'s initial condition, from its ``(base_seed, i, 0)``
+    generator, and its perturbation blocks, from its ``(base_seed, i, 1)``
+    generator (None without ``expansion``)."""
+    init_rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, 0]))
+    initial = np.asarray(source.sample_initial(init_rng), dtype=float)
+    if expansion is None:
+        return initial, None
+    perturb_rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, 1]))
+    return initial, _perturbation_chunks(expansion, perturb_rng)
 
 
 def _run_sample(
@@ -241,13 +267,8 @@ def _run_sample(
     i: int,
 ):
     seed = derive_seed(base_seed, i)
-    init_rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, 0]))
-    initial = np.asarray(source.sample_initial(init_rng), dtype=float)
-    if expansion is not None:
-        perturb_rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, 1]))
-        perturb = functools.partial(next, _perturbation_stream(expansion, perturb_rng))
-    else:
-        perturb = None
+    initial, chunks = _sample_inputs(source, expansion, base_seed, i)
+    perturb = None if chunks is None else functools.partial(next, itertools.chain.from_iterable(chunks))
     try:
         trajectory = source.rollout(initial, perturb)
         rho = float(robustness_fn(trajectory))
@@ -258,6 +279,31 @@ def _run_sample(
     if not math.isfinite(rho):
         raise RolloutFailure(i, seed, f"non-finite robustness {rho}")
     return seed, tuple(float(v) for v in initial), rho
+
+
+def _run_lockstep(
+    source: RolloutSource,
+    expansion: IntervalBox | None,
+    robustness_fn: Callable,
+    base_seed: int,
+    n: int,
+):
+    """All ``n`` samples through one ``source.rollout_batch`` call, each
+    trace scored as its rollout ends; returns what :func:`_run_sample`
+    returns for each index, and raises on any failure without naming the
+    sample."""
+    initials, chunks = zip(*(_sample_inputs(source, expansion, base_seed, i) for i in range(n)))
+    rhos = [math.nan] * n
+    for i, trace in source.rollout_batch(
+        np.array(initials), None if expansion is None else list(chunks)
+    ):
+        rhos[i] = float(robustness_fn(trace))
+    if not all(math.isfinite(rho) for rho in rhos):
+        raise ValueError("non-finite robustness")
+    return [
+        (derive_seed(base_seed, i), tuple(float(v) for v in initial), rho)
+        for i, (initial, rho) in enumerate(zip(initials, rhos))
+    ]
 
 
 def probv(
@@ -273,16 +319,26 @@ def probv(
     With ``expansion`` present, every step of every rollout adds a fresh
     uniform draw from the box to the controller output; with ``expansion``
     None the system runs unperturbed (the deterministic-policy case).
-    Samples run in index order; a failing rollout raises
-    :class:`RolloutFailure` for the lowest failing index.
+    A source whose ``lockstep`` attribute is true has its samples stepped
+    together through ``rollout_batch``; otherwise samples run one by one in
+    index order.  Both give the same report.  A failing rollout raises
+    :class:`RolloutFailure` for the lowest failing index: after any error in
+    the lockstep run the samples are re-run one by one to find it.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     conf = confidence(epsilon, n)  # validates epsilon
 
-    seeds, params, rhos = zip(
-        *(_run_sample(source, expansion, robustness_fn, base_seed, i) for i in range(n))
-    )
+    results = None
+    if n >= _LOCKSTEP_MIN_N:
+        try:
+            if getattr(source, "lockstep", False):
+                results = _run_lockstep(source, expansion, robustness_fn, base_seed, n)
+        except Exception:
+            pass  # the one-by-one run below names the lowest failing sample
+    if results is None:
+        results = [_run_sample(source, expansion, robustness_fn, base_seed, i) for i in range(n)]
+    seeds, params, rhos = zip(*results)
     return VerificationReport(
         robustnesses=rhos,
         rho_star=min(rhos),

@@ -38,6 +38,7 @@ from saferl.evasion import (
     unicycle_step,
     wrap_angle,
 )
+from saferl.evasion import _clamp_rows, _cos_sin, _wrap_angles
 from saferl.pipeline import config_from_dict, config_to_dict
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
@@ -741,3 +742,68 @@ def test_task_config_validation():
         TaskConfig(start=(0.0, 0.0), goal=(0.0, 0.0))
     with pytest.raises(ValueError):
         TaskConfig(k_max=0)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise kernels and the controller's array method against the scalar
+# functions they repeat, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def test_row_kernels_bit_equal_to_scalar_functions():
+    rng = np.random.default_rng(609)
+    special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -3 * math.pi, 1e-300, -1e-300]
+    angles = np.concatenate([special, rng.uniform(-20.0, 20.0, 20_000)])
+    assert np.array_equal(bits(_wrap_angles(angles)), bits([wrap_angle(a) for a in angles]))
+    cos, sin = _cos_sin(angles.reshape(-1, 2))
+    assert np.array_equal(bits(cos.ravel()), bits([math.cos(a) for a in angles]))
+    assert np.array_equal(bits(sin.ravel()), bits([math.sin(a) for a in angles]))
+    values = np.concatenate([[0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0], angles])
+    for lo, hi in ((0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0), (-2.0, 3.0)):
+        want = [min(max(v, lo), hi) for v in values.tolist()]
+        assert np.array_equal(bits(_clamp_rows(values, lo, hi)), bits(want)), (lo, hi)
+
+
+def near_encounters(cfg, rng, n):
+    """Obstacles within a metre ahead of or beside the robot, so that the
+    trigger, the sticky exit band and both turn signs all occur."""
+    for robot, obstacle, raw in random_step_states(cfg, rng, n):
+        reach = rng.uniform(0.0, 1.0)
+        bearing = robot.theta + rng.uniform(-2.0, 2.0)
+        close = ObstacleState(
+            robot.x + reach * math.cos(bearing),
+            robot.y + reach * math.sin(bearing),
+            obstacle.theta,
+            obstacle.v,
+        )
+        yield robot, (close if rng.random() < 0.7 else obstacle)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [CFG, *TILTED, *(replace(CFG, evade_angle_tol=tol) for tol in (0.0, 0.3, -0.01, math.nan))],
+)
+def test_safe_controller_batch_bit_equal_to_call(cfg):
+    rng = np.random.default_rng(608)
+    states = list(near_encounters(cfg, rng, 20_000))
+    modes = rng.random(len(states)) < 0.5
+    robot = np.array([[r.x, r.y, r.theta, r.v] for r, _ in states])
+    obstacle = np.array([[o.x, o.y, o.theta, o.v] for _, o in states])
+    want = []
+    for (r, o), mode in zip(states, modes):
+        ctl = SafeController(cfg)
+        ctl._evading = bool(mode)
+        want.append((*ctl(r, o), ctl.evading))
+    want = np.array(want)
+    batch = SafeController(cfg).batch
+    v, omega, evading = batch(robot, obstacle, modes)
+    assert np.array_equal(bits(v), bits(want[:, 0]))
+    assert np.array_equal(bits(omega), bits(want[:, 1]))
+    assert np.array_equal(evading, want[:, 2] == 1.0)
+    assert 0.2 < evading.mean() < 0.8
+    held = evading & (omega == 0.0)
+    assert held.any() and (evading & (omega > 0)).any() and (evading & (omega < 0)).any()
+    # the headings a caller passes in give the same result
+    cs = _cos_sin(np.stack((robot[:, 2], obstacle[:, 2]), axis=1))
+    again = batch(robot, obstacle, modes, cs)
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(again[:2], (v, omega)))

@@ -145,6 +145,7 @@ def test_full_pipeline_end_to_end(tmp_path):
     log_lines = train_paths["log"].read_text().strip().splitlines()
     assert log_lines[0].startswith("step,mean_reward,std_reward,action_diff")
     assert len(log_lines) == 1 + 2  # two updates at these settings
+    assert (summary["updates"], summary["trained_steps"]) == (2, 512)
     assert summary["r_diff"] > 0
     assert set(train_paths) == {"policy", "sidecar", "log", "manifest"}
     assert_manifest_lists_paths(train_paths)
@@ -306,6 +307,31 @@ def test_cli_error_paths(tmp_path, capsys):
             assert cli_main([command, "--config", cfg_path, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert "expansion.json" in err and key in err
+    # a policy sidecar whose mask is not a 2-D box of numbers is an input
+    # error naming the sidecar and the key
+    policy = tmp_path / "masked.bin"
+    params = init_policy(7, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
+    for mask in ({}, {"lower": [0.0], "upper": [0.0]}, {"lower": ["a", 0.0], "upper": [0.0, 0.0]}):
+        save_policy(params, policy, meta={"mask": mask})
+        for command in ("verify-agent", "histogram"):
+            capsys.readouterr()
+            args = [command, "--config", cfg_path, "--policy", str(policy), "--out", str(tmp_path / "m")]
+            assert cli_main(args) == 2
+            err = capsys.readouterr().err
+            assert "masked.json" in err and "'mask'" in err
+
+
+def test_cli_train_prints_the_steps_of_whole_windows(tmp_path, capsys):
+    # a budget that is not a multiple of n_steps (256) rounds down to whole
+    # windows; the manifest keeps the requested budget
+    cfg_path = write_config(tmp_path, tiny_config())
+    out = tmp_path / "t"
+    run_expand(tiny_config(), out)
+    capsys.readouterr()
+    assert cli_main(["train", "--config", cfg_path, "--out", str(out), "--steps", "300"]) == 0
+    assert "trained 256 steps in 1 updates;" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest_train.json").read_text())
+    assert manifest["overrides"]["steps"] == 300
 
 
 def test_cli_corrupt_policy_file(tmp_path, capsys):

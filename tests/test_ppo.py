@@ -35,7 +35,7 @@ from saferl.ppo import (
     train,
     value_estimate,
 )
-from saferl.ppo import _log_prob_of_z
+from saferl.ppo import _float_mask, _log_prob_of_z
 from saferl.mlp import Adam
 
 TASK = TaskConfig()
@@ -78,6 +78,27 @@ def test_masked_output_always_inside_box():
         safe = rng.uniform(-1, 1, 2)
         out = mask_action(raw, safe, BOX)
         assert BOX.contains(out - safe, tol=1e-12)
+
+
+_raw = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([-1.0, 1.0, -0.0, 0.0, -math.inf, math.inf, 1.0 + 2**-52, -1.0 - 2**-52]),
+)
+_bound = st.floats(0.0, 2.0)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    raw=st.tuples(_raw, _raw),
+    safe=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    below=st.tuples(_bound, _bound),
+    above=st.tuples(_bound, _bound),
+)
+def test_float_mask_bit_equal_to_mask_action(raw, safe, below, above):
+    box = IntervalBox([-b for b in below], list(above))
+    got = _float_mask(box)(raw, safe)
+    want = mask_action(raw, safe, box)
+    assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -5,10 +8,13 @@ import numpy as np
 import pytest
 
 from saferl.boxes import IntervalBox
+from saferl.controller import SafeController
+from saferl.evasion import EpisodeTrace, EvasionSource, TaskConfig
 from saferl.stl import Signal
 from saferl.verify import (
     RolloutFailure,
     VerificationReport,
+    _run_lockstep,
     _run_sample,
     confidence,
     derive_seed,
@@ -270,3 +276,142 @@ def test_report_json_and_csv_roundtrip(tmp_path):
     assert int(first[0]) == 0
     assert int(first[1]) == report.per_sample_seeds[0]
     assert float(first[2]) == report.robustnesses[0]
+
+
+# ---------------------------------------------------------------------------
+# Lockstep rollouts: every sample stepped together through rollout_batch,
+# against the sequential per-sample path, which stays the reference
+# ---------------------------------------------------------------------------
+
+TASK = TaskConfig()
+E_INIT = IntervalBox([-2e-4, -5e-3], [2e-4, 5e-3])
+
+
+def safe_source(controller=SafeController) -> EvasionSource:
+    return EvasionSource(TASK, lambda: controller(TASK))
+
+
+def sequential(source: EvasionSource) -> EvasionSource:
+    """The same source with the lockstep path switched off."""
+    twin = EvasionSource(source.cfg, source.controller_factory)
+    twin.lockstep = False
+    return twin
+
+
+def report_text(report: VerificationReport) -> str:
+    return json.dumps(report.to_json_dict())
+
+
+def trace_bits(trace: EpisodeTrace):
+    finals = [*vars(trace.final_robot).values(), *vars(trace.final_obstacle).values()]
+    return trace.rows.tobytes(), np.array(finals).tobytes(), trace.termination
+
+
+@pytest.mark.parametrize(
+    "box", [None, E_INIT, E_INIT.scale((11, 2)), E_INIT.scale((41, 5))], ids=str
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_probv_equals_sequential(box, seed):
+    evading_rows = []
+
+    class Counting(SafeController):
+        def batch(self, robot, obstacle, evading, headings=None):
+            out = super().batch(robot, obstacle, evading, headings)
+            evading_rows.append(int(out[2].sum()))
+            return out
+
+    source = safe_source(Counting)
+    assert source.lockstep
+    want = [_run_sample(source, box, source.robustness, seed, i) for i in range(50)]
+    # _run_lockstep raises where probv would fall back to the sequential path
+    got = _run_lockstep(source, box, source.robustness, seed, 50)
+    assert repr(got) == repr(want)
+    assert sum(evading_rows) > 0
+    lockstep = probv(source, box, source.robustness, 50, 0.05, seed)
+    reference = probv(sequential(source), box, source.robustness, 50, 0.05, seed)
+    assert report_text(lockstep) == report_text(reference)
+    if box is not None and box.upper[0] > 40 * E_INIT.upper[0]:
+        assert min(lockstep.robustnesses) < 0  # failing samples exist
+
+
+def test_lockstep_single_sample():
+    source = safe_source()
+    for box in (None, E_INIT):
+        got = _run_lockstep(source, box, source.robustness, 5, 1)
+        assert repr(got) == repr([_run_sample(source, box, source.robustness, 5, 0)])
+
+
+def test_rollout_batch_retires_rows_that_finish_first():
+    source = safe_source()
+    rng = np.random.default_rng(8)
+    # row 1's obstacle stays clear of the path: it reaches the goal first;
+    # rows 0 and 3 evade, and row 2 runs to the horizon
+    initials = np.array(
+        [
+            [0.08, -0.18, -2.88, 0.05],
+            [0.23, 0.05, 1.89, 0.15],
+            [0.24, 0.29, -1.12, 0.08],
+            [0.2, 0.36, -2.36, 0.1],
+        ]
+    )
+    chunks = [[E_INIT.sample(rng, 64) for _ in range(5)] for _ in initials]
+    finished = list(source.rollout_batch(initials, [iter(c) for c in chunks]))
+    assert [i for i, _ in finished] == [1, 3, 0, 2]  # in the order the rows end
+    traces = [trace for _, trace in sorted(finished, key=lambda f: f[0])]
+    lengths = [t.n_steps for t in traces]
+    assert traces[1].termination == "goal" and traces[2].termination == "horizon"
+    assert lengths[1] < min(lengths[:1] + lengths[2:])
+    assert len(set(lengths)) == 4
+    for initial, chunk, trace in zip(initials, chunks, traces):
+        stream = functools.partial(next, itertools.chain.from_iterable(chunk))
+        assert trace_bits(trace) == trace_bits(source.rollout(initial, stream))
+
+
+def test_lockstep_nan_control_names_the_lowest_failing_sample():
+    source = safe_source()
+    speeds = [
+        float(source.sample_initial(np.random.default_rng([4, i, 0]))[3]) for i in range(12)
+    ]
+    bad = {speeds[7], speeds[3]}
+    batch_calls = []
+
+    class NanForSome(SafeController):
+        def __call__(self, robot, obstacle):
+            v, omega = super().__call__(robot, obstacle)
+            return (math.nan if obstacle.v in bad else v), omega
+
+        def batch(self, robot, obstacle, evading, headings=None):
+            batch_calls.append(1)
+            v, omega, evading = super().batch(robot, obstacle, evading, headings)
+            v[np.isin(obstacle[:, 3], list(bad))] = math.nan
+            return v, omega, evading
+
+    failing = safe_source(NanForSome)
+    with pytest.raises(RolloutFailure) as err:
+        probv(failing, E_INIT, failing.robustness, 12, 0.05, base_seed=4)
+    assert batch_calls
+    assert err.value.sample_index == 3
+    assert err.value.seed == derive_seed(4, 3)
+    assert "non-finite" in str(err.value)
+
+
+def test_opaque_controller_runs_per_sample():
+    def factory():
+        ctl = SafeController(TASK)
+        return lambda robot, obstacle: ctl(robot, obstacle)
+
+    opaque = EvasionSource(TASK, factory)
+    assert not opaque.lockstep
+    got = probv(opaque, E_INIT, opaque.robustness, 12, 0.05, 6)
+    want = probv(safe_source(), E_INIT, opaque.robustness, 12, 0.05, 6)
+    assert report_text(got) == report_text(want)
+
+
+def test_failing_controller_factory_names_sample_zero():
+    def broken():
+        raise ValueError("no controller")
+
+    source = EvasionSource(TASK, broken)
+    with pytest.raises(RolloutFailure) as err:
+        probv(source, None, source.robustness, 12, 0.05, base_seed=1)
+    assert err.value.sample_index == 0 and "no controller" in str(err.value)
