@@ -31,7 +31,6 @@ from .evasion import (
     TaskConfig,
     _clamp_rows,
     _closest_on_path,
-    _cos_sin,
     _min_gaps,
     _references,
     _segment,
@@ -115,28 +114,25 @@ class SafeController:
         omega = min(max(omega, -task.omega_max), task.omega_max)
         return v, omega
 
-    def batch(self, robot, obstacle, evading, headings=None):
+    def batch(self, robot, obstacle, evading, headings):
         """:meth:`__call__` for many independent controllers at once.
 
         ``robot`` and ``obstacle`` are ``(rows, 4)`` arrays of states with
-        columns ``(x, y, theta, v)``, and ``evading`` is each row's mode
-        before the call; returns the ``(v, omega, evading)`` arrays.  Row ``i``
-        equals calling a controller in mode ``evading[i]`` on row ``i``'s
-        states, bit for bit; ``self``'s own mode is not touched.  A caller
-        that has the cosines and sines of the (robot, obstacle) headings may
-        pass them as ``headings``: ``_cos_sin`` of the ``(rows, 2)`` array of
-        both thetas, of shape ``(2, rows, 2)``.
+        columns ``(x, y, theta, v)``, ``evading`` is each row's mode before
+        the call and ``headings`` the cosines and sines of the (robot,
+        obstacle) headings: ``_cos_sin`` of the ``(rows, 2)`` array of both
+        thetas, of shape ``(2, rows, 2)``.  Returns the ``(v, omega,
+        evading)`` arrays.  Row ``i`` equals calling a controller in mode
+        ``evading[i]`` on row ``i``'s states, bit for bit; ``self``'s own
+        mode is not touched.
         """
         task, cfg = self.task, self.cfg
         n = robot.shape[0]
         pos, rth = robot[:, :2], robot[:, 2]
         rel = obstacle[:, :2] - pos
-        cs = headings
-        if cs is None:
-            cs = _cos_sin(np.concatenate((robot[:, 2:3], obstacle[:, 2:3]), axis=1))
         speeds = np.concatenate((robot[:, 3:4], obstacle[:, 3:4]), axis=1)
-        gap = _min_gaps(rel, cs, speeds, _time_grid(task.dt, task.lookahead))
-        ahead = rel[:, 0] * cs[0, :, 0] + rel[:, 1] * cs[1, :, 0] >= 0.0
+        gap = _min_gaps(rel, headings, speeds, _time_grid(task.dt, task.lookahead))
+        ahead = rel[:, 0] * headings[0, :, 0] + rel[:, 1] * headings[1, :, 0] >= 0.0
         evading = ahead & (
             (gap <= task.danger_radius)
             | (evading & (gap <= task.danger_radius + cfg.exit_margin))
@@ -167,7 +163,7 @@ class SafeController:
         evade_rows = np.count_nonzero(evading)
         if evade_rows:
             # classify_encounter's turn side, as in _encounters
-            plus = cs[0, :, 0] * rel[:, 1] - cs[1, :, 0] * rel[:, 0] >= 0.0
+            plus = headings[0, :, 0] * rel[:, 1] - headings[1, :, 0] * rel[:, 0] >= 0.0
             theta_des = np.where(evading, np.where(plus, *self._references), theta_des)
         err = _wrap_angles(theta_des - rth)
         omega = _clamp_rows(cfg.heading_gain * err, -cfg.track_turn_cap, cfg.track_turn_cap)

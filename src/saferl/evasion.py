@@ -140,6 +140,18 @@ class TaskConfig:
         if not 0 <= lo <= hi:
             raise ValueError("invalid obstacle speed range")
         object.__setattr__(self, "obstacle_speed_range", (float(lo), float(hi)))
+        # sample_obstacle rejects draws within danger_radius of start; the
+        # farthest point of the region from start is one of its corners
+        region = self.obstacle_region
+        if region.dim != 2:
+            raise ValueError(f"obstacle_region must be 2-D (x, y), got {region!r}")
+        (x0, y0), (x1, y1) = region.lower.tolist(), region.upper.tolist()
+        reach = max(math.hypot(x - start[0], y - start[1]) for x in (x0, x1) for y in (y0, y1))
+        if not reach > self.danger_radius:
+            raise ValueError(
+                f"obstacle_region {region!r} lies within danger_radius {self.danger_radius} "
+                f"of start {self.start}: no obstacle can be drawn"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +422,15 @@ TRACE_COLUMNS = (
 )
 
 
+def _complete_rows(rows: np.ndarray, cs: np.ndarray, theta_path: float) -> None:
+    """Fill a finished episode's case, sign and orientation-gap columns in
+    place (:func:`_encounters`); they never feed back into the episode."""
+    rel = rows[:, COL_XO : COL_YO + 1] - rows[:, COL_XR : COL_YR + 1]
+    rows[:, COL_CASE], rows[:, COL_SIGN], rows[:, COL_DTHETA] = _encounters(
+        rows[:, COL_THR], cs, rel, theta_path
+    )
+
+
 @dataclass(frozen=True)
 class EpisodeTrace:
     """One closed-loop episode: a row per executed step plus the final state.
@@ -606,22 +627,19 @@ class EvasionEnv:
         w = min(max(float(control[1]), -self.cfg.omega_max), self.cfg.omega_max)
         return v, w
 
-    def _context(self):
-        r, o = self._robot, self._obstacle
-        u_safe = self._clamp(self._controller(r, o))
-        case, sign = classify_encounter(r, o)
-        dth = delta_theta(r.theta, sign, self.theta_path)
-        return u_safe, sign, case, dth
+    def _context(self) -> tuple[float, float]:
+        return self._clamp(self._controller(self._robot, self._obstacle))
 
-    def _advance(self, applied, u_safe, sign, case, dth) -> None:
+    def _advance(self, applied, u_safe) -> None:
+        """Record the step's row (encounter columns NaN until :meth:`trace`)."""
         cfg = self.cfg
         r, o = self._robot, self._obstacle
         self._rows[self._k] = (
             r.x, r.y, r.theta, r.v,
             o.x, o.y, o.theta, o.v,
             applied[0], applied[1],
-            sign, dth,
-            u_safe[0], u_safe[1], case,
+            math.nan, math.nan,
+            u_safe[0], u_safe[1], math.nan,
         )
         self._robot = unicycle_step(r, applied, cfg.dt)
         self._obstacle = unicycle_step(o, (o.v, 0.0), cfg.dt)
@@ -652,13 +670,13 @@ class EvasionEnv:
         once per step and added to the controller output before clamping."""
         self.reset(obstacle)
         while not self._done:
-            u_safe, sign, case, dth = self._context()
+            u_safe = self._context()
             if perturb is not None:
                 xi = perturb()
                 applied = self._clamp((u_safe[0] + float(xi[0]), u_safe[1] + float(xi[1])))
             else:
                 applied = u_safe
-            self._advance(applied, u_safe, sign, case, dth)
+            self._advance(applied, u_safe)
         return self.trace()
 
     # -- learning interface ------------------------------------------------
@@ -688,7 +706,7 @@ class EvasionEnv:
         r0, r1 = np.asarray(raw_action, dtype=float).tolist()
         if math.isnan(r0) or math.isnan(r1):
             raise ValueError(f"step {self._k}: raw action {[r0, r1]} is not a number")
-        u_safe, sign, case, dth = self._context()
+        u_safe = self._context()
         (lo0, lo1), (w0, w1), (in_lo0, in_lo1), (in_hi0, in_hi1), (c0, c1), (h0, h1), root_dim = (
             self._mask_floats
         )
@@ -707,7 +725,7 @@ class EvasionEnv:
         # the norm is numpy's 2-element dot (see _closest_on_path)
         q = np.array(((d0 - c0) / h0, (d1 - c1) / h1))
         action_diff = math.sqrt(q.dot(q)) / root_dim
-        self._advance(applied, u_safe, sign, case, dth)
+        self._advance(applied, u_safe)
         info = {
             "action_diff": action_diff,
             "termination": self._termination,
@@ -723,8 +741,10 @@ class EvasionEnv:
     def trace(self) -> EpisodeTrace:
         if self._rows is None or not self._done:
             raise RuntimeError("no finished episode to export")
+        rows = self._rows[: self._k]
+        _complete_rows(rows, _cos_sin(rows[:, COL_THR : COL_THO + 1 : 4]), self.theta_path)
         return EpisodeTrace(
-            rows=self._rows[: self._k],
+            rows=rows,
             final_robot=self._robot,
             final_obstacle=self._obstacle,
             dt=self.cfg.dt,
@@ -762,17 +782,14 @@ class EvasionSource:
         env = EvasionEnv(self.cfg, self.controller_factory)
         return env.run_episode(o, perturb)
 
-    @functools.cached_property
-    def lockstep(self) -> bool:
-        """Whether the controller has an array method ``batch`` (see
-        :meth:`saferl.controller.SafeController.batch`), which
-        :meth:`rollout_batch` needs; an opaque controller has none."""
-        return callable(getattr(self.controller_factory(), "batch", None))
-
     def rollout_batch(self, initials, perturbations=None) -> Iterator[tuple[int, EpisodeTrace]]:
         """Roll one episode per row of ``initials`` with all rows stepped
         together; yield ``(row, trace)`` as each row finishes, so that a
         caller can score and drop a trace before the others end.
+
+        A controller with an array method ``batch`` (see
+        :meth:`saferl.controller.SafeController.batch`) steps all rows in one
+        call; any other is created once per row and called on its states.
 
         ``perturbations`` is None or a sequence of one iterator per row, each
         yielding blocks of per-step perturbation rows; a row's next block is
@@ -780,15 +797,16 @@ class EvasionSource:
         trace equals :meth:`rollout` of ``initials[i]`` with the rows of its
         blocks as the per-step stream, bit for bit: every step repeats
         :meth:`EvasionEnv.run_episode`'s operations on arrays with one row
-        per sample, and a finished row leaves the active set.  The sign,
-        orientation gap and case columns do not feed back into the episode,
-        so they are filled in once a row finishes.  A non-finite control or
-        state raises ``ValueError``.
+        per sample, and a finished row leaves the active set.  A non-finite
+        control or state raises ``ValueError``.
         """
         cfg, dt = self.cfg, self.cfg.dt
-        step = self.controller_factory().batch
+        controller = self.controller_factory()
+        batch = getattr(controller, "batch", None)
         initials = np.asarray(initials, dtype=float)
         n = initials.shape[0]
+        if batch is None:
+            controllers = [controller, *(self.controller_factory() for _ in range(n - 1))]
         theta_path = path_heading(cfg.start, cfg.goal)
         gx, gy = cfg.goal
         lo, hi = np.array((cfg.v_min, -cfg.omega_max)), np.array((cfg.v_max, cfg.omega_max))
@@ -815,8 +833,13 @@ class EvasionSource:
                 drawn = k
             thetas = state[:, :, 2]
             cs = _cos_sin(thetas)
-            v, omega, evading = step(state[:, 0], state[:, 1], evading, cs)
-            u[:, 0], u[:, 1] = v, omega
+            if batch is None:
+                u[...] = [
+                    controllers[i](RobotState(*r), ObstacleState(*o))
+                    for i, (r, o) in zip(active.tolist(), state.tolist())
+                ]
+            else:
+                u[:, 0], u[:, 1], evading = batch(state[:, 0], state[:, 1], evading, cs)
             _clamp_rows(u, lo, hi, out=u)
             if chunk is None:
                 applied[...] = u
@@ -851,10 +874,7 @@ class EvasionSource:
             for j in np.flatnonzero(done | at_horizon).tolist():
                 i = int(active[j])
                 rows = block[i, :k]
-                rel = rows[:, COL_XO : COL_YO + 1] - rows[:, COL_XR : COL_YR + 1]
-                rows[:, COL_CASE], rows[:, COL_SIGN], rows[:, COL_DTHETA] = _encounters(
-                    rows[:, COL_THR], headings[:, i, :k], rel, theta_path
-                )
+                _complete_rows(rows, headings[:, i, :k], theta_path)
                 yield i, EpisodeTrace(
                     rows=rows,
                     final_robot=RobotState(*cur[j, :COL_XO].tolist()),

@@ -6,7 +6,8 @@ from an interval box at every step), :func:`probv` collects the robustness
 values of N independent rollouts.  The sample minimum ``rho_star`` bounds
 the (1 - epsilon) quantile of achievable robustness from below with
 confidence ``1 - (1 - epsilon)**N``; verification passes when
-``rho_star >= 0``.
+``rho_star >= 0``.  A source with ``rollout_batch`` runs all N rollouts in
+lockstep, at every N; one-by-one ``rollout`` calls are its reference.
 
 :func:`find_expansion_set` searches for the largest verifiable perturbation
 box by growing an initial box axis-wise with fixed fractional increments and
@@ -61,12 +62,13 @@ class RolloutSource(Protocol):
     or None for an unperturbed run).  The returned trajectory object is
     passed to the robustness function unchanged.
 
-    A source may also step many samples together: when its ``lockstep``
-    attribute is true, :func:`probv` calls ``rollout_batch(initials,
+    A source may also step many samples together: when it has a
+    ``rollout_batch`` method, :func:`probv` calls ``rollout_batch(initials,
     perturbations)`` with one row per sample and, when perturbed, one
     iterator of per-step perturbation blocks per sample, and scores each
     ``(row, trajectory)`` pair it yields (see
-    :meth:`saferl.evasion.EvasionSource.rollout_batch`).
+    :meth:`saferl.evasion.EvasionSource.rollout_batch`), which must equal
+    ``rollout``'s.
     """
 
     def sample_initial(self, rng: np.random.Generator): ...
@@ -232,12 +234,6 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 _PERTURB_CHUNK = 64
 
-# probv steps the samples of a lockstep-capable source together from this
-# many samples on.  A lockstep step has a fixed cost of about a hundred numpy
-# calls; on the safe controller it broke even with one-by-one rollouts at
-# about 8 samples (BENCH_9.json).
-_LOCKSTEP_MIN_N = 9
-
 
 def _perturbation_chunks(box: IntervalBox, rng: np.random.Generator):
     """Endless blocks of per-step draws from ``box``; their rows equal one
@@ -319,9 +315,9 @@ def probv(
     With ``expansion`` present, every step of every rollout adds a fresh
     uniform draw from the box to the controller output; with ``expansion``
     None the system runs unperturbed (the deterministic-policy case).
-    A source whose ``lockstep`` attribute is true has its samples stepped
-    together through ``rollout_batch``; otherwise samples run one by one in
-    index order.  Both give the same report.  A failing rollout raises
+    A source with ``rollout_batch`` has all its samples stepped together,
+    whatever its controller; otherwise samples run one by one in index
+    order.  Both give the same report.  A failing rollout raises
     :class:`RolloutFailure` for the lowest failing index: after any error in
     the lockstep run the samples are re-run one by one to find it.
     """
@@ -330,10 +326,9 @@ def probv(
     conf = confidence(epsilon, n)  # validates epsilon
 
     results = None
-    if n >= _LOCKSTEP_MIN_N:
+    if hasattr(source, "rollout_batch"):
         try:
-            if getattr(source, "lockstep", False):
-                results = _run_lockstep(source, expansion, robustness_fn, base_seed, n)
+            results = _run_lockstep(source, expansion, robustness_fn, base_seed, n)
         except Exception:
             pass  # the one-by-one run below names the lowest failing sample
     if results is None:

@@ -9,6 +9,7 @@ import pytest
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import (
+    COL_CASE,
     COL_CMD_W,
     COL_DTHETA,
     COL_SIGN,
@@ -523,25 +524,49 @@ def step_flags_ref(row, cfg):
     return trig, ok
 
 
-def test_trigger_and_evade_from_predicate_columns_equal_step_flags():
-    source = EvasionSource(CFG, lambda: SafeController(CFG, ControllerConfig()))
-    table = safety_predicates(CFG)
+def encounter_ref(row, cfg):
+    """The case, turn sign and orientation gap the environment once computed
+    at every step from the live state."""
+    r, o = RobotState(*row[0:4]), ObstacleState(*row[4:8])
+    case, sign = classify_encounter(r, o)
+    return case, sign, delta_theta(r.theta, sign, path_heading(cfg.start, cfg.goal))
+
+
+def flag_test_episodes(cfg, rng):
+    """Traces of controller-driven episodes, unperturbed and perturbed, and
+    of learning-interface episodes under random raw actions."""
+    source = EvasionSource(cfg, lambda: SafeController(cfg, ControllerConfig()))
     box = IntervalBox([-0.01, -0.08], [0.01, 0.08])
-    rng = np.random.default_rng(21)
-    seen = set()
     for i in range(48):
         ic = source.sample_initial(rng)
         if i % 2:
             prng = np.random.default_rng(i)
-            trace = source.rollout(ic, lambda: box.sample(prng))
+            yield source.rollout(ic, lambda: box.sample(prng))
         else:
-            trace = source.rollout(ic)
+            yield source.rollout(ic)
+    env = EvasionEnv(cfg, lambda: SafeController(cfg, ControllerConfig()), mask=STEP_MASK)
+    for _ in range(16):
+        env.reset_random(rng)
+        while not env.done:
+            env.step_raw(rng.uniform(-1.0, 1.0, 2))
+        yield env.trace()
+
+
+def test_trigger_and_evade_from_predicate_columns_equal_step_flags():
+    table = safety_predicates(CFG)
+    seen = set()
+    for i, trace in enumerate(flag_test_episodes(CFG, np.random.default_rng(21))):
         states = trace.signal().states
         trigger = (table.evaluate("infront", states) >= 0) & (table.evaluate("near", states) >= 0)
         ok = table.evaluate("evade", states) >= 0
         want = [step_flags_ref(row, CFG) for row in trace.rows.tolist()]
         assert trigger.tolist() == [t for t, _ in want], i
         assert ok.tolist() == [e for _, e in want], i
+        # the encounter columns, filled once the episode ends, equal the
+        # scalar functions of each row's states
+        got = trace.rows[:, [COL_CASE, COL_SIGN, COL_DTHETA]]
+        want = [encounter_ref(row, CFG) for row in trace.rows.tolist()]
+        assert np.array_equal(bits(got), bits(want)), i
         seen.update(zip(trigger.tolist(), ok.tolist()))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -580,7 +605,7 @@ def test_nan_raw_action_raises_before_mapping():
     want = twin.step_raw([1.0, -1.0])
     assert np.array_equal(got[0], want[0]) and got[1:3] == want[1:3]
     assert got[3] == want[3]
-    assert np.array_equal(env._rows[:1], twin._rows[:1])
+    assert np.array_equal(env._rows[:1], twin._rows[:1], equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +633,7 @@ def observe_ref(robot, obstacle, cfg):
 
 def step_raw_ref(env, raw_action):
     """EvasionEnv.step_raw in array code: (observation, reward, done, action_diff)."""
-    u_safe, sign, case, dth = env._context()
+    u_safe = env._context()
     raw = np.clip(np.asarray(raw_action, dtype=float), -1.0, 1.0)
     offset = env.mask.lower + 0.5 * (raw + 1.0) * env.mask.widths
     applied = env._clamp((u_safe[0] + offset[0], u_safe[1] + offset[1]))
@@ -617,7 +642,7 @@ def step_raw_ref(env, raw_action):
     half = np.maximum(0.5 * env.mask.widths, 1e-12)
     diff = np.asarray(applied) - np.asarray(u_safe) - env.mask.center
     action_diff = float(np.linalg.norm(diff / half) / math.sqrt(env.mask.dim))
-    env._advance(applied, u_safe, sign, case, dth)
+    env._advance(applied, u_safe)
     return observe_ref(env._robot, env._obstacle, env.cfg), step_reward, env.done, action_diff
 
 
@@ -696,7 +721,9 @@ def test_step_raw_bit_equal_to_array_reference(cfg, n):
         assert np.array_equal(bits(obs), bits(want_obs)), i
         assert np.array_equal(bits([r, info["action_diff"]]), bits([want_r, want_diff])), i
         assert done == want_done
-        assert np.array_equal(bits(env._rows[0]), bits(ref._rows[0])), i
+        # end both episodes here and compare their finished trace rows
+        env._done = ref._done = True
+        assert np.array_equal(bits(env.trace().rows), bits(ref.trace().rows)), i
 
 
 @pytest.mark.parametrize("cfg", [CFG, *TILTED])
@@ -796,14 +823,14 @@ def test_safe_controller_batch_bit_equal_to_call(cfg):
         want.append((*ctl(r, o), ctl.evading))
     want = np.array(want)
     batch = SafeController(cfg).batch
-    v, omega, evading = batch(robot, obstacle, modes)
+    cs = _cos_sin(np.stack((robot[:, 2], obstacle[:, 2]), axis=1))
+    v, omega, evading = batch(robot, obstacle, modes, cs)
     assert np.array_equal(bits(v), bits(want[:, 0]))
     assert np.array_equal(bits(omega), bits(want[:, 1]))
     assert np.array_equal(evading, want[:, 2] == 1.0)
     assert 0.2 < evading.mean() < 0.8
     held = evading & (omega == 0.0)
     assert held.any() and (evading & (omega > 0)).any() and (evading & (omega < 0)).any()
-    # the headings a caller passes in give the same result
-    cs = _cos_sin(np.stack((robot[:, 2], obstacle[:, 2]), axis=1))
+    # the call leaves its arguments and the controller as they were
     again = batch(robot, obstacle, modes, cs)
     assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(again[:2], (v, omega)))

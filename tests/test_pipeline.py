@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from saferl.boxes import IntervalBox
 from saferl.cli import main as cli_main
+from saferl.evasion import EvasionEnv
 from saferl.pipeline import (
     ExpandConfig,
     HistogramConfig,
@@ -166,6 +168,36 @@ def test_full_pipeline_end_to_end(tmp_path):
     assert_manifest_lists_paths(hist_paths)
 
 
+def test_verification_stages_run_no_sample_one_by_one(tmp_path, monkeypatch):
+    # probv steps every sample of the safe and the agent controller in
+    # lockstep, at any sample count: with the one-by-one episode runner
+    # broken, the stages still pass and write the same bytes
+    cfg = tiny_config()
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_expand(cfg, a)
+    policy = run_train(cfg, a)[1]["policy"]
+    shutil.copytree(a, b)
+
+    def stages(out):
+        return [
+            run_verify_safe(cfg, out)[1],
+            run_verify_agent(cfg, policy, out)[1],
+            run_histogram(cfg, policy, out)[1],
+        ]
+
+    want = stages(a)
+
+    def one_by_one(*args, **kwargs):
+        raise AssertionError("a sample ran one by one")
+
+    monkeypatch.setattr(EvasionEnv, "run_episode", one_by_one)
+    got = stages(b)
+    for paths_a, paths_b in zip(want, got):
+        assert paths_a.keys() == paths_b.keys()
+        for key, path in paths_a.items():
+            assert path.read_bytes() == paths_b[key].read_bytes(), path.name
+
+
 def test_train_refuses_without_verified_expansion(tmp_path):
     cfg = tiny_config()
     with pytest.raises(PipelineError, match="expand"):
@@ -271,9 +303,17 @@ def test_cli_error_paths(tmp_path, capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     # an int is accepted where a float is declared
-    bad.write_text('{"task": {"danger_radius": 1}}')
+    bad.write_text('{"task": {"lookahead": 1}}')
     assert cli_main(["print-config", "--config", str(bad)]) == 0
     capsys.readouterr()
+    # an obstacle region that is not 2-D, or that lies wholly within the
+    # danger radius of the start, so that no obstacle can be drawn
+    for task in ({"danger_radius": 0.9}, {"obstacle_region": {"lower": [0.1], "upper": [0.3]}}):
+        bad.write_text(json.dumps({"task": task}))
+        capsys.readouterr()
+        assert cli_main(["verify-safe", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+        assert "obstacle_region" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
     # a PPO step count below 1 would divide by zero or train a window the
     # manifest does not record
     for key in ("steps", "n_steps", "minibatch_size", "epochs"):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from saferl.boxes import IntervalBox
 from saferl.controller import SafeController
 from saferl.evasion import EpisodeTrace, EvasionSource, TaskConfig
+from saferl.ppo import PpoConfig, agent_controller_factory, init_policy
 from saferl.stl import Signal
 from saferl.verify import (
     RolloutFailure,
@@ -291,11 +293,17 @@ def safe_source(controller=SafeController) -> EvasionSource:
     return EvasionSource(TASK, lambda: controller(TASK))
 
 
-def sequential(source: EvasionSource) -> EvasionSource:
-    """The same source with the lockstep path switched off."""
-    twin = EvasionSource(source.cfg, source.controller_factory)
-    twin.lockstep = False
-    return twin
+def sequential(source: EvasionSource) -> SimpleNamespace:
+    """``source`` behind a wrapper without ``rollout_batch``, whose samples
+    probv runs one by one: the reference path."""
+    return SimpleNamespace(sample_initial=source.sample_initial, rollout=source.rollout)
+
+
+class BatchOnly(EvasionSource):
+    """A source whose samples can run only through ``rollout_batch``."""
+
+    def rollout(self, initial, perturb=None):
+        raise AssertionError("a sample ran one by one")
 
 
 def report_text(report: VerificationReport) -> str:
@@ -315,13 +323,12 @@ def test_lockstep_probv_equals_sequential(box, seed):
     evading_rows = []
 
     class Counting(SafeController):
-        def batch(self, robot, obstacle, evading, headings=None):
+        def batch(self, robot, obstacle, evading, headings):
             out = super().batch(robot, obstacle, evading, headings)
             evading_rows.append(int(out[2].sum()))
             return out
 
     source = safe_source(Counting)
-    assert source.lockstep
     want = [_run_sample(source, box, source.robustness, seed, i) for i in range(50)]
     # _run_lockstep raises where probv would fall back to the sequential path
     got = _run_lockstep(source, box, source.robustness, seed, 50)
@@ -380,7 +387,7 @@ def test_lockstep_nan_control_names_the_lowest_failing_sample():
             v, omega = super().__call__(robot, obstacle)
             return (math.nan if obstacle.v in bad else v), omega
 
-        def batch(self, robot, obstacle, evading, headings=None):
+        def batch(self, robot, obstacle, evading, headings):
             batch_calls.append(1)
             v, omega, evading = super().batch(robot, obstacle, evading, headings)
             v[np.isin(obstacle[:, 3], list(bad))] = math.nan
@@ -395,16 +402,57 @@ def test_lockstep_nan_control_names_the_lowest_failing_sample():
     assert "non-finite" in str(err.value)
 
 
-def test_opaque_controller_runs_per_sample():
-    def factory():
+def test_opaque_controller_runs_lockstep():
+    # controllers without an array method: the safe controller behind a
+    # closure, and a masked agent with a random policy
+    def safe():
         ctl = SafeController(TASK)
         return lambda robot, obstacle: ctl(robot, obstacle)
 
-    opaque = EvasionSource(TASK, factory)
-    assert not opaque.lockstep
-    got = probv(opaque, E_INIT, opaque.robustness, 12, 0.05, 6)
-    want = probv(safe_source(), E_INIT, opaque.robustness, 12, 0.05, 6)
-    assert report_text(got) == report_text(want)
+    params = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(12))
+    mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+    agent = agent_controller_factory(params, mask, TASK, safe_source().controller_factory)
+    for factory, box in itertools.product((safe, agent), (None, E_INIT)):
+        reference = EvasionSource(TASK, factory)
+        batch_only = BatchOnly(TASK, factory)
+        for n in (1, 3, 12, 50):
+            want = probv(sequential(reference), box, reference.robustness, n, 0.05, 6)
+            got = probv(batch_only, box, batch_only.robustness, n, 0.05, 6)
+            assert report_text(got) == report_text(want), (factory, box, n)
+        if factory is safe:  # the same verdict as the controller's array method
+            batched = probv(safe_source(), box, reference.robustness, 50, 0.05, 6)
+            assert report_text(got) == report_text(batched)
+
+
+def test_opaque_controller_error_names_the_lowest_failing_sample():
+    speeds = [
+        float(safe_source().sample_initial(np.random.default_rng([4, i, 0]))[3]) for i in range(12)
+    ]
+    bad = {speeds[9], speeds[5]}
+    batches = []
+
+    def factory():
+        ctl = SafeController(TASK)
+
+        def control(robot, obstacle):
+            if obstacle.v in bad and robot.x > TASK.start[0] + 0.05:
+                raise ValueError("controller fault")
+            return ctl(robot, obstacle)
+
+        return control
+
+    class Counting(EvasionSource):
+        def rollout_batch(self, initials, perturbations=None):
+            batches.append(len(initials))
+            return super().rollout_batch(initials, perturbations)
+
+    source = Counting(TASK, factory)
+    with pytest.raises(RolloutFailure) as err:
+        probv(source, E_INIT, source.robustness, 12, 0.05, base_seed=4)
+    assert batches == [12]
+    assert err.value.sample_index == 5
+    assert err.value.seed == derive_seed(4, 5)
+    assert "controller fault" in str(err.value)
 
 
 def test_failing_controller_factory_names_sample_zero():
