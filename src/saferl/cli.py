@@ -22,7 +22,7 @@ from .pipeline import (
     run_verify_safe,
 )
 from .ppo import PolicyLoadError
-from .verify import InitialSetTooLarge, RolloutFailure, VerificationReport
+from .verify import EngineMismatch, InitialSetTooLarge, RolloutFailure, VerificationReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     except InitialSetTooLarge as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (PipelineError, PolicyLoadError, RolloutFailure, ValueError) as exc:
+    except (EngineMismatch, PipelineError, PolicyLoadError, RolloutFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -789,7 +789,9 @@ class EvasionSource:
 
         A controller with an array method ``batch`` (see
         :meth:`saferl.controller.SafeController.batch`) steps all rows in one
-        call; any other is created once per row and called on its states.
+        call; any other is created once per row and called on its states,
+        and, as in :meth:`EvasionEnv._clamp`, only the first two entries of
+        each control it returns count.
 
         ``perturbations`` is None or a sequence of one iterator per row, each
         yielding blocks of per-step perturbation rows; a row's next block is
@@ -835,8 +837,11 @@ class EvasionSource:
             cs = _cos_sin(thetas)
             if batch is None:
                 u[...] = [
-                    controllers[i](RobotState(*r), ObstacleState(*o))
-                    for i, (r, o) in zip(active.tolist(), state.tolist())
+                    (float(c[0]), float(c[1]))
+                    for c in (
+                        controllers[i](RobotState(*r), ObstacleState(*o))
+                        for i, (r, o) in zip(active.tolist(), state.tolist())
+                    )
                 ]
             else:
                 u[:, 0], u[:, 1], evading = batch(state[:, 0], state[:, 1], evading, cs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -590,6 +591,11 @@ def save_policy(params: PolicyParams, path, meta: dict | None = None) -> Path:
         blob += np.ascontiguousarray(a, dtype="<f8").tobytes()
     with atomic_open(path, "wb") as fh:
         fh.write(bytes(blob))
+        # The binary has no checksum: payload pages read back as zeros after
+        # a power loss would load as a valid policy, so unlike the JSON
+        # artifacts it reaches the disk before it replaces the previous file.
+        fh.flush()
+        os.fsync(fh.fileno())
 
     sidecar = {
         "format_version": _POLICY_VERSION,

@@ -40,6 +40,7 @@ __all__ = [
     "ExpansionSearchResult",
     "RolloutFailure",
     "InitialSetTooLarge",
+    "EngineMismatch",
     "confidence",
     "min_samples_for",
     "derive_seed",
@@ -96,6 +97,13 @@ class InitialSetTooLarge(RuntimeError):
             f"(rho_star = {report.rho_star:.6g}); reduce it and retry"
         )
         self.report = report
+
+
+class EngineMismatch(RuntimeError):
+    """The lockstep run failed although every sample run alone succeeded.
+
+    The two rollout engines disagree, an internal error: no report is given.
+    """
 
 
 def confidence(epsilon: float, n: int) -> float:
@@ -319,19 +327,26 @@ def probv(
     whatever its controller; otherwise samples run one by one in index
     order.  Both give the same report.  A failing rollout raises
     :class:`RolloutFailure` for the lowest failing index: after any error in
-    the lockstep run the samples are re-run one by one to find it.
+    the lockstep run the samples are re-run one by one only to find it.  If
+    that re-run completes, the two engines disagree, and
+    :class:`EngineMismatch` is raised from the lockstep error; no report
+    comes from the re-run.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     conf = confidence(epsilon, n)  # validates epsilon
 
-    results = None
     if hasattr(source, "rollout_batch"):
         try:
             results = _run_lockstep(source, expansion, robustness_fn, base_seed, n)
-        except Exception:
-            pass  # the one-by-one run below names the lowest failing sample
-    if results is None:
+        except Exception as exc:
+            for i in range(n):  # raises RolloutFailure for the lowest failing sample
+                _run_sample(source, expansion, robustness_fn, base_seed, i)
+            raise EngineMismatch(
+                f"the lockstep run of {n} samples failed ({exc!r}) but each sample "
+                "run alone succeeded"
+            ) from exc
+    else:
         results = [_run_sample(source, expansion, robustness_fn, base_seed, i) for i in range(n)]
     seeds, params, rhos = zip(*results)
     return VerificationReport(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saferl.boxes import IntervalBox
 
@@ -42,6 +44,27 @@ def test_scale_preserves_containment_order():
         factors = rng.uniform(0, 3, size=3)
         assert outer.contains_box(inner)
         assert outer.scale(factors).contains_box(inner.scale(factors), tol=1e-12)
+
+
+_half = st.floats(0.0, 1e3)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(_half, _half, st.floats(0.0, 1.0), st.floats(1.0, 1e6)), min_size=1, max_size=4
+    ),
+)
+def test_growth_by_factors_of_at_least_one_contains_the_original(data):
+    # the expansion search grows a box around the origin by factors >= 1:
+    # the grown box contains the one it grew from, with no tolerance, and
+    # so does the grown box of a sub-box grown alike
+    below, above, shrink, factors = (np.array(col) for col in zip(*data))
+    box = IntervalBox(-below, above)
+    inner = IntervalBox(-below * shrink, above * shrink)
+    grown = box.scale(factors)
+    assert grown.contains_box(box)
+    assert grown.contains_box(inner.scale(factors))
 
 
 def test_sampling_is_inside_and_deterministic():

@@ -7,6 +7,7 @@ import pytest
 
 from saferl.boxes import IntervalBox
 from saferl.cli import main as cli_main
+from saferl.controller import SafeController
 from saferl.evasion import EvasionEnv
 from saferl.pipeline import (
     ExpandConfig,
@@ -359,6 +360,68 @@ def test_cli_error_paths(tmp_path, capsys):
             assert cli_main(args) == 2
             err = capsys.readouterr().err
             assert "masked.json" in err and "'mask'" in err
+
+
+@pytest.fixture(scope="module")
+def trained_out(tmp_path_factory):
+    """The output directory of expand then train on the tiny config."""
+    out = tmp_path_factory.mktemp("trained")
+    run_expand(tiny_config(), out)
+    run_train(tiny_config(), out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, command, torn",
+    [
+        ("expansion.json", "verify-safe", "whole"),
+        ("expansion.json", "verify-safe", "middle"),
+        ("expansion.json", "train", "whole"),
+        ("expansion.json", "train", "middle"),
+        ("expansion.json", "histogram", "whole"),
+        ("expansion.json", "histogram", "middle"),
+        ("policy.bin", "verify-agent", "whole"),
+        ("policy.bin", "histogram", "whole"),
+        ("policy.json", "verify-agent", "whole"),
+        ("policy.json", "verify-agent", "middle"),
+        ("policy.json", "histogram", "whole"),
+        ("policy.json", "histogram", "middle"),
+    ],
+)
+def test_cli_zero_filled_artifact_is_an_input_error(
+    tmp_path, capsys, trained_out, name, command, torn
+):
+    # an artifact replaced just before a power loss may read back with some
+    # or all of its pages zeroed.  A JSON artifact with a NUL byte anywhere
+    # is not JSON; the policy binary is checked only through its header, and
+    # its payload is fsynced before the replace (test_ppo)
+    out = tmp_path / "o"
+    shutil.copytree(trained_out, out)
+    path = out / name
+    data = bytearray(path.read_bytes())
+    start, stop = (0, len(data)) if torn == "whole" else (len(data) // 3, 2 * len(data) // 3)
+    data[start:stop] = bytes(stop - start)
+    path.write_bytes(data)
+    args = [command, "--config", write_config(tmp_path, tiny_config()), "--out", str(out)]
+    if name.startswith("policy"):
+        args += ["--policy", str(out / "policy.bin")]
+    capsys.readouterr()
+    assert cli_main(args) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_cli_engine_mismatch_is_an_error_not_a_verdict(tmp_path, capsys, monkeypatch):
+    # a lockstep run that fails where every sample alone passes is an
+    # internal error: exit 2, never the exit 1 of an unsafe verdict
+    def batch(self, robot, obstacle, evading, headings):
+        raise ValueError("batch fault")
+
+    monkeypatch.setattr(SafeController, "batch", batch)
+    args = ["verify-safe", "--config", write_config(tmp_path, tiny_config())]
+    capsys.readouterr()
+    assert cli_main(args + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "each sample run alone succeeded" in err and "batch fault" in err
 
 
 def test_cli_train_prints_the_steps_of_whole_windows(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +535,31 @@ def test_policy_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
     assert meta["mask"] == BOX.to_dict()
     assert sidecar.exists()
+
+
+def test_policy_binary_reaches_the_disk_before_it_replaces(tmp_path, monkeypatch):
+    # load_policy cannot tell zero payload pages from weights, so the binary
+    # is fsynced before the rename; the JSON sidecar is not
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "policy.bin"
+    save_policy(init_policy(7, 2, PpoConfig(), np.random.default_rng(8)), path)
+    assert events == [
+        ("fsync", path.stat().st_size),
+        ("replace", "policy.bin"),
+        ("replace", "policy.json"),
+    ]
 
 
 def test_policy_load_errors(tmp_path):

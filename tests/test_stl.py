@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_stl import brute_robustness, brute_satisfies, random_formula
 from saferl.stl import (
@@ -124,6 +126,43 @@ def test_roundtrip_random_asts():
     for _ in range(300):
         f = random_formula(rng, 5, leaves, intervals)
         assert parse_formula(format_formula(f)) == f
+
+
+_PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def _intervals(draw, bound):
+    a = draw(bound)
+    return a, draw(st.one_of(st.just(math.inf), bound.map(lambda width: a + width)))
+
+
+def _formulas(leaves, bound):
+    def extend(children):
+        interval = _intervals(bound)
+        return st.one_of(
+            st.builds(Not, children),
+            st.builds(Or, children, children),
+            st.builds(And, children, children),
+            st.builds(Implies, children, children),
+            st.builds(lambda left, right, ab: Until(left, right, *ab), children, children, interval),
+            st.builds(lambda child, ab: Eventually(child, *ab), children, interval),
+            st.builds(lambda child, ab: Always(child, *ab), children, interval),
+        )
+
+    return st.recursive(st.one_of(st.builds(Literal, st.booleans()), leaves), extend, max_leaves=10)
+
+
+# any identifier but the two literals, the temporal letters included
+_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(
+    lambda name: name not in ("true", "false")
+)
+
+
+@_PROPERTY
+@given(f=_formulas(st.builds(Predicate, _names), st.floats(0.0, 1e300)))
+def test_printer_output_parses_back_to_the_formula(f):
+    assert parse_formula(format_formula(f)) == f
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +381,24 @@ def test_random_formulas_match_brute_force():
             assert sat == brute_satisfies(f, sig.states, sig.dt, k, fns)
             assert rho == brute_robustness(f, sig.states, sig.dt, k, fns)
             assert (rho >= 0) == sat
+
+
+_nonzero = st.floats(-3.0, 3.0).filter(bool)
+
+
+@_PROPERTY
+@given(
+    f=_formulas(st.sampled_from([Predicate("p"), Predicate("q")]), st.floats(0.0, 4.0)),
+    rows=st.lists(st.tuples(_nonzero, _nonzero), min_size=1, max_size=8),
+    dt=st.sampled_from([0.5, 1.0, 0.3]),
+    k=st.integers(0, 7),
+)
+def test_satisfaction_is_positive_robustness_without_zero_predicates(f, rows, dt, k):
+    # "p" and "q" read the two state columns, which are never 0
+    table = PredicateTable({"p": lambda s: s[..., 0], "q": lambda s: s[..., 1]})
+    sig = Signal(np.array(rows), dt=dt)
+    k = min(k, sig.last_index)
+    assert satisfies(f, sig, k, table) == (robustness(f, sig, k, table) > 0)
 
 
 def test_random_formulas_with_ties_match_brute_force():

@@ -14,6 +14,7 @@ from saferl.evasion import EpisodeTrace, EvasionSource, TaskConfig
 from saferl.ppo import PpoConfig, agent_controller_factory, init_policy
 from saferl.stl import Signal
 from saferl.verify import (
+    EngineMismatch,
     RolloutFailure,
     VerificationReport,
     _run_lockstep,
@@ -463,3 +464,41 @@ def test_failing_controller_factory_names_sample_zero():
     with pytest.raises(RolloutFailure) as err:
         probv(source, None, source.robustness, 12, 0.05, base_seed=1)
     assert err.value.sample_index == 0 and "no controller" in str(err.value)
+
+
+def test_opaque_controller_may_return_extra_entries():
+    # EvasionEnv._clamp reads the first two entries of a control, and so does
+    # the lockstep per-row path: no sample runs one by one
+    rollouts = []
+
+    def factory():
+        ctl = SafeController(TASK)
+        return lambda robot, obstacle: (*ctl(robot, obstacle), 0.0)
+
+    class Counting(EvasionSource):
+        def rollout(self, initial, perturb=None):
+            rollouts.append(1)
+            return super().rollout(initial, perturb)
+
+    source = Counting(TASK, factory)
+    for box in (None, E_INIT):
+        want = [_run_sample(source, box, source.robustness, 6, i) for i in range(12)]
+        rollouts.clear()
+        report = probv(source, box, source.robustness, 12, 0.05, 6)
+        assert rollouts == []
+        got = list(zip(report.per_sample_seeds, report.per_sample_params, report.robustnesses))
+        assert repr(got) == repr(want)
+
+
+def test_lockstep_failure_that_no_sample_repeats_raises():
+    # the one-by-one re-run only names a failing sample; when every sample
+    # passes alone the engines disagree and probv reports nothing
+    class BatchFault(SafeController):
+        def batch(self, robot, obstacle, evading, headings):
+            raise ValueError("batch fault")
+
+    source = safe_source(BatchFault)
+    with pytest.raises(EngineMismatch) as err:
+        probv(source, E_INIT, source.robustness, 12, 0.05, base_seed=4)
+    assert isinstance(err.value.__cause__, ValueError)
+    assert "batch fault" in str(err.value.__cause__)
