@@ -1,7 +1,8 @@
 """Command-line front end for the verification and training pipeline.
 
 Exit codes: 0 for a passing stage, 1 for a failed verification verdict,
-2 for configuration or execution errors, so the pipeline is scriptable.
+2 for configuration or execution errors, so the pipeline is scriptable.  An
+unexpected exception prints its traceback to stderr and also exits 2.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .pipeline import (
     PipelineError,
@@ -126,6 +128,10 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except (EngineMismatch, PipelineError, PolicyLoadError, RolloutFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:
+        # a fault of the program, never a verdict: exit 1 would read as "unsafe"
+        traceback.print_exc()
         return EXIT_ERROR
 
 

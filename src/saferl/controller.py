@@ -31,9 +31,9 @@ from .evasion import (
     TaskConfig,
     _clamp_rows,
     _closest_on_path,
+    _closest_rows,
     _min_gaps,
     _references,
-    _segment,
     _time_grid,
     _wrap_angles,
     classify_encounter,
@@ -72,7 +72,7 @@ class SafeController:
         lead = self.cfg.target_lookahead
         self._lead = (lead * self._direction[0], lead * self._direction[1])
         self._span = np.subtract(task.goal, task.start)
-        self._ends = np.array(task.start), np.array(task.goal)
+        self._goal = np.array(task.goal)
         self._references = _references(self.theta_path)
         self._evading = False
         if self.cfg.evade_turn_rate > task.evade_rate_bound:
@@ -140,13 +140,8 @@ class SafeController:
 
         # _track_target and the heading correction; the 2-element dots are
         # np.vecdot over C-ordered rows, which rounds as the per-row .dot
-        start, goal = self._ends
-        _, ab, denom = _segment(task.start, task.goal)
-        if denom == 0.0:
-            aim = np.tile(start, (n, 1))
-        else:
-            t = np.vecdot(np.subtract(pos, start, order="C"), ab) / denom
-            aim = start + _clamp_rows(t, 0.0, 1.0)[:, None] * ab
+        goal = self._goal
+        aim = _closest_rows(pos, task.start, task.goal)
         aim += self._lead
         overshoot = np.vecdot(np.subtract(aim, goal, order="C"), self._span) > 0
         if np.count_nonzero(overshoot):

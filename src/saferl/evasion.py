@@ -36,7 +36,6 @@ __all__ = [
     "EvasionSource",
     "ContainmentViolation",
     "wrap_angle",
-    "heading_vector",
     "path_heading",
     "unicycle_step",
     "mindistance",
@@ -49,7 +48,6 @@ __all__ = [
     "episode_robustness",
     "reward",
     "observe",
-    "closest_point_on_segment",
     "require_zero_offset",
     "sample_obstacle",
     "safety_formula",
@@ -167,10 +165,6 @@ def wrap_angle(angle: float) -> float:
     return w - math.pi
 
 
-def heading_vector(theta: float) -> np.ndarray:
-    return np.array([math.cos(theta), math.sin(theta)])
-
-
 def path_heading(start, goal) -> float:
     dx = goal[0] - start[0]
     dy = goal[1] - start[1]
@@ -262,33 +256,24 @@ def evade(theta_dot: float, dtheta: float, sign: int, cfg: TaskConfig) -> bool:
     return turning or holding
 
 
-def closest_point_on_segment(point, seg_start, seg_end) -> np.ndarray:
-    p = np.asarray(point, dtype=float)
-    a = np.asarray(seg_start, dtype=float)
-    b = np.asarray(seg_end, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return a.copy()
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return a + t * ab
-
-
 @functools.lru_cache(maxsize=8)
 def _segment(start: tuple[float, float], goal: tuple[float, float]):
     """Constants of the start-goal segment: its direction vector as floats
-    and as a read-only array, and its squared length."""
+    and as a read-only array, its squared length, and its start as a
+    read-only array."""
     ab = np.array([goal[0] - start[0], goal[1] - start[1]])
-    ab.flags.writeable = False
-    return ab.tolist(), ab, float(ab @ ab)
+    a = np.array(start)
+    ab.flags.writeable = a.flags.writeable = False
+    return ab.tolist(), ab, float(ab @ ab), a
 
 
 def _closest_on_path(x: float, y: float, start, goal) -> tuple[float, float]:
-    """:func:`closest_point_on_segment` of ``(x, y)`` on the start-goal
-    segment, as floats with the same IEEE operations.  The projection's dot
-    product stays a numpy call: numpy rounds a 2-element dot as
-    ``fma(x1, y1, x0*y0)``, which ``x0*y0 + x1*y1`` does not reproduce."""
-    (abx, aby), ab, denom = _segment(start, goal)
+    """The point of the start-goal segment closest to ``(x, y)``, as floats:
+    ``start + clip(((x, y) - start) . ab / |ab|^2, 0, 1) * ab`` with ``ab =
+    goal - start``.  The projection's dot product stays a numpy call: numpy
+    rounds a 2-element dot as ``fma(x1, y1, x0*y0)``, which ``x0*y0 +
+    x1*y1`` does not reproduce."""
+    (abx, aby), ab, denom, _ = _segment(start, goal)
     ax, ay = start
     if denom == 0.0:
         return ax, ay
@@ -322,6 +307,30 @@ def _clamp_rows(x: np.ndarray, lo, hi, out=None) -> np.ndarray:
     second operand, as Python's ``max(x, lo)`` returns ``x`` (``-0.0``
     against ``0.0``), and NaN propagates in both."""
     return np.minimum(hi, np.maximum(lo, x, out=out), out=out)
+
+
+def _closest_rows(pos: np.ndarray, start, goal) -> np.ndarray:
+    """:func:`_closest_on_path` of each row of the ``(rows, 2)`` positions
+    ``pos``; the projection is ``np.vecdot`` over C-ordered rows, which
+    rounds as the per-row ``.dot``."""
+    _, ab, denom, a = _segment(start, goal)
+    if denom == 0.0:
+        return np.tile(a, (pos.shape[0], 1))
+    t = np.vecdot(np.subtract(pos, a, order="C"), ab) / denom
+    return a + _clamp_rows(t, 0.0, 1.0)[:, None] * ab
+
+
+def _observe_rows(robot: np.ndarray, obstacle: np.ndarray, cfg: TaskConfig) -> np.ndarray:
+    """:func:`observe` of each row of the ``(rows, 4)`` robot and obstacle
+    state arrays (columns ``x, y, theta, v``), as a C-ordered ``(rows, 7)``
+    array."""
+    pos = robot[:, :2]
+    obs = np.empty((robot.shape[0], 7))
+    obs[:, 0:2] = np.subtract(cfg.goal, pos)
+    obs[:, 2:4] = _closest_rows(pos, cfg.start, cfg.goal) - pos
+    obs[:, 4] = _wrap_angles(path_heading(cfg.start, cfg.goal) - robot[:, 2])
+    obs[:, 5:7] = obstacle[:, :2] - pos
+    return obs
 
 
 def _min_gaps(rel: np.ndarray, cs: np.ndarray, speeds: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -787,11 +796,12 @@ class EvasionSource:
         together; yield ``(row, trace)`` as each row finishes, so that a
         caller can score and drop a trace before the others end.
 
-        A controller with an array method ``batch`` (see
-        :meth:`saferl.controller.SafeController.batch`) steps all rows in one
-        call; any other is created once per row and called on its states,
-        and, as in :meth:`EvasionEnv._clamp`, only the first two entries of
-        each control it returns count.
+        A controller with an array method ``batch`` steps all rows in one
+        call: :meth:`saferl.controller.SafeController.batch` and the trained
+        agent's :meth:`saferl.ppo.AgentController.batch` have one.  Any other
+        controller is opaque: it is created once per row and called on its
+        states, and, as in :meth:`EvasionEnv._clamp`, only the first two
+        entries of each control it returns count.
 
         ``perturbations`` is None or a sequence of one iterator per row, each
         yielding blocks of per-step perturbation rows; a row's next block is

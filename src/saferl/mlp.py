@@ -18,8 +18,6 @@ __all__ = [
     "net_backward",
     "Adam",
     "clip_by_global_norm",
-    "flatten_arrays",
-    "unflatten_arrays",
 ]
 
 
@@ -159,18 +157,3 @@ def clip_by_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
             g *= scale
     return total
 
-
-def flatten_arrays(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
-
-
-def unflatten_arrays(flat: np.ndarray, templates: list[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    for t in templates:
-        size = int(np.prod(t.shape)) if t.shape else 1
-        out.append(np.asarray(flat[offset : offset + size]).reshape(t.shape))
-        offset += size
-    if offset != flat.size:
-        raise ValueError("flat vector size does not match templates")
-    return out

