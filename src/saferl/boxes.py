@@ -51,12 +51,6 @@ class IntervalBox:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
-    def contains_box(self, other: "IntervalBox", tol: float = 0.0) -> bool:
-        return bool(
-            np.all(other.lower >= self.lower - tol)
-            and np.all(other.upper <= self.upper + tol)
-        )
-
     # -- construction helpers -------------------------------------------
 
     @classmethod
@@ -74,8 +68,8 @@ class IntervalBox:
     def scale(self, factors) -> "IntervalBox":
         """Multiply both bounds axis-wise by nonnegative ``factors``.
 
-        Preserves containment order: ``a.contains_box(b)`` implies
-        ``a.scale(f).contains_box(b.scale(f))``.
+        Preserves containment order: when box ``a`` contains box ``b``,
+        ``a.scale(f)`` contains ``b.scale(f)``.
         """
         f = np.broadcast_to(np.asarray(factors, dtype=float), self.lower.shape)
         if np.any(f < 0):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -25,7 +26,7 @@ from . import __version__
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
 from .controller import ControllerConfig, SafeController
-from .evasion import EvasionEnv, EvasionSource, TaskConfig
+from .evasion import EvasionEnv, EvasionSource, TaskConfig, sample_obstacle
 from .ppo import (
     PpoConfig,
     agent_controller_factory,
@@ -111,6 +112,17 @@ class TrainingConfig:
     reward_target: float = 5.0
     pilot_episodes: int = 20
 
+    def __post_init__(self):
+        if self.pilot_episodes < 1:
+            raise ValueError(
+                f"TrainingConfig.pilot_episodes must be at least 1, not {self.pilot_episodes!r}"
+            )
+        if not (math.isfinite(self.reward_target) and self.reward_target > 0):
+            raise ValueError(
+                "TrainingConfig.reward_target must be finite and positive, "
+                f"not {self.reward_target!r}"
+            )
+
 
 @dataclass(frozen=True)
 class HistogramBenchmark:
@@ -187,7 +199,7 @@ def config_from_dict(data, cls=PipelineConfig):
 
     Raises :class:`PipelineError` when ``data`` or a nested section is not a
     JSON object, holds a key the dataclass does not define, or holds a value
-    of the wrong JSON type.
+    of the wrong JSON type or one its dataclass rejects.
     """
     if not isinstance(data, dict):
         raise PipelineError(
@@ -215,7 +227,10 @@ def config_from_dict(data, cls=PipelineConfig):
         elif not _is_a(value, hint):
             raise PipelineError(f"{where} must be {hint.__name__}, not {value!r}")
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from exc
 
 
 def load_config(path) -> PipelineConfig:
@@ -422,20 +437,23 @@ def calibrate_reward_scale(
 ) -> float:
     """Pick the reward scale so extreme in-box actions give episode returns
     of roughly ``target`` magnitude: run pilot episodes pinned to the box
-    corners at unit scale and divide."""
+    corners at unit scale and divide by the largest return magnitude.
+
+    ``max(1, episodes // 2)`` episodes run at each corner, those of the +1
+    corner first, on obstacles drawn in that order from one generator.
+    :meth:`EvasionEnv.returns` plays them, all together from
+    ``LOCKSTEP_MIN_ROWS`` rows on; each return is bit-equal to playing its
+    episode alone through ``step_raw``.
+    """
     pilot_task = replace(task, r_diff=1.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
+    per_corner = max(1, episodes // 2)
+    obstacles = [sample_obstacle(pilot_task, rng) for _ in range(2 * per_corner)]
+    corners = np.repeat([[1.0, 1.0], [-1.0, -1.0]], per_corner, axis=0)
+    env = EvasionEnv(pilot_task, controller_factory, mask=box)
     worst = 0.0
-    for corner in (np.array([1.0, 1.0]), np.array([-1.0, -1.0])):
-        for _ in range(max(1, episodes // 2)):
-            env = EvasionEnv(pilot_task, controller_factory, mask=box)
-            env.reset_random(rng)
-            total = 0.0
-            done = False
-            while not done:
-                _, r, done, _ = env.step_raw(corner)
-                total += r
-            worst = max(worst, abs(total))
+    for total in env.returns(obstacles, lambda obs, rows: corners[rows]):
+        worst = max(worst, abs(total))
     if worst <= 0.0:
         return task.r_diff
     return target / worst

@@ -39,3 +39,22 @@ def unflatten_arrays(flat: np.ndarray, templates: list[np.ndarray]) -> list[np.n
     if offset != flat.size:
         raise ValueError("flat vector size does not match templates")
     return out
+
+
+def evade(theta_dot: float, dtheta: float, sign: int, cfg) -> bool:
+    """Admissible avoidance command: either actively turning in the required
+    direction within the rate bound, or holding near-zero turn rate once the
+    perpendicular orientation has been reached (within tolerance)."""
+    s = 0 if theta_dot == 0 else (1 if theta_dot > 0 else -1)
+    turning = abs(theta_dot) <= cfg.evade_rate_bound and s == sign
+    holding = (dtheta >= 0.0 or abs(dtheta) <= cfg.evade_angle_tol) and abs(
+        theta_dot
+    ) <= cfg.evade_rate_tol
+    return turning or holding
+
+
+def contains_box(outer, inner, tol: float = 0.0) -> bool:
+    """Whether the interval box ``outer`` contains ``inner`` up to ``tol``."""
+    return bool(
+        np.all(inner.lower >= outer.lower - tol) and np.all(inner.upper <= outer.upper + tol)
+    )

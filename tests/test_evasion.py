@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import closest_point_on_segment, heading_vector
+from reference import closest_point_on_segment, evade, heading_vector
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import (
@@ -24,7 +26,6 @@ from saferl.evasion import (
     classify_encounter,
     delta_theta,
     episode_robustness,
-    evade,
     infront,
     infront_margin,
     mindistance,
@@ -38,7 +39,7 @@ from saferl.evasion import (
     unicycle_step,
     wrap_angle,
 )
-from saferl.evasion import _clamp_rows, _cos_sin, _observe_rows, _wrap_angles
+from saferl.evasion import LOCKSTEP_MIN_ROWS, _clamp_rows, _cos_sin, _observe_rows, _wrap_angles
 from saferl.pipeline import config_from_dict, config_to_dict
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
@@ -848,3 +849,111 @@ def test_observe_rows_bit_equal_to_observe(cfg):
     assert got.shape == (len(states), 7) and got.flags.c_contiguous
     want = np.array([observe(r, o, cfg) for r, o in states])
     assert np.array_equal(bits(got), bits(want))
+
+
+# ---------------------------------------------------------------------------
+# Fixed-policy episodes in lockstep (EvasionEnv.returns) against step_raw
+# ---------------------------------------------------------------------------
+
+
+def safe_env(cfg=CFG, mask=STEP_MASK):
+    return EvasionEnv(cfg, lambda: SafeController(cfg, ControllerConfig()), mask=mask)
+
+
+def no_step_raw(monkeypatch):
+    def fail(self, raw_action):
+        raise AssertionError("the lockstep path called step_raw")
+
+    monkeypatch.setattr(EvasionEnv, "step_raw", fail)
+
+
+def test_lockstep_containment_violation_raises_at_the_step(monkeypatch):
+    no_step_raw(monkeypatch)
+    rng = np.random.default_rng(0)
+    obstacles = [sample_obstacle(CFG, rng) for _ in range(LOCKSTEP_MIN_ROWS + 2)]
+    env = safe_env(mask=IntervalBox.zero(2))
+    steps = []
+
+    def act(obs, rows):
+        # from step 3 on, a box without the zero offset (see
+        # test_containment_violation_raises_at_the_step)
+        steps.append(len(rows))
+        if len(steps) == 4:
+            env.mask = IntervalBox([0.1, 0.0], [0.2, 0.0])
+        return np.zeros((len(rows), 2))
+
+    with pytest.raises(ContainmentViolation, match=r"step 3: applied offset .*IntervalBox\(\[0\.1, 0\.2\]"):
+        env.returns(obstacles, act)
+    assert env.containment_violations == 1
+    assert steps == [len(obstacles)] * 4
+
+
+def test_lockstep_nan_raw_action_raises(monkeypatch):
+    no_step_raw(monkeypatch)
+    rng = np.random.default_rng(1)
+    obstacles = [sample_obstacle(CFG, rng) for _ in range(LOCKSTEP_MIN_ROWS)]
+    env = safe_env()
+    steps = []
+
+    def act(obs, rows):
+        steps.append(len(rows))
+        raw = np.zeros((len(rows), 2))
+        if len(steps) == 3:
+            raw[5] = (math.nan, 0.5)
+        return raw
+
+    with pytest.raises(ValueError, match=r"step 2: raw action \[nan, 0\.5\] is not a number"):
+        env.returns(obstacles, act)
+    assert env.containment_violations == 0
+
+
+_RAW = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    raws=st.lists(st.tuples(_RAW, _RAW), min_size=1, max_size=12),
+    warm=st.integers(0, 60),
+    horizon=st.sampled_from([None, 1, 2]),
+    lower=st.tuples(st.floats(-0.2, 0.1), st.floats(-0.5, 0.2)),
+    widths=st.tuples(st.floats(0.0, 0.15), st.floats(0.0, 0.6)),
+)
+def test_lockstep_step_equals_step_raw_row_by_row(seed, raws, warm, horizon, lower, widths):
+    # rows warmed up by `warm` random steps, then one step under a box that
+    # may lack the zero offset, so that the actuator clamp can push the
+    # applied offset out of it; with `horizon` 1 or 2 the step is the last
+    # one or the one before it
+    cfg = CFG if horizon is None else replace(CFG, k_max=warm + horizon)
+    rng = np.random.default_rng(seed)
+    envs = [safe_env(cfg) for _ in raws]
+    for env in envs:
+        env.reset(sample_obstacle(cfg, rng))
+        for _ in range(warm):
+            env.step_raw(rng.uniform(-1.0, 1.0, 2))
+    state = np.array(
+        [[[e._robot.x, e._robot.y, e._robot.theta, e._robot.v],
+          [e._obstacle.x, e._obstacle.y, e._obstacle.theta, e._obstacle.v]] for e in envs]
+    )
+    modes = np.array([e._controller.evading for e in envs])
+    box = IntervalBox(lower, np.add(lower, widths))
+    lock = safe_env(cfg)
+    lock.mask = box
+    batch = SafeController(cfg, ControllerConfig()).batch
+    u, applied, rewards, done, modes, outside = lock._step_rows_raw(
+        warm, state, modes, np.array(raws), batch
+    )
+    obs = _observe_rows(state[:, 0], state[:, 1], cfg)
+    for i, (env, raw) in enumerate(zip(envs, raws)):
+        env.mask = box
+        try:
+            want_obs, want_reward, want_done, info = env.step_raw(raw)
+        except ContainmentViolation:
+            assert outside[i], i
+            continue
+        assert not outside[i], i
+        assert np.array_equal(bits(u[i]), bits(info["safe_control"])), i
+        assert np.array_equal(bits(applied[i]), bits(info["applied"])), i
+        assert bits(rewards[i]) == bits(want_reward), i
+        assert np.array_equal(bits(obs[i]), bits(want_obs)), i
+        assert done[i] == want_done and modes[i] == env._controller.evading, i

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from saferl.boxes import IntervalBox
 from saferl.cli import main as cli_main
 from saferl.controller import SafeController
 from saferl.evasion import EvasionEnv
+from saferl.pipeline import _safe_factory, calibrate_reward_scale
 from saferl.pipeline import (
     ExpandConfig,
     HistogramConfig,
@@ -322,6 +324,26 @@ def test_cli_error_paths(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["print-config", "--config", str(bad)]) == 2
         assert f"PpoConfig.{key}" in capsys.readouterr().err
+    # training settings the train stage cannot honour: no evaluation episode
+    # (a NaN mean return), no pilot episode, or a reward target that is not
+    # finite and positive (a reward paying for moves away from the goal)
+    for training, key in (
+        ({"ppo": {"eval_episodes": 0}}, "PpoConfig.eval_episodes"),
+        ({"pilot_episodes": 0}, "TrainingConfig.pilot_episodes"),
+        ({"pilot_episodes": -3}, "TrainingConfig.pilot_episodes"),
+        ({"reward_target": -1}, "TrainingConfig.reward_target"),
+        ({"reward_target": 0.0}, "TrainingConfig.reward_target"),
+        ({"reward_target": math.inf}, "TrainingConfig.reward_target"),
+        ({"reward_target": math.nan}, "TrainingConfig.reward_target"),
+    ):
+        with pytest.raises(PipelineError, match=key):
+            config_from_dict({"training": training})
+        bad.write_text(json.dumps({"training": training}))
+        for args in (["print-config"], ["train", "--out", str(tmp_path / "p")]):
+            capsys.readouterr()
+            assert cli_main([*args, "--config", str(bad)]) == 2
+            assert key in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
     # train before expand
     cfg_path = write_config(tmp_path, tiny_config())
     assert cli_main(["train", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 2
@@ -504,3 +526,35 @@ def test_cli_histogram_without_policy(tmp_path, capsys):
     summary = json.loads((tmp_path / "h" / "histogram_summary.json").read_text())
     assert summary["safe"]["n"] == 2
     assert "agent" not in summary
+
+
+def calibrate_reward_scale_ref(task, controller_factory, box, episodes, seed, target):
+    """The pilot episodes played one after another through step_raw."""
+    pilot_task = replace(task, r_diff=1.0)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
+    worst = 0.0
+    for corner in (np.array([1.0, 1.0]), np.array([-1.0, -1.0])):
+        for _ in range(max(1, episodes // 2)):
+            env = EvasionEnv(pilot_task, controller_factory, mask=box)
+            env.reset_random(rng)
+            total = 0.0
+            done = False
+            while not done:
+                _, r, done, _ = env.step_raw(corner)
+                total += r
+            worst = max(worst, abs(total))
+    if worst <= 0.0:
+        return task.r_diff
+    return target / worst
+
+
+@pytest.mark.parametrize("episodes", [3, 16, 17])
+def test_calibrate_reward_scale_equals_the_sequential_loop(episodes):
+    # 3 pilots run one episode per corner one by one; 16 and 17 run 8 per
+    # corner in lockstep
+    cfg = default_config()
+    box = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+    for seed in (0, 7):
+        got = calibrate_reward_scale(cfg.task, _safe_factory(cfg), box, episodes, seed, 5.0)
+        want = calibrate_reward_scale_ref(cfg.task, _safe_factory(cfg), box, episodes, seed, 5.0)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), seed

@@ -37,6 +37,8 @@ from saferl.ppo import (
     value_estimate,
 )
 from saferl.ppo import _float_mask, _log_prob_of_z
+from saferl.evasion import LOCKSTEP_MIN_ROWS, sample_obstacle
+from saferl.ppo import _VALUE_CHUNK, _window_values
 from test_evasion import bits, near_encounters
 from saferl.mlp import Adam
 
@@ -681,3 +683,74 @@ def test_policy_load_rejects_a_sidecar_of_another_binary(tmp_path):
     path.with_suffix(".json").write_text("[1, 2]")
     with pytest.raises(PolicyLoadError, match="not a JSON object"):
         load_policy(path)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation episodes in lockstep and the per-window value pass, against the
+# per-step loops they replace
+# ---------------------------------------------------------------------------
+
+WIDE = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+
+
+def policy_in_layout(loaded, tmp_path):
+    """A perturbed default-size policy, as initialised (first layers
+    column-major) or saved and loaded back (row-major)."""
+    params = perturbed_policy(np.random.default_rng(41))
+    if loaded:
+        save_policy(params, tmp_path / "p.bin", meta={})
+        params, _ = load_policy(tmp_path / "p.bin")
+    for net in (params.policy, params.value):
+        assert net.weights[0].flags.f_contiguous is not loaded
+    return params
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["init_policy", "loaded"])
+def test_evaluation_returns_bit_equal_to_step_raw_loop(tmp_path, loaded):
+    params = policy_in_layout(loaded, tmp_path)
+    factory = make_env_factory(WIDE)
+    for n in (1, 7, 8, 12, 50):
+        seed = 100 + n
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        want, lengths = [], set()
+        for obstacle in [sample_obstacle(TASK, rng) for _ in range(n)]:
+            env = factory()
+            obs, total, done, k = env.reset(obstacle), 0.0, False, 0
+            while not done:
+                obs, r, done, _ = env.step_raw(policy_mean(params, obs))
+                total, k = total + r, k + 1
+            want.append(total)
+            lengths.add(k)
+        mean, std, got = evaluate_policy(factory, params, n, seed)
+        assert np.array_equal(bits(got), bits(want)), n
+        assert bits(mean) == bits(np.mean(want)) and bits(std) == bits(np.std(want))
+        # episodes end at different steps, so rows leave the lockstep set early
+        assert n < 8 or len(lengths) > 1
+
+
+def test_evaluation_steps_episodes_together_from_the_crossover(monkeypatch):
+    calls = []
+    step_raw = EvasionEnv.step_raw
+
+    def spy(self, raw_action):
+        calls.append(1)
+        return step_raw(self, raw_action)
+
+    monkeypatch.setattr(EvasionEnv, "step_raw", spy)
+    params = init_policy(7, 2, PpoConfig(hidden=(8,)), np.random.default_rng(0))
+    for n in (LOCKSTEP_MIN_ROWS, 3 * LOCKSTEP_MIN_ROWS):
+        evaluate_policy(make_env_factory(), params, n, seed=3)
+        assert not calls, n
+    evaluate_policy(make_env_factory(), params, 2, seed=3)
+    assert calls
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["init_policy", "loaded"])
+def test_window_values_bit_equal_to_value_estimate(tmp_path, loaded):
+    params = policy_in_layout(loaded, tmp_path)
+    rng = np.random.default_rng(42)
+    # two whole chunks and a partial one
+    obs = rng.normal(0.0, 0.5, (2 * _VALUE_CHUNK + 37, 7))
+    got = _window_values(params, obs)
+    want = [value_estimate(params, row) for row in obs]
+    assert np.array_equal(bits(got), bits(want))
