@@ -17,7 +17,6 @@ __all__ = [
     "net_forward",
     "net_backward",
     "Adam",
-    "clip_by_global_norm",
 ]
 
 
@@ -86,14 +85,22 @@ def net_backward(net: DenseNet, cache: list[np.ndarray], dout: np.ndarray, out=N
 
     Returns (grads, dx) with grads ordered like net.params().  With ``out``,
     arrays shaped like net.params(), the gradients are written into them and
-    ``out`` is returned as grads.
+    ``out`` is returned as grads.  The pass consumes ``cache``: each hidden
+    activation is overwritten in place by its tanh derivative times the
+    incoming gradient, ``(1 - h**2) * dh``.
     """
     n_layers = len(net.weights)
     grads = [np.empty_like(p) for p in net.params()] if out is None else out
     dh = np.atleast_2d(np.asarray(dout, dtype=float))
     for i in range(n_layers - 1, -1, -1):
         # output layer is linear; hidden activations are tanh
-        dz = dh if i == n_layers - 1 else dh * (1.0 - cache[i + 1] ** 2)
+        if i == n_layers - 1:
+            dz = dh
+        else:
+            dz = cache[i + 1]
+            np.square(dz, out=dz)
+            np.subtract(1.0, dz, out=dz)
+            dz *= dh
         np.matmul(cache[i].T, dz, out=grads[2 * i])
         dz.sum(axis=0, out=grads[2 * i + 1])
         dh = dz @ net.weights[i].T
@@ -142,18 +149,4 @@ class Adam:
         b += self.eps
         a /= b
         params -= a
-
-
-def clip_by_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale grads in place so their joint 2-norm is at most max_norm.
-
-    Each array's sum of squares runs in row-major order, whatever its memory
-    order, so the norm does not depend on the layout.
-    """
-    total = float(np.sqrt(sum(float((g * g).ravel().sum()) for g in grads)))
-    if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
-    return total
 

@@ -31,7 +31,6 @@ from .evasion import _observe_rows, observe, require_zero_offset, sample_obstacl
 from .mlp import (
     Adam,
     DenseNet,
-    clip_by_global_norm,
     net_backward,
     net_forward,
     net_init,
@@ -44,7 +43,6 @@ __all__ = [
     "PolicyLoadError",
     "init_policy",
     "mask_action",
-    "policy_sample",
     "policy_mean",
     "value_estimate",
     "gae_advantages",
@@ -197,32 +195,16 @@ def _clipped_log_std(params: PolicyParams, cfg: PpoConfig) -> np.ndarray:
 
 def _log_prob_of_z(mean, log_std, z) -> np.ndarray:
     """Log density of tanh(z) under the squashed Gaussian, per batch row."""
-    std = np.exp(log_std)
-    zn = (z - mean) / std
-    gauss = -0.5 * np.sum(zn * zn, axis=-1) - np.sum(log_std) - 0.5 * z.shape[-1] * _LOG_2PI
+    zn = (z - mean) / np.exp(log_std)
+    return _squashed_log_prob(zn * zn, log_std, z)
+
+
+def _squashed_log_prob(zn2, log_std, z) -> np.ndarray:
+    """:func:`_log_prob_of_z` from the squared standardized draw
+    ``zn2 = ((z - mean) / exp(log_std)) ** 2``."""
+    gauss = -0.5 * np.sum(zn2, axis=-1) - np.sum(log_std) - 0.5 * z.shape[-1] * _LOG_2PI
     correction = np.sum(np.log(1.0 - np.tanh(z) ** 2 + _SQUASH_EPS), axis=-1)
     return gauss - correction
-
-
-def policy_sample(
-    params: PolicyParams, obs, rng: np.random.Generator, cfg: PpoConfig
-):
-    """Draw one action: returns (raw action in (-1, 1), pre-squash draw, log prob).
-
-    The log prob is :func:`_log_prob_of_z` of one row, with the same
-    reductions in the same order.
-    """
-    mean = net_forward(params.policy, obs)[0][0]
-    log_std = _clipped_log_std(params, cfg)
-    std = np.exp(log_std)
-    z = mean + std * rng.standard_normal(mean.shape)
-    if not np.isfinite(z).all():
-        raise RuntimeError(f"non-finite policy output: mean={mean}, log_std={log_std}")
-    raw = np.tanh(z)
-    zn = (z - mean) / std
-    gauss = -0.5 * (zn * zn).sum() - log_std.sum() - 0.5 * z.shape[-1] * _LOG_2PI
-    correction = np.log(1.0 - raw**2 + _SQUASH_EPS).sum()
-    return raw, z, float(gauss - correction)
 
 
 def policy_mean(params: PolicyParams, obs) -> np.ndarray:
@@ -344,7 +326,11 @@ def gae_advantages(rewards, values, dones, gamma, lam, bootstrap_value):
 
 
 class RolloutBuffer:
-    """Fixed-size on-policy storage for one update window."""
+    """Fixed-size on-policy storage for one update window.
+
+    :meth:`add` stores the per-step fields; the window's log probs and
+    values are filled once the window is full (see :func:`_collect_window`).
+    """
 
     def __init__(self, n_steps: int, obs_dim: int, act_dim: int):
         self.n_steps = n_steps
@@ -359,14 +345,12 @@ class RolloutBuffer:
         self.returns = np.zeros(n_steps)
         self.ptr = 0
 
-    def add(self, obs, z, logp, value, reward, done, action_diff):
+    def add(self, obs, z, reward, done, action_diff):
         i = self.ptr
         if i >= self.n_steps:
             raise RuntimeError("rollout buffer overflow")
         self.obs[i] = obs
         self.z[i] = z
-        self.logp[i] = logp
-        self.value[i] = value
         self.reward[i] = reward
         self.done[i] = float(done)
         self.action_diff[i] = action_diff
@@ -391,101 +375,84 @@ class RolloutBuffer:
 # Loss and update
 # ---------------------------------------------------------------------------
 
+_STATS = ("loss", "policy_loss", "value_loss", "entropy", "approx_kl", "clip_fraction")
 
-def _loss_forward(params: PolicyParams, batch: dict, cfg: PpoConfig):
-    obs = batch["obs"]
-    z = batch["z"]
-    adv = batch["advantages"]
-    ret = batch["returns"]
-    logp_old = batch["logp"]
+
+def _loss_and_grads(params: PolicyParams, obs, z, logp_old, adv, ret, cfg: PpoConfig, grads):
+    """The objective of one minibatch and its exact gradients.
+
+    The gradients are written into ``grads``, arrays ordered like
+    ``param_list()``; the values of :data:`_STATS` are returned in order.
+    The backward passes overwrite the forward caches (:func:`net_backward`).
+    """
     B = obs.shape[0]
+    n_policy = 2 * len(params.policy.weights)
+    lo, hi = 1.0 - cfg.clip_range, 1.0 + cfg.clip_range
 
     mean, cache_p = net_forward(params.policy, obs)
     log_std = _clipped_log_std(params, cfg)
-    logp = _log_prob_of_z(mean, log_std, z)
-    ratio = np.exp(logp - logp_old)
+    std = np.exp(log_std)
+    zn = (z - mean) / std
+    zn2 = zn * zn
+    log_ratio = _squashed_log_prob(zn2, log_std, z) - logp_old
+    ratio = np.exp(log_ratio)
 
     unclipped = ratio * adv
-    clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range) * adv
-    surrogate = np.minimum(unclipped, clipped)
-    policy_loss = -float(np.mean(surrogate))
+    clipped = np.clip(ratio, lo, hi) * adv
+    policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
 
     v, cache_v = net_forward(params.value, obs)
-    v = v[:, 0]
-    value_loss = float(np.mean((v - ret) ** 2))
+    v_err = v[:, 0] - ret
+    value_loss = float(np.mean(v_err**2))
 
     entropy = float(np.sum(log_std + 0.5 * (1.0 + _LOG_2PI)))
     total = policy_loss + cfg.vf_coef * value_loss - cfg.ent_coef * entropy
-    return {
-        "B": B,
-        "mean": mean,
-        "cache_p": cache_p,
-        "log_std": log_std,
-        "logp": logp,
-        "ratio": ratio,
-        "unclipped": unclipped,
-        "clipped": clipped,
-        "v": v,
-        "cache_v": cache_v,
-        "policy_loss": policy_loss,
-        "value_loss": value_loss,
-        "entropy": entropy,
-        "total": total,
-    }
+
+    # d(-mean(min))/d ratio: unclipped branch passes adv through; the clipped
+    # branch only inside the clip window (ties give identical values/grads).
+    in_window = (ratio > lo) & (ratio < hi)
+    dsurr_dratio = np.where((unclipped <= clipped) | in_window, adv, 0.0)
+    dlogp = (-dsurr_dratio / B) * ratio
+
+    dmean = dlogp[:, None] * zn / std
+    dls = (dlogp[:, None] * (zn2 - 1.0)).sum(axis=0)
+    dls -= cfg.ent_coef  # entropy bonus, per dimension
+    ls_inside = (params.log_std > cfg.log_std_min) & (params.log_std < cfg.log_std_max)
+    np.multiply(dls, ls_inside, out=grads[n_policy])
+
+    net_backward(params.policy, cache_p, dmean, out=grads[:n_policy])
+    dv = (2.0 * cfg.vf_coef / B) * v_err
+    net_backward(params.value, cache_v, dv[:, None], out=grads[n_policy + 1 :])
+
+    approx_kl = float(np.mean(ratio - 1.0 - log_ratio))
+    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
+    return total, policy_loss, value_loss, entropy, approx_kl, clip_fraction
 
 
 def ppo_loss(params: PolicyParams, batch: dict, cfg: PpoConfig) -> float:
     """Scalar objective; pure function of the parameters for a fixed batch."""
-    return _loss_forward(params, batch, cfg)["total"]
+    return ppo_loss_and_grads(params, batch, cfg)[0]["loss"]
 
 
 def ppo_loss_and_grads(params: PolicyParams, batch: dict, cfg: PpoConfig, out=None):
-    """Loss statistics plus exact gradients ordered like ``param_list()``.
+    """Loss statistics plus exact gradients ordered like ``param_list()``,
+    for a batch dict with keys obs, z, logp, advantages and returns.
 
     The gradients are views of one flat vector laid out like ``params.flat``:
     ``out`` when given, else a fresh one.
     """
     grads = params.views(np.empty_like(params.flat) if out is None else out)
-    n_policy = 2 * len(params.policy.weights)
-    fwd = _loss_forward(params, batch, cfg)
-    B = fwd["B"]
-    z = batch["z"]
-    adv = batch["advantages"]
-    ret = batch["returns"]
-    mean = fwd["mean"]
-    log_std = fwd["log_std"]
-    ratio = fwd["ratio"]
-
-    # d(-mean(min))/d ratio: unclipped branch passes adv through; the clipped
-    # branch only inside the clip window (ties give identical values/grads).
-    take_unclipped = fwd["unclipped"] <= fwd["clipped"]
-    in_window = (ratio > 1.0 - cfg.clip_range) & (ratio < 1.0 + cfg.clip_range)
-    dsurr_dratio = np.where(take_unclipped, adv, np.where(in_window, adv, 0.0))
-    dratio = -dsurr_dratio / B
-    dlogp = dratio * ratio
-
-    std = np.exp(log_std)
-    zn = (z - mean) / std
-    dmean = dlogp[:, None] * zn / std
-    dls = (dlogp[:, None] * (zn * zn - 1.0)).sum(axis=0)
-    dls -= cfg.ent_coef  # entropy bonus, per dimension
-    ls_inside = (params.log_std > cfg.log_std_min) & (params.log_std < cfg.log_std_max)
-    np.multiply(dls, ls_inside, out=grads[n_policy])
-
-    net_backward(params.policy, fwd["cache_p"], dmean, out=grads[:n_policy])
-    dv = (2.0 * cfg.vf_coef / B) * (fwd["v"] - ret)
-    net_backward(params.value, fwd["cache_v"], dv[:, None], out=grads[n_policy + 1 :])
-
-    log_ratio = fwd["logp"] - batch["logp"]
-    stats = {
-        "loss": fwd["total"],
-        "policy_loss": fwd["policy_loss"],
-        "value_loss": fwd["value_loss"],
-        "entropy": fwd["entropy"],
-        "approx_kl": float(np.mean(ratio - 1.0 - log_ratio)),
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range)),
-    }
-    return stats, grads
+    stats = _loss_and_grads(
+        params,
+        batch["obs"],
+        batch["z"],
+        batch["logp"],
+        batch["advantages"],
+        batch["returns"],
+        cfg,
+        grads,
+    )
+    return dict(zip(_STATS, stats)), grads
 
 
 def ppo_update(
@@ -497,34 +464,45 @@ def ppo_update(
 ) -> dict:
     """Run the configured epochs of minibatch steps over a full buffer.
 
-    Advantages are normalized per minibatch.  Raises on a non-finite loss.
+    Each epoch gathers the buffer's columns once, in the order of a fresh
+    permutation, and takes its minibatches as contiguous slices of them.
+    Advantages are normalized per minibatch.  The gradient is clipped to
+    ``max_grad_norm`` in global 2-norm, each array's sum of squares running
+    in row-major order whatever its memory order, before one Adam step on
+    the flat parameters.  Raises on a non-finite loss.  Returns the mean of
+    each loss statistic over the minibatches.
     """
-    n = buffer.n_steps
-    stats_sum: dict[str, float] = {}
-    count = 0
+    n, size = buffer.n_steps, cfg.minibatch_size
+    columns = (buffer.obs, buffer.z, buffer.logp, buffer.advantages, buffer.returns)
+    shuffled = [np.empty_like(column) for column in columns]
+    obs, z, logp, advantages, returns = shuffled
     grad_flat = np.empty_like(params.flat)
+    grads = params.views(grad_flat)
+    squares = np.empty_like(params.flat)
+    square_views = params.views(squares)
+    sums = [0.0] * len(_STATS)
+    count = 0
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
-        for lo in range(0, n, cfg.minibatch_size):
-            idx = order[lo : lo + cfg.minibatch_size]
-            adv = buffer.advantages[idx]
+        for column, out in zip(columns, shuffled):
+            np.take(column, order, axis=0, out=out)
+        for lo in range(0, n, size):
+            hi = lo + size
+            adv = advantages[lo:hi]
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-            batch = {
-                "obs": buffer.obs[idx],
-                "z": buffer.z[idx],
-                "logp": buffer.logp[idx],
-                "advantages": adv,
-                "returns": buffer.returns[idx],
-            }
-            stats, grads = ppo_loss_and_grads(params, batch, cfg, out=grad_flat)
-            if not math.isfinite(stats["loss"]):
-                raise RuntimeError(f"non-finite loss during update: {stats}")
-            clip_by_global_norm(grads, cfg.max_grad_norm)
+            stats = _loss_and_grads(
+                params, obs[lo:hi], z[lo:hi], logp[lo:hi], adv, returns[lo:hi], cfg, grads
+            )
+            if not math.isfinite(stats[0]):
+                raise RuntimeError(f"non-finite loss during update: {dict(zip(_STATS, stats))}")
+            np.multiply(grad_flat, grad_flat, out=squares)
+            norm = float(np.sqrt(sum(float(s.ravel().sum()) for s in square_views)))
+            if cfg.max_grad_norm > 0 and norm > cfg.max_grad_norm:
+                grad_flat *= cfg.max_grad_norm / norm
             adam.step(params.flat, grad_flat)
-            for key, val in stats.items():
-                stats_sum[key] = stats_sum.get(key, 0.0) + val
+            sums = [total + value for total, value in zip(sums, stats)]
             count += 1
-    return {key: val / count for key, val in stats_sum.items()}
+    return {key: total / count for key, total in zip(_STATS, sums)}
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +510,66 @@ def ppo_update(
 # ---------------------------------------------------------------------------
 
 
+def _collect_window(
+    params: PolicyParams,
+    env,
+    buffer: RolloutBuffer,
+    obs: np.ndarray,
+    episode_return: float,
+    cfg: PpoConfig,
+    sample_rng: np.random.Generator,
+    env_rng: np.random.Generator,
+):
+    """Fill ``buffer`` with one update window of steps from ``obs``.
+
+    The clipped log stds and the window's normal draws, one
+    ``(n_steps, act_dim)`` block from ``sample_rng``, are fixed before the
+    first step; each step then runs one batch-1 policy forward, draws
+    ``z = mean + std * noise`` and steps ``env`` with ``tanh(z)``, resetting
+    it from ``env_rng`` when an episode ends.  The log probs
+    (:func:`_log_prob_of_z`) and values (:func:`_window_values`) of the
+    whole window follow its last step.  Returns the next observation, the
+    return of the episode still running and the returns of the episodes
+    finished in the window.
+    """
+    log_std = _clipped_log_std(params, cfg)
+    std = np.exp(log_std)
+    noise = sample_rng.standard_normal(buffer.z.shape)
+    means = np.empty_like(buffer.z)
+    finished: list[float] = []
+    buffer.reset()
+    for t in range(buffer.n_steps):
+        mean = net_forward(params.policy, obs)[0][0]
+        z = mean + std * noise[t]
+        if not np.isfinite(z).all():
+            raise RuntimeError(f"non-finite policy output: mean={mean}, log_std={log_std}")
+        next_obs, step_reward, done, info = env.step_raw(np.tanh(z))
+        means[t] = mean
+        buffer.add(obs, z, step_reward, done, info["action_diff"])
+        episode_return += step_reward
+        if done:
+            finished.append(episode_return)
+            episode_return = 0.0
+            next_obs = env.reset_random(env_rng)
+        obs = next_obs
+    buffer.logp[:] = _log_prob_of_z(means, log_std, buffer.z)
+    buffer.value[:] = _window_values(params, buffer.obs)
+    return obs, episode_return, finished
+
+
 def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
     """On-policy training against a masked environment.
 
     ``env_factory`` must produce an environment exposing ``reset_random``
     and ``step_raw`` (see :class:`saferl.evasion.EvasionEnv`) with the
-    action mask installed.  The value net does not change inside an update
-    window, so the window's values come after its last step, from one
-    stacked forward per chunk of rows (:func:`_window_values`); each equals
-    the :func:`value_estimate` of its row.  Returns the trained parameters
-    and one log row per update: global step, mean/std of episode returns
-    finished in the window, mean normalized action difference, and loss
-    statistics.
+    action mask installed.  The policy does not change inside an update
+    window, so :func:`_collect_window` draws the window's noise and fixes
+    its log stds up front and computes its log probs and values after its
+    last step; each equals the per-step sample, log prob and
+    :func:`value_estimate` of its row.  :func:`ppo_update` then runs the
+    epochs of minibatch steps.  Returns the trained parameters and one log
+    row per update: global step, mean/std of episode returns finished in the
+    window, mean normalized action difference, and loss statistics.
     """
     ss = np.random.SeedSequence(seed)
     init_ss, env_ss, sample_ss, shuffle_ss = ss.spawn(4)
@@ -565,20 +591,9 @@ def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
     log_rows: list[dict] = []
     episode_return = 0.0
     for update in range(n_updates):
-        buffer.reset()
-        window_returns: list[float] = []
-        while not buffer.full:
-            raw, z, logp = policy_sample(params, obs, sample_rng, cfg)
-            next_obs, step_reward, done, info = env.step_raw(raw)
-            # the value is filled in once the window is full
-            buffer.add(obs, z, logp, math.nan, step_reward, done, info["action_diff"])
-            episode_return += step_reward
-            if done:
-                window_returns.append(episode_return)
-                episode_return = 0.0
-                next_obs = env.reset_random(env_rng)
-            obs = next_obs
-        buffer.value[:] = _window_values(params, buffer.obs)
+        obs, episode_return, window_returns = _collect_window(
+            params, env, buffer, obs, episode_return, cfg, sample_rng, env_rng
+        )
         bootstrap = value_estimate(params, obs)
         buffer.finalize(cfg.gamma, cfg.gae_lambda, bootstrap)
         stats = ppo_update(params, buffer, cfg, adam, shuffle_rng)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from reference import flatten_arrays, unflatten_arrays
+from reference import clip_by_global_norm, flatten_arrays, unflatten_arrays
 from saferl.mlp import (
     Adam,
-    clip_by_global_norm,
     net_backward,
     net_forward,
     net_init,

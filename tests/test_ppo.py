@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import flatten_arrays, unflatten_arrays
+from reference import (
+    clip_by_global_norm,
+    flatten_arrays,
+    log_prob_of_z_ref,
+    policy_sample,
+    ppo_update_ref,
+    unflatten_arrays,
+)
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import EvasionEnv, ObstacleState, RobotState, TaskConfig, _cos_sin
-from saferl.mlp import (
-    DenseNet,
-    clip_by_global_norm,
-    net_forward,
-)
+from saferl.mlp import DenseNet, net_forward
 from saferl.ppo import (
     PolicyLoadError,
     PpoConfig,
@@ -28,7 +31,6 @@ from saferl.ppo import (
     load_policy,
     mask_action,
     policy_mean,
-    policy_sample,
     ppo_loss,
     ppo_loss_and_grads,
     ppo_update,
@@ -38,7 +40,7 @@ from saferl.ppo import (
 )
 from saferl.ppo import _float_mask, _log_prob_of_z
 from saferl.evasion import LOCKSTEP_MIN_ROWS, sample_obstacle
-from saferl.ppo import _VALUE_CHUNK, _window_values
+from saferl.ppo import _VALUE_CHUNK, PolicyParams, _collect_window, _window_values
 from test_evasion import bits, near_encounters
 from saferl.mlp import Adam
 
@@ -345,7 +347,8 @@ def test_update_with_zero_learning_rate_is_identity():
     for _ in range(16):
         obs = rng.standard_normal(3)
         _, z, logp = policy_sample(params, obs, rng, cfg)
-        buffer.add(obs, z, logp, 0.0, rng.standard_normal(), False, 0.0)
+        buffer.logp[buffer.ptr] = logp
+        buffer.add(obs, z, rng.standard_normal(), False, 0.0)
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
     adam = Adam(params.flat.size, cfg.learning_rate, eps=cfg.adam_eps)
     ppo_update(params, buffer, cfg, adam, np.random.default_rng(0))
@@ -361,7 +364,8 @@ def test_nonfinite_loss_aborts_update():
     for i in range(8):
         obs = rng.standard_normal(2)
         _, z, logp = policy_sample(params, obs, rng, cfg)
-        buffer.add(obs, z, logp, 0.0, math.inf if i == 3 else 0.0, False, 0.0)
+        buffer.logp[i] = logp
+        buffer.add(obs, z, math.inf if i == 3 else 0.0, False, 0.0)
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
     adam = Adam(params.flat.size, cfg.learning_rate)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite"):
@@ -476,14 +480,6 @@ def net_forward_ref(net, x):
         z = h @ w + b
         h = z if i == n_layers - 1 else np.tanh(z)
     return h
-
-
-def log_prob_of_z_ref(mean, log_std, z):
-    std = np.exp(log_std)
-    zn = (z - mean) / std
-    gauss = -0.5 * np.sum(zn * zn, axis=-1) - np.sum(log_std) - 0.5 * z.shape[-1] * math.log(2.0 * math.pi)
-    correction = np.sum(np.log(1.0 - np.tanh(z) ** 2 + 1e-6), axis=-1)
-    return gauss - correction
 
 
 def policy_sample_ref(policy, log_std, obs, rng, cfg):
@@ -754,3 +750,125 @@ def test_window_values_bit_equal_to_value_estimate(tmp_path, loaded):
     got = _window_values(params, obs)
     want = [value_estimate(params, row) for row in obs]
     assert np.array_equal(bits(got), bits(want))
+
+
+# ---------------------------------------------------------------------------
+# The per-window rollout and the per-epoch update, against the per-step
+# sample and the per-minibatch update they replace
+# ---------------------------------------------------------------------------
+
+
+def per_step_window(params, env, n, obs, episode_return, cfg, sample_rng, env_rng):
+    """One window of policy_sample + step_raw steps: the buffer columns, the
+    next observation, the running return and the finished returns."""
+    rows, finished = [], []
+    for _ in range(n):
+        raw, z, logp = policy_sample(params, obs, sample_rng, cfg)
+        next_obs, reward, done, info = env.step_raw(raw)
+        rows.append((obs, z, logp, value_estimate(params, obs), reward, done, info["action_diff"]))
+        episode_return += reward
+        if done:
+            finished.append(episode_return)
+            episode_return = 0.0
+            next_obs = env.reset_random(env_rng)
+        obs = next_obs
+    return [np.array(col, dtype=float) for col in zip(*rows)], obs, episode_return, finished
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["init_policy", "loaded"])
+def test_window_rollout_bit_equal_to_per_step_sampling(tmp_path, loaded):
+    params = policy_in_layout(loaded, tmp_path)  # log stds on both sides of the clip range
+    cfg = PpoConfig()
+    task = TaskConfig(k_max=40)
+    factory = make_env_factory(WIDE, task)
+    n = 150
+    env, env_ref = factory(), factory()
+    buffer = RolloutBuffer(n, 7, 2)
+    rngs = [np.random.default_rng(s) for s in (51, 52, 51, 52)]
+    sample_rng, env_rng, sample_ref, env_ref_rng = rngs
+    obs, obs_ref = env.reset_random(env_rng), env_ref.reset_random(env_ref_rng)
+    ret, ret_ref = 0.25, 0.25
+    dones = 0
+    for window in range(3):  # the noise stream and the running return carry over
+        obs, ret, finished = _collect_window(params, env, buffer, obs, ret, cfg, sample_rng, env_rng)
+        want, obs_ref, ret_ref, finished_ref = per_step_window(
+            params, env_ref, n, obs_ref, ret_ref, cfg, sample_ref, env_ref_rng
+        )
+        got = [buffer.obs, buffer.z, buffer.logp, buffer.value, buffer.reward, buffer.done, buffer.action_diff]
+        for name, g, w in zip(("obs", "z", "logp", "value", "reward", "done", "action_diff"), got, want):
+            assert np.array_equal(bits(g), bits(w)), (window, name)
+        assert np.array_equal(bits(obs), bits(obs_ref)) and bits(ret) == bits(ret_ref)
+        assert np.array_equal(bits(finished), bits(finished_ref))
+        dones += int(buffer.done.sum())
+    assert dones >= 6  # episodes end inside windows
+
+
+def test_window_rollout_refuses_a_nan_policy_before_stepping(monkeypatch):
+    calls = []
+    monkeypatch.setattr(EvasionEnv, "step_raw", lambda self, raw: calls.append(raw))
+    params = init_policy(7, 2, PpoConfig(hidden=(8,)), np.random.default_rng(0))
+    params.policy.weights[0][3, 5] = math.nan
+    env = make_env_factory()()
+    rng = np.random.default_rng(1)
+    buffer = RolloutBuffer(16, 7, 2)
+    with pytest.raises(RuntimeError, match="non-finite policy output"):
+        _collect_window(params, env, buffer, env.reset_random(rng), 0.0, PpoConfig(), rng, rng)
+    assert not calls
+
+
+def same_layout_copy(params):
+    """Standalone copies of every array, each in its memory order."""
+    arrays = standalone(params.param_list())
+    k = 2 * len(params.policy.weights)
+    policy = DenseNet(arrays[0:k:2], arrays[1:k:2])
+    value = DenseNet(arrays[k + 1 :: 2], arrays[k + 2 :: 2])
+    return PolicyParams(policy, arrays[k], value)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    n_and_size=st.sampled_from([(100, 64), (128, 64), (64, 64), (40, 16), (37, 8), (8, 8)]),
+    epochs=st.integers(1, 3),
+    obs_dim=st.integers(1, 7),
+    act_dim=st.integers(1, 2),
+    hidden=st.sampled_from([(8,), (8, 4), (16, 16)]),
+    row_major=st.booleans(),
+    max_grad_norm=st.sampled_from([1e-6, 0.5, 1e9]),
+    log_std=st.lists(st.floats(-7.0, 2.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_update_bit_equal_to_per_minibatch_reference(
+    n_and_size, epochs, obs_dim, act_dim, hidden, row_major, max_grad_norm, log_std, seed
+):
+    n, size = n_and_size
+    cfg = PpoConfig(
+        hidden=hidden, n_steps=n, minibatch_size=size, epochs=epochs, max_grad_norm=max_grad_norm
+    )
+    rng = np.random.default_rng(seed)
+    params = init_policy(obs_dim, act_dim, cfg, rng)
+    params.flat += rng.normal(0.0, 0.1, params.flat.size)
+    params.log_std[...] = log_std[:act_dim]  # the clip range is [-5, 1]
+    if row_major:
+        params = params.copy()
+    first = params.policy.weights[0].flags
+    assert (first.f_contiguous and not first.c_contiguous) is (1 < obs_dim < hidden[0] and not row_major)
+    buffer = RolloutBuffer(n, obs_dim, act_dim)
+    buffer.obs[...] = rng.normal(0.0, 1.0, buffer.obs.shape)
+    mean = net_forward(params.policy, buffer.obs)[0]
+    log_std_c = np.clip(params.log_std, cfg.log_std_min, cfg.log_std_max)
+    buffer.z[...] = mean + np.exp(log_std_c) * rng.standard_normal(buffer.z.shape)
+    buffer.logp[...] = log_prob_of_z_ref(mean, log_std_c, buffer.z) + rng.normal(0.0, 0.3, n)
+    buffer.advantages = rng.normal(0.5, 2.0, n)
+    buffer.returns = rng.normal(0.0, 1.0, n)
+
+    ref = same_layout_copy(params)
+    adam = Adam(params.flat.size, 1e-2, eps=cfg.adam_eps)
+    adam_ref = Adam(ref.flat.size, 1e-2, eps=cfg.adam_eps)
+    stats = ppo_update(params, buffer, cfg, adam, np.random.default_rng(seed + 1))
+    stats_ref = ppo_update_ref(ref, buffer, cfg, adam_ref, np.random.default_rng(seed + 1))
+    assert list(stats) == list(stats_ref)
+    assert np.array_equal(bits(list(stats.values())), bits(list(stats_ref.values())))
+    assert np.array_equal(bits(params.flat), bits(ref.flat))
+    assert np.array_equal(bits(adam.m), bits(adam_ref.m))
+    assert np.array_equal(bits(adam.v), bits(adam_ref.v))
+    assert adam.t == adam_ref.t == epochs * -(-n // size)
