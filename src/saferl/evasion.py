@@ -330,11 +330,13 @@ def _min_gaps(rel: np.ndarray, cs: np.ndarray, speeds: np.ndarray, ts: np.ndarra
     """:func:`mindistance` per row.  ``rel`` holds the obstacle's position
     minus the robot's, ``speeds`` the (robot, obstacle) speeds and ``cs``
     the cosines and sines of their headings (see :func:`_cos_sin`); the
-    robot's offset ``r.x - o.x`` is ``-(o.x - r.x)`` exactly."""
+    robot's offset ``r.x - o.x`` is ``-(o.x - r.x)`` exactly.  The gaps are
+    laid out ``(grid, rows)``, so the min runs across rows at each grid
+    step; min does not round, so the order is free."""
     vel = cs * speeds
     v = vel[..., 0] - vel[..., 1]
-    g = -rel.T[..., None] + ts * v[..., None]
-    return np.hypot(g[0], g[1]).min(axis=1)
+    g = -rel.T[:, None] + ts[:, None] * v[:, None]
+    return np.hypot(g[0], g[1]).min(axis=0)
 
 
 def _step_rows(state: np.ndarray, applied: np.ndarray, cs: np.ndarray, dt: float) -> None:
@@ -517,19 +519,43 @@ def safety_predicates(cfg: TaskConfig) -> PredicateTable:
     command turns in the required direction within the rate bound, or holds
     a near-zero turn rate once the perpendicular orientation has been
     reached (within tolerance), else -1.
+
+    Every column is computed from the block's states alone, on every row of
+    the block.  ``infront`` and ``near`` share the cosines and sines of the
+    headings: the table keeps those of the last block it saw and reuses them
+    when the next block's heading columns are the same bytes (never on a
+    matching array address).  The obstacle's heading is taken once when it
+    is the same angle on every row, as the obstacle never turns.
     """
     ts = _time_grid(cfg.dt, cfg.lookahead)
+    last = [b"", None]  # the last block's heading bytes and their cos/sin
+
+    def headings(block) -> np.ndarray:
+        """:func:`_cos_sin` of the block's (robot, obstacle) thetas, ``(2, rows, 2)``."""
+        thetas = block[:, COL_THR : COL_THO + 1 : 4]
+        key = thetas.tobytes()
+        if key != last[0]:
+            bits = thetas[:, 1].view(np.int64)
+            if (bits == bits[0]).all():
+                cs = np.empty((2, thetas.shape[0], 2))
+                cs[:, :, 0] = _cos_sin(thetas[:, 0])
+                cs[:, :, 1] = _cos_sin(thetas[:1, 1])
+            else:
+                cs = _cos_sin(thetas)
+            cs.flags.writeable = False
+            last[:] = key, cs
+        return last[1]
 
     def h_infront(block) -> np.ndarray:
-        cos_r, sin_r = _cos_sin(block[:, COL_THR])
+        (cos_r, _), (sin_r, _) = headings(block).transpose(0, 2, 1)
         return (block[:, COL_XO] - block[:, COL_XR]) * cos_r + (
             block[:, COL_YO] - block[:, COL_YR]
         ) * sin_r
 
     def h_near(block) -> np.ndarray:
         rel = block[:, COL_XO : COL_YO + 1] - block[:, COL_XR : COL_YR + 1]
-        cs = _cos_sin(block[:, COL_THR : COL_THO + 1 : 4])
-        return cfg.danger_radius - _min_gaps(rel, cs, block[:, COL_VR : COL_VO + 1 : 4], ts)
+        speeds = block[:, COL_VR : COL_VO + 1 : 4]
+        return cfg.danger_radius - _min_gaps(rel, headings(block), speeds, ts)
 
     def h_evade(block) -> np.ndarray:
         w, dth = block[:, COL_CMD_W], block[:, COL_DTHETA]
@@ -551,12 +577,16 @@ def safety_formula():
     return _SAFETY_FORMULA
 
 
-def episode_robustness(trace: EpisodeTrace, cfg: TaskConfig) -> float:
+def episode_robustness(
+    trace: EpisodeTrace, cfg: TaskConfig, table: PredicateTable | None = None
+) -> float:
     """Score a complete episode: -1 on any monitored violation, otherwise the
-    :func:`perform` value of the final state."""
+    :func:`perform` value of the final state.  ``table`` is
+    :func:`safety_predicates` of ``cfg``, built here when not given."""
     if trace.n_steps == 0:
         raise ValueError("empty trace")
-    table = safety_predicates(cfg)
+    if table is None:
+        table = safety_predicates(cfg)
     if not satisfies(_SAFETY_FORMULA, trace.signal(), 0, table):
         return -1.0
     return perform(
@@ -1027,5 +1057,10 @@ class EvasionSource:
             if chunk is not None:
                 chunk = chunk[:, keep]
 
+    @functools.cached_property
+    def _monitor(self) -> PredicateTable:
+        """The safety predicates of ``cfg``, built once for every episode scored."""
+        return safety_predicates(self.cfg)
+
     def robustness(self, trace: EpisodeTrace) -> float:
-        return episode_robustness(trace, self.cfg)
+        return episode_robustness(trace, self.cfg, self._monitor)

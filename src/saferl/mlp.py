@@ -37,7 +37,12 @@ class DenseNet:
         return out
 
     def copy(self) -> "DenseNet":
-        return DenseNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        """Copies that keep each array's memory order: :func:`net_init` leaves
+        a layer with fewer inputs than outputs column-major, and BLAS rounds a
+        product with it differently from a row-major copy."""
+        return DenseNet(
+            [w.copy(order="K") for w in self.weights], [b.copy(order="K") for b in self.biases]
+        )
 
 
 def _orthogonal(rows: int, cols: int, gain: float, rng: np.random.Generator) -> np.ndarray:
@@ -80,14 +85,17 @@ def net_forward(net: DenseNet, x: np.ndarray):
     return h, activations
 
 
-def net_backward(net: DenseNet, cache: list[np.ndarray], dout: np.ndarray, out=None):
+def net_backward(
+    net: DenseNet, cache: list[np.ndarray], dout: np.ndarray, out=None, input_grad: bool = True
+):
     """Backprop dout (B, d_out) through the net.
 
     Returns (grads, dx) with grads ordered like net.params().  With ``out``,
     arrays shaped like net.params(), the gradients are written into them and
-    ``out`` is returned as grads.  The pass consumes ``cache``: each hidden
-    activation is overwritten in place by its tanh derivative times the
-    incoming gradient, ``(1 - h**2) * dh``.
+    ``out`` is returned as grads.  With ``input_grad`` false the first
+    layer's input gradient is not computed and dx is None.  The pass
+    consumes ``cache``: each hidden activation is overwritten in place by its
+    tanh derivative times the incoming gradient, ``(1 - h**2) * dh``.
     """
     n_layers = len(net.weights)
     grads = [np.empty_like(p) for p in net.params()] if out is None else out
@@ -103,7 +111,7 @@ def net_backward(net: DenseNet, cache: list[np.ndarray], dout: np.ndarray, out=N
             dz *= dh
         np.matmul(cache[i].T, dz, out=grads[2 * i])
         dz.sum(axis=0, out=grads[2 * i + 1])
-        dh = dz @ net.weights[i].T
+        dh = dz @ net.weights[i].T if i or input_grad else None
     return grads, dh
 
 

@@ -144,7 +144,9 @@ class PolicyParams:
         return self.policy.params() + [self.log_std] + self.value.params()
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.policy.copy(), self.log_std.copy(), self.value.copy())
+        """A standalone copy that keeps each array's memory order, so it
+        forwards bit-equal to ``self``."""
+        return PolicyParams(self.policy.copy(), self.log_std.copy(order="K"), self.value.copy())
 
 
 def init_policy(
@@ -420,9 +422,9 @@ def _loss_and_grads(params: PolicyParams, obs, z, logp_old, adv, ret, cfg: PpoCo
     ls_inside = (params.log_std > cfg.log_std_min) & (params.log_std < cfg.log_std_max)
     np.multiply(dls, ls_inside, out=grads[n_policy])
 
-    net_backward(params.policy, cache_p, dmean, out=grads[:n_policy])
+    net_backward(params.policy, cache_p, dmean, out=grads[:n_policy], input_grad=False)
     dv = (2.0 * cfg.vf_coef / B) * v_err
-    net_backward(params.value, cache_v, dv[:, None], out=grads[n_policy + 1 :])
+    net_backward(params.value, cache_v, dv[:, None], out=grads[n_policy + 1 :], input_grad=False)
 
     approx_kl = float(np.mean(ratio - 1.0 - log_ratio))
     clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))

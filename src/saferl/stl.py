@@ -37,10 +37,13 @@ decides, exact at ties.
 
 The evaluator works bottom-up over the desugared tree and keeps one array per
 node over the steps it needs: each predicate node is evaluated in one call on
-the block of rows that its windows reach, an Until whose windows all run to
-the end of the signal is an O(K) backward recursion, and any other Until
-sweeps its window offsets vectorised over steps (after Donze et al.,
-*Efficient Robust Monitoring for STL*, CAV 2013).
+the block of rows that its windows reach.  An Until whose windows all run to
+the end of the signal is a running max from the end when its left operand is
+the literal true (an untimed ``F`` or ``G``: one reversed
+``np.maximum.accumulate``) and an O(K) backward recursion otherwise; any
+other Until sweeps its window offsets vectorised over steps (after Donze et
+al., *Efficient Robust Monitoring for STL*, CAV 2013).  A formula is
+desugared once and the core tree is cached, keyed by the frozen formula.
 
 Timing is discrete: a window ``[a, b]`` anchored at step ``k`` covers the
 steps ``k'`` with ``a <= (k' - k) * dt <= b``, clipped to the end of the
@@ -52,6 +55,7 @@ Always vacuously true (``+inf``).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -226,6 +230,13 @@ class PredicateTable:
     A function takes a block of states, an ``(m, n)`` array whose rows are
     consecutive signal samples, and returns the ``m`` predicate values, one
     per row.  A 0-d result is a constant for every row.
+
+    The evaluator calls every predicate node on every row its windows reach,
+    whatever the other operands hold, so a NaN anywhere there raises.  The
+    functions of one table may share work on a block, such as the
+    trigonometry of a common column, when they key it on the block's
+    contents, never on an array's address (see
+    :func:`saferl.evasion.safety_predicates`).
     """
 
     def __init__(self, functions: Mapping[str, Callable] | None = None):
@@ -539,7 +550,14 @@ def _evaluate(
 ) -> float:
     if not 0 <= k <= signal.last_index:
         raise IndexError(f"step index {k} outside signal of length {len(signal)}")
-    return float(_rho(desugar(formula), signal, table, k, k, boolean)[0])
+    return float(_rho(_core(formula), signal, table, k, k, boolean)[0])
+
+
+@functools.lru_cache(maxsize=64)
+def _core(formula: Formula) -> Formula:
+    """:func:`desugar` of ``formula``, once per distinct formula (formulas
+    are frozen dataclasses, equal and hashed by their fields)."""
+    return desugar(formula)
 
 
 def _rho(
@@ -576,6 +594,13 @@ def _until(
     it.  Steps whose window is empty get ``-inf`` and pull no rows into the
     children; the others pull ``right`` on ``[lo+first, reach]`` and ``left``
     on ``[lo, reach-1]``.
+
+    Three paths, one semantics.  When every window runs to the end of the
+    signal and ``left`` is the literal true (every untimed ``F`` and ``G``
+    after desugaring), the result is a reversed ``np.maximum.accumulate`` of
+    ``right``; max does not round, so it is exact.  With any other ``left``
+    such windows take an O(K) backward recursion in Python, and windows that
+    stop short of the end sweep their offsets vectorised over steps.
     """
     last = signal.last_index
     first = max(math.ceil(f.a / signal.dt - _WINDOW_EPS), 0)
@@ -587,8 +612,15 @@ def _until(
     n = top - lo + 1
     reach = min(last, top + span)
     q = _rho(f.right, signal, table, lo + first, reach, boolean)
+    to_end = lo + span >= last
+    if to_end and isinstance(f.left, Literal) and f.left.value:
+        # an untimed F or G: with p = +inf the recursion below is the running
+        # max of q from the end.  numpy's maximum returns its second operand,
+        # q[j], on a tie, as max(q[j], u[j+1]) does, so the bits agree.
+        out[:n] = np.maximum.accumulate(q[::-1])[::-1][:n]
+        return out
     p = _rho(f.left, signal, table, lo, reach - 1 if span > 0 else lo - 1, boolean)
-    if lo + span >= last:
+    if to_end:
         # every window runs to the end of the signal, so an O(K) backward
         # recursion gives the until from step lo+first+j without offsets:
         # u[j] = max(q[j], min(p[j], u[j+1])).  The sweep below would take

@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import types
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import closest_point_on_segment, evade, heading_vector
+from saferl import evasion, stl
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import (
@@ -16,6 +19,7 @@ from saferl.evasion import (
     COL_CMD_W,
     COL_DTHETA,
     COL_SIGN,
+    COL_THO,
     ContainmentViolation,
     EpisodeTrace,
     EvasionEnv,
@@ -40,9 +44,11 @@ from saferl.evasion import (
     wrap_angle,
 )
 from saferl.evasion import LOCKSTEP_MIN_ROWS, _clamp_rows, _cos_sin, _observe_rows, _wrap_angles
+from saferl.evasion import _min_gaps, _time_grid
 from saferl.pipeline import config_from_dict, config_to_dict
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
+from saferl.verify import probv
 
 CFG = TaskConfig()
 
@@ -333,6 +339,20 @@ def test_predicate_columns_bit_equal_to_per_row_reference():
     assert set(want["evade"]) == {-1.0, 1.0}
 
 
+def test_shared_headings_follow_the_block_contents_not_its_address():
+    rng = np.random.default_rng(406)
+    table = safety_predicates(CFG)
+    buffer = random_signal_rows(rng, 300)
+    buffer[:, 6] = buffer[0, 6]  # a constant obstacle heading, taken once
+    for change in (2, 6, None):  # robot heading, obstacle heading, nothing
+        table.evaluate("infront", buffer)  # the table keeps this block's headings
+        if change is not None:
+            buffer[5:, change] += 0.25  # in place: same array, new contents
+        want = predicate_rows_ref(buffer, CFG)
+        for name in ("near", "infront"):
+            assert np.array_equal(bits(table.evaluate(name, buffer)), bits(want[name])), (change, name)
+
+
 # ---------------------------------------------------------------------------
 # Episode scoring
 # ---------------------------------------------------------------------------
@@ -401,9 +421,48 @@ def test_episode_robustness_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         episode_robustness(trace, CFG)
+        source.robustness(trace)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_scoring_a_probv_desugars_once_and_computes_each_heading_once(monkeypatch):
+    # call counts, no timing, while one lockstep probv N = 50 is scored
+    desugared, tables, steps = Counter(), [], []
+    real_desugar, real_tables = stl.desugar, evasion.safety_predicates
+    cos_calls, scoring = [0], [False]
+
+    def desugar_spy(f):
+        desugared[f] += 1
+        return real_desugar(f)
+
+    def counting_cos(x):
+        cos_calls[0] += scoring[0]
+        return math.cos(x)
+
+    monkeypatch.setattr(stl, "desugar", desugar_spy)
+    stl._core.cache_clear()
+    monkeypatch.setattr(evasion, "safety_predicates", lambda cfg: tables.append(cfg) or real_tables(cfg))
+    monkeypatch.setattr(evasion, "math", types.SimpleNamespace(**{**vars(math), "cos": counting_cos}))
+    source = EvasionSource(CFG, lambda: SafeController(CFG, ControllerConfig()))
+
+    def score(trace):
+        steps.append(trace.n_steps)
+        assert len(set(bits(trace.rows[:, COL_THO]).tolist())) == 1  # the obstacle never turns
+        scoring[0] = True
+        try:
+            return source.robustness(trace)
+        finally:
+            scoring[0] = False
+
+    report = probv(source, IntervalBox([-0.01, -0.08], [0.01, 0.08]), score, 50, 0.05, 7)
+    assert len(report.robustnesses) == len(steps) == 50
+    assert safety_formula() in desugared and max(desugared.values()) == 1
+    assert tables == [CFG]
+    # one cosine per robot heading, shared by infront and near, and one per
+    # episode for the obstacle
+    assert cos_calls[0] == sum(steps) + len(steps)
 
 
 def test_perform_range_and_examples():
@@ -789,6 +848,35 @@ def test_row_kernels_bit_equal_to_scalar_functions():
     for lo, hi in ((0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0), (-2.0, 3.0)):
         want = [min(max(v, lo), hi) for v in values.tolist()]
         assert np.array_equal(bits(_clamp_rows(values, lo, hi)), bits(want)), (lo, hi)
+
+
+_coords = st.floats(-2.0, 2.0)
+_angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-4.0, 4.0))
+_speeds = st.one_of(st.just(0.0), st.floats(0.0, 0.3))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_coords, _coords, _angles, _speeds, _coords, _coords, _angles, _speeds, st.booleans()),
+        min_size=1,
+        max_size=40,
+    ),
+    grid=st.sampled_from([(CFG.dt, CFG.lookahead), (0.1, 0.55), (0.5, 0.2)]),
+)
+def test_min_gaps_bit_equal_to_mindistance(rows, grid):
+    states = np.array([row[:8] for row in rows])
+    coincident = np.array([row[8] for row in rows])
+    states[coincident, 4:6] = states[coincident, 0:2]
+    robot, obstacle = states[:, :4], states[:, 4:]
+    got = _min_gaps(
+        obstacle[:, :2] - robot[:, :2], _cos_sin(states[:, 2::4]), states[:, 3::4], _time_grid(*grid)
+    )
+    want = [
+        mindistance(RobotState(*r), ObstacleState(*o), *grid)
+        for r, o in zip(robot.tolist(), obstacle.tolist())
+    ]
+    assert np.array_equal(bits(got), bits(want))
 
 
 def near_encounters(cfg, rng, n):

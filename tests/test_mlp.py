@@ -62,6 +62,19 @@ def test_backward_input_gradient():
         assert dx[0, i] == pytest.approx(num, rel=1e-5, abs=1e-8)
 
 
+def test_backward_without_input_gradient_gives_the_same_parameter_gradients():
+    rng = np.random.default_rng(3)
+    for sizes in [(2, 1), (7, 8, 2), (7, 16, 16, 1)]:
+        net = net_init(sizes, rng)
+        x = rng.standard_normal((64, sizes[0]))
+        dout = rng.standard_normal((64, sizes[-1]))
+        grads, dx = net_backward(net, net_forward(net, x)[1], dout)
+        lean, no_dx = net_backward(net, net_forward(net, x)[1], dout, input_grad=False)
+        assert dx.shape == x.shape and no_dx is None
+        for g, h in zip(grads, lean):
+            assert np.array_equal(g.view(np.int64), h.view(np.int64))
+
+
 def test_orthogonal_init_properties():
     rng = np.random.default_rng(2)
     net = net_init((7, 128, 128, 2), rng, out_gain=0.01)

@@ -816,13 +816,36 @@ def test_window_rollout_refuses_a_nan_policy_before_stepping(monkeypatch):
     assert not calls
 
 
-def same_layout_copy(params):
-    """Standalone copies of every array, each in its memory order."""
-    arrays = standalone(params.param_list())
+def rebuilt(params, copy):
+    """``params`` rebuilt from ``copy`` of each of its arrays."""
+    arrays = [copy(a) for a in params.param_list()]
     k = 2 * len(params.policy.weights)
     policy = DenseNet(arrays[0:k:2], arrays[1:k:2])
     value = DenseNet(arrays[k + 1 :: 2], arrays[k + 2 :: 2])
     return PolicyParams(policy, arrays[k], value)
+
+
+def same_layout_copy(params):
+    """Standalone copies of every array, each in its memory order."""
+    return rebuilt(params, lambda a: a.copy(order="K"))
+
+
+def test_copy_keeps_memory_order_and_forwards_bit_equal():
+    params = perturbed_policy(np.random.default_rng(43))  # first layers column-major
+    copied = params.copy()
+    for a, b in zip(params.param_list(), copied.param_list()):
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (b.flags.c_contiguous, b.flags.f_contiguous)
+        assert not np.shares_memory(a, b)
+    assert np.array_equal(bits(copied.flat), bits(params.flat))
+    obs = np.random.default_rng(44).normal(0.0, 1.0, (64, 7))
+    for net, net_copy in (
+        (params.policy, copied.policy),
+        (params.value, copied.value),
+        (params.policy, params.policy.copy()),
+    ):
+        assert net_copy.weights[0].flags.f_contiguous
+        for x in (obs, obs[:1], obs[:, None]):  # GEMM, batch-1 and stacked forwards
+            assert np.array_equal(bits(net_forward(net_copy, x)[0]), bits(net_forward(net, x)[0]))
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -848,8 +871,8 @@ def test_update_bit_equal_to_per_minibatch_reference(
     params = init_policy(obs_dim, act_dim, cfg, rng)
     params.flat += rng.normal(0.0, 0.1, params.flat.size)
     params.log_std[...] = log_std[:act_dim]  # the clip range is [-5, 1]
-    if row_major:
-        params = params.copy()
+    if row_major:  # every array in C order, as a loaded policy has it
+        params = rebuilt(params, np.ascontiguousarray)
     first = params.policy.weights[0].flags
     assert (first.f_contiguous and not first.c_contiguous) is (1 < obs_dim < hidden[0] and not row_major)
     buffer = RolloutBuffer(n, obs_dim, act_dim)

@@ -417,3 +417,56 @@ def test_random_formulas_with_ties_match_brute_force():
             assert rho == brute_robustness(f, sig.states, sig.dt, k, FNS)
             if rho != 0:
                 assert sat == (rho > 0)
+
+
+def _untimed_formulas():
+    """Predicates and literals under negations and nested F/G whose windows
+    run to the end of the signal, with a lower bound of 0 to 2."""
+    start = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Not, children),
+            st.builds(lambda child, a: Eventually(child, a, math.inf), children, start),
+            st.builds(lambda child, a: Always(child, a, math.inf), children, start),
+        )
+
+    leaves = st.sampled_from([Predicate("p"), Predicate("q"), Literal(True), Literal(False)])
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+# zeros of both signs twice as likely as 1 or -1, so that ties are common
+_signed_zeros = st.one_of(st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+
+
+@_PROPERTY
+@given(
+    f=_untimed_formulas(),
+    rows=st.lists(st.tuples(_signed_zeros, _signed_zeros), min_size=1, max_size=12),
+    dt=st.sampled_from([0.5, 1.0]),
+)
+def test_untimed_eventually_and_always_bit_equal_to_brute_force(f, rows, dt):
+    # The brute force takes the first of tied values (Python's max and min), and
+    # the running max of an untimed F or G returns the same one, so 0.0 and
+    # -0.0 come out alike.  (Or, And and bounded windows use numpy's maximum,
+    # which returns the second operand on a tie; they agree with the brute
+    # force in value, which the sweeps above check, not in the sign of a zero.)
+    fns = {"p": lambda s: s[..., 0], "q": lambda s: s[..., 1]}
+    table = PredicateTable(fns)
+    sig = Signal(np.array(rows), dt=dt)
+    for k in range(len(sig)):
+        rho = robustness(f, sig, k, table)
+        want = brute_robustness(f, sig.states, dt, k, fns)
+        assert np.float64(rho).view(np.int64) == np.float64(want).view(np.int64), k
+        assert satisfies(f, sig, k, table) == brute_satisfies(f, sig.states, dt, k, fns), k
+
+
+def test_untimed_eventually_and_always_keep_the_first_of_tied_zeros():
+    table = PredicateTable({"p": lambda s: s[..., 0]})
+    for column, first in (([0.0, -0.0], 0.0), ([-0.0, 0.0], -0.0), ([-1.0, -0.0, 0.0, -2.0], -0.0)):
+        sig = Signal(np.array(column)[:, None], dt=1.0)
+        for text in ("F[0,inf] p", "!G(!p)", "!G[0,inf] !p"):
+            rho = robustness(parse_formula(text), sig, 0, table)
+            assert (rho, math.copysign(1.0, rho)) == (first, math.copysign(1.0, first)), (text, column)
+        rho = robustness(parse_formula("G(p)"), Signal(-sig.states, dt=1.0), 0, table)
+        assert math.copysign(1.0, rho) == -math.copysign(1.0, first)
