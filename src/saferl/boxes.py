@@ -100,6 +100,10 @@ class IntervalBox:
             self.upper, other.upper
         )
 
+    def __hash__(self) -> int:
+        # over Python floats, which hash -0.0 and 0.0 alike, as __eq__ equates them
+        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist())))
+
     def __repr__(self) -> str:
         axes = " x ".join(
             f"[{lo:g}, {up:g}]" for lo, up in zip(self.lower, self.upper)

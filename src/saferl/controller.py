@@ -83,12 +83,17 @@ class SafeController:
         return self._evading
 
     def __call__(self, robot, obstacle) -> tuple[float, float]:
+        """The control for one step.  The projected gap (:func:`mindistance`)
+        decides the mode only while the obstacle is ahead, so it is
+        computed only then; an obstacle behind ends any evasion."""
         task, cfg = self.task, self.cfg
-        gap = mindistance(robot, obstacle, task.dt, task.lookahead)
-        ahead = infront(robot, obstacle)
-        if ahead and gap <= task.danger_radius:
-            self._evading = True
-        elif self._evading and not (ahead and gap <= task.danger_radius + cfg.exit_margin):
+        if infront(robot, obstacle):
+            gap = mindistance(robot, obstacle, task.dt, task.lookahead)
+            if gap <= task.danger_radius:
+                self._evading = True
+            elif self._evading and not gap <= task.danger_radius + cfg.exit_margin:
+                self._evading = False
+        else:
             self._evading = False
 
         if self._evading:

@@ -202,7 +202,8 @@ def mindistance(r: RobotState, o: ObstacleState, dt: float, lookahead: float) ->
     ts = _time_grid(dt, lookahead)
     vx = math.cos(r.theta) * r.v - math.cos(o.theta) * o.v
     vy = math.sin(r.theta) * r.v - math.sin(o.theta) * o.v
-    return float(np.hypot((r.x - o.x) + ts * vx, (r.y - o.y) + ts * vy).min())
+    # np.minimum.reduce is .min() without its Python wrapper
+    return float(np.minimum.reduce(np.hypot((r.x - o.x) + ts * vx, (r.y - o.y) + ts * vy)))
 
 
 def infront_margin(r: RobotState, o: ObstacleState) -> float:
@@ -708,8 +709,10 @@ class EvasionEnv:
     def _context(self) -> tuple[float, float]:
         return self._clamp(self._controller(self._robot, self._obstacle))
 
-    def _advance(self, applied, u_safe) -> None:
-        """Record the step's row (encounter columns NaN until :meth:`trace`)."""
+    def _advance(self, applied, u_safe) -> float:
+        """Record the step's row (encounter columns NaN until :meth:`trace`),
+        step the robot and the obstacle, and return the robot's new distance
+        to the goal."""
         cfg = self.cfg
         r, o = self._robot, self._obstacle
         self._rows[self._k] = (
@@ -723,10 +726,12 @@ class EvasionEnv:
         self._obstacle = unicycle_step(o, (o.v, 0.0), cfg.dt)
         self._k += 1
         gx, gy = cfg.goal
-        if math.hypot(self._robot.x - gx, self._robot.y - gy) <= cfg.goal_radius:
+        distance = math.hypot(self._robot.x - gx, self._robot.y - gy)
+        if distance <= cfg.goal_radius:
             self._done, self._termination = True, "goal"
         elif self._k >= cfg.k_max:
             self._done, self._termination = True, "horizon"
+        return distance
 
     def _check_mask(self, applied, u_safe, step: int | None = None) -> None:
         """Count and raise a :class:`ContainmentViolation` at ``step`` (by
@@ -780,7 +785,14 @@ class EvasionEnv:
         """Map ``raw_action`` (clipped to [-1, 1]^2) into the action box around
         the safe control, apply it and return ``(observation, reward, done,
         info)``.  A NaN raw action raises ``ValueError`` before anything is
-        mapped or applied; it is not a containment violation."""
+        mapped or applied; it is not a containment violation.
+
+        Each step takes one :func:`unicycle_step` of the robot and one of the
+        obstacle (:meth:`_advance`).  The :func:`reward` takes no step of its
+        own: its applied step is the robot's step, whose distance to the goal
+        :meth:`_advance` returns, and of its counterfactual safe step only x
+        and y are computed, as :func:`unicycle_step` computes them.
+        """
         if self._done:
             raise RuntimeError("episode finished; call reset() first")
         if self._mask is None:
@@ -802,12 +814,16 @@ class EvasionEnv:
         d0, d1 = applied[0] - u0, applied[1] - u1
         if not (in_lo0 <= d0 <= in_hi0 and in_lo1 <= d1 <= in_hi1):
             self._check_mask(applied, u_safe)
-        step_reward = reward(self._robot, applied, u_safe, self.cfg)
         # action_diff = norm((applied - u_safe - center) / half) / sqrt(dim);
         # the norm is numpy's 2-element dot (see _closest_on_path)
         q = np.array(((d0 - c0) / h0, (d1 - c1) / h1))
         action_diff = math.sqrt(q.dot(q)) / root_dim
-        self._advance(applied, u_safe)
+        # reward(): the safe step's offset from the goal (x and y as
+        # unicycle_step moves them), its distance minus the applied step's
+        r, cfg = self._robot, self.cfg
+        safe_x = r.x + u0 * math.cos(r.theta) * cfg.dt - cfg.goal[0]
+        safe_y = r.y + u0 * math.sin(r.theta) * cfg.dt - cfg.goal[1]
+        step_reward = cfg.r_diff * (math.hypot(safe_x, safe_y) - self._advance(applied, u_safe))
         info = {
             "action_diff": action_diff,
             "termination": self._termination,

@@ -110,7 +110,7 @@ def net_backward(
             np.subtract(1.0, dz, out=dz)
             dz *= dh
         np.matmul(cache[i].T, dz, out=grads[2 * i])
-        dz.sum(axis=0, out=grads[2 * i + 1])
+        np.add.reduce(dz, axis=0, out=grads[2 * i + 1])  # dz.sum(axis=0), unwrapped
         dh = dz @ net.weights[i].T if i or input_grad else None
     return grads, dh
 

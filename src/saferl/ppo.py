@@ -27,7 +27,7 @@ import numpy as np
 
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
-from .evasion import _observe_rows, observe, require_zero_offset, sample_obstacle
+from .evasion import _clamp_rows, _observe_rows, observe, require_zero_offset, sample_obstacle
 from .mlp import (
     Adam,
     DenseNet,
@@ -192,20 +192,32 @@ def _float_mask(box: IntervalBox) -> Callable:
 
 
 def _clipped_log_std(params: PolicyParams, cfg: PpoConfig) -> np.ndarray:
-    return params.log_std.clip(cfg.log_std_min, cfg.log_std_max)
+    # np.clip's values, ties and NaNs included, without its Python wrapper
+    return _clamp_rows(params.log_std, cfg.log_std_min, cfg.log_std_max)
 
 
 def _log_prob_of_z(mean, log_std, z) -> np.ndarray:
     """Log density of tanh(z) under the squashed Gaussian, per batch row."""
     zn = (z - mean) / np.exp(log_std)
-    return _squashed_log_prob(zn * zn, log_std, z)
+    return _squashed_log_prob(zn * zn, log_std, _squash_correction(z))
 
 
-def _squashed_log_prob(zn2, log_std, z) -> np.ndarray:
+def _squash_correction(z) -> np.ndarray:
+    """The tanh density correction ``sum(log(1 - tanh(z)**2 + eps))`` of
+    each row of pre-squash draws ``z``; it depends on nothing else."""
+    return np.add.reduce(np.log(1.0 - np.tanh(z) ** 2 + _SQUASH_EPS), axis=-1)
+
+
+def _squashed_log_prob(zn2, log_std, correction) -> np.ndarray:
     """:func:`_log_prob_of_z` from the squared standardized draw
-    ``zn2 = ((z - mean) / exp(log_std)) ** 2``."""
-    gauss = -0.5 * np.sum(zn2, axis=-1) - np.sum(log_std) - 0.5 * z.shape[-1] * _LOG_2PI
-    correction = np.sum(np.log(1.0 - np.tanh(z) ** 2 + _SQUASH_EPS), axis=-1)
+    ``zn2 = ((z - mean) / exp(log_std)) ** 2`` and the draws'
+    :func:`_squash_correction`.  ``np.add.reduce`` is ``np.sum`` without
+    its Python wrapper."""
+    gauss = (
+        -0.5 * np.add.reduce(zn2, axis=-1)
+        - np.add.reduce(log_std)
+        - 0.5 * zn2.shape[-1] * _LOG_2PI
+    )
     return gauss - correction
 
 
@@ -310,28 +322,29 @@ def gae_advantages(rewards, values, dones, gamma, lam, bootstrap_value):
     ``dones[t]`` marks transitions whose action ended the episode, so the
     recursion never leaks value across episode boundaries; a truncated tail
     is bootstrapped with ``bootstrap_value``.  Returns (advantages,
-    returns) with ``returns = advantages + values``.
+    returns) with ``returns = advantages + values``.  The recursion runs on
+    Python floats, whose arithmetic is that of numpy's float64 scalars.
     """
-    rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
-    dones = np.asarray(dones, dtype=float)
-    T = rewards.shape[0]
-    advantages = np.zeros(T)
-    last = 0.0
-    for t in range(T - 1, -1, -1):
-        nonterminal = 1.0 - dones[t]
-        next_value = bootstrap_value if t == T - 1 else values[t + 1]
-        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
-        last = delta + gamma * lam * nonterminal * last
+    r, v = np.asarray(rewards, dtype=float).tolist(), values.tolist()
+    nonterminal = (1.0 - np.asarray(dones, dtype=float)).tolist()
+    advantages = [0.0] * len(r)
+    last, next_value = 0.0, bootstrap_value
+    for t in range(len(r) - 1, -1, -1):
+        delta = r[t] + gamma * next_value * nonterminal[t] - v[t]
+        last = delta + gamma * lam * nonterminal[t] * last
         advantages[t] = last
+        next_value = v[t]
+    advantages = np.array(advantages)
     return advantages, advantages + values
 
 
 class RolloutBuffer:
     """Fixed-size on-policy storage for one update window.
 
-    :meth:`add` stores the per-step fields; the window's log probs and
-    values are filled once the window is full (see :func:`_collect_window`).
+    :meth:`add` stores one step's fields.  :func:`_collect_window` writes a
+    window's columns directly and marks the buffer full; it fills the log
+    probs and values once the window is complete.
     """
 
     def __init__(self, n_steps: int, obs_dim: int, act_dim: int):
@@ -369,9 +382,6 @@ class RolloutBuffer:
             self.reward, self.value, self.done, gamma, lam, bootstrap_value
         )
 
-    def reset(self) -> None:
-        self.ptr = 0
-
 
 # ---------------------------------------------------------------------------
 # Loss and update
@@ -380,12 +390,17 @@ class RolloutBuffer:
 _STATS = ("loss", "policy_loss", "value_loss", "entropy", "approx_kl", "clip_fraction")
 
 
-def _loss_and_grads(params: PolicyParams, obs, z, logp_old, adv, ret, cfg: PpoConfig, grads):
-    """The objective of one minibatch and its exact gradients.
+def _loss_and_grads(
+    params: PolicyParams, obs, z, correction, logp_old, adv, ret, cfg: PpoConfig, grads
+):
+    """The objective of one minibatch and its exact gradients, given the
+    draws' :func:`_squash_correction`.
 
     The gradients are written into ``grads``, arrays ordered like
     ``param_list()``; the values of :data:`_STATS` are returned in order.
     The backward passes overwrite the forward caches (:func:`net_backward`).
+    Means are ``np.add.reduce(x) / B`` and clips :func:`_clamp_rows`: the
+    values of ``np.mean`` and ``np.clip`` without their Python wrappers.
     """
     B = obs.shape[0]
     n_policy = 2 * len(params.policy.weights)
@@ -396,18 +411,18 @@ def _loss_and_grads(params: PolicyParams, obs, z, logp_old, adv, ret, cfg: PpoCo
     std = np.exp(log_std)
     zn = (z - mean) / std
     zn2 = zn * zn
-    log_ratio = _squashed_log_prob(zn2, log_std, z) - logp_old
+    log_ratio = _squashed_log_prob(zn2, log_std, correction) - logp_old
     ratio = np.exp(log_ratio)
 
     unclipped = ratio * adv
-    clipped = np.clip(ratio, lo, hi) * adv
-    policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
+    clipped = _clamp_rows(ratio, lo, hi) * adv
+    policy_loss = -float(np.add.reduce(np.minimum(unclipped, clipped)) / B)
 
     v, cache_v = net_forward(params.value, obs)
     v_err = v[:, 0] - ret
-    value_loss = float(np.mean(v_err**2))
+    value_loss = float(np.add.reduce(v_err**2) / B)
 
-    entropy = float(np.sum(log_std + 0.5 * (1.0 + _LOG_2PI)))
+    entropy = float(np.add.reduce(log_std + 0.5 * (1.0 + _LOG_2PI)))
     total = policy_loss + cfg.vf_coef * value_loss - cfg.ent_coef * entropy
 
     # d(-mean(min))/d ratio: unclipped branch passes adv through; the clipped
@@ -417,7 +432,7 @@ def _loss_and_grads(params: PolicyParams, obs, z, logp_old, adv, ret, cfg: PpoCo
     dlogp = (-dsurr_dratio / B) * ratio
 
     dmean = dlogp[:, None] * zn / std
-    dls = (dlogp[:, None] * (zn2 - 1.0)).sum(axis=0)
+    dls = np.add.reduce(dlogp[:, None] * (zn2 - 1.0), axis=0)
     dls -= cfg.ent_coef  # entropy bonus, per dimension
     ls_inside = (params.log_std > cfg.log_std_min) & (params.log_std < cfg.log_std_max)
     np.multiply(dls, ls_inside, out=grads[n_policy])
@@ -426,8 +441,9 @@ def _loss_and_grads(params: PolicyParams, obs, z, logp_old, adv, ret, cfg: PpoCo
     dv = (2.0 * cfg.vf_coef / B) * v_err
     net_backward(params.value, cache_v, dv[:, None], out=grads[n_policy + 1 :], input_grad=False)
 
-    approx_kl = float(np.mean(ratio - 1.0 - log_ratio))
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
+    approx_kl = float(np.add.reduce(ratio - 1.0 - log_ratio) / B)
+    # the mean of a Boolean array: its exact count over B, rounded once
+    clip_fraction = float(np.count_nonzero(np.abs(ratio - 1.0) > cfg.clip_range) / B)
     return total, policy_loss, value_loss, entropy, approx_kl, clip_fraction
 
 
@@ -448,6 +464,7 @@ def ppo_loss_and_grads(params: PolicyParams, batch: dict, cfg: PpoConfig, out=No
         params,
         batch["obs"],
         batch["z"],
+        _squash_correction(batch["z"]),
         batch["logp"],
         batch["advantages"],
         batch["returns"],
@@ -466,45 +483,61 @@ def ppo_update(
 ) -> dict:
     """Run the configured epochs of minibatch steps over a full buffer.
 
-    Each epoch gathers the buffer's columns once, in the order of a fresh
-    permutation, and takes its minibatches as contiguous slices of them.
-    Advantages are normalized per minibatch.  The gradient is clipped to
+    Once per update (one window) the draws' :func:`_squash_correction`
+    becomes one more column of the buffer.  Each epoch gathers the columns
+    once, in the order of a fresh permutation, normalizes the advantages of
+    every minibatch at once (:func:`_normalize_rows`) and takes its
+    minibatches as contiguous slices.  The gradient is clipped to
     ``max_grad_norm`` in global 2-norm, each array's sum of squares running
     in row-major order whatever its memory order, before one Adam step on
     the flat parameters.  Raises on a non-finite loss.  Returns the mean of
     each loss statistic over the minibatches.
     """
     n, size = buffer.n_steps, cfg.minibatch_size
-    columns = (buffer.obs, buffer.z, buffer.logp, buffer.advantages, buffer.returns)
+    whole = n - n % size  # the rows of the full minibatches
+    columns = (buffer.obs, buffer.z, _squash_correction(buffer.z), buffer.logp)
+    columns += (buffer.advantages, buffer.returns)  # in _loss_and_grads' order
     shuffled = [np.empty_like(column) for column in columns]
-    obs, z, logp, advantages, returns = shuffled
+    advantages = shuffled[4]
     grad_flat = np.empty_like(params.flat)
     grads = params.views(grad_flat)
     squares = np.empty_like(params.flat)
-    square_views = params.views(squares)
+    # Each array's squares in row-major order: a 1-D view, taken here, of a
+    # C-ordered array; a column-major one is copied by ravel() at each step.
+    square_rows = [s.ravel() if s.flags.c_contiguous else s for s in params.views(squares)]
     sums = [0.0] * len(_STATS)
     count = 0
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for column, out in zip(columns, shuffled):
             np.take(column, order, axis=0, out=out)
+        _normalize_rows(advantages[:whole].reshape(-1, size))
+        _normalize_rows(advantages[whole:].reshape(1, -1))
         for lo in range(0, n, size):
-            hi = lo + size
-            adv = advantages[lo:hi]
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-            stats = _loss_and_grads(
-                params, obs[lo:hi], z[lo:hi], logp[lo:hi], adv, returns[lo:hi], cfg, grads
-            )
+            stats = _loss_and_grads(params, *(c[lo : lo + size] for c in shuffled), cfg, grads)
             if not math.isfinite(stats[0]):
                 raise RuntimeError(f"non-finite loss during update: {dict(zip(_STATS, stats))}")
             np.multiply(grad_flat, grad_flat, out=squares)
-            norm = float(np.sqrt(sum(float(s.ravel().sum()) for s in square_views)))
+            norm = math.sqrt(
+                sum(float(np.add.reduce(s if s.ndim == 1 else s.ravel())) for s in square_rows)
+            )
             if cfg.max_grad_norm > 0 and norm > cfg.max_grad_norm:
                 grad_flat *= cfg.max_grad_norm / norm
             adam.step(params.flat, grad_flat)
             sums = [total + value for total, value in zip(sums, stats)]
             count += 1
     return {key: total / count for key, total in zip(_STATS, sums)}
+
+
+def _normalize_rows(block: np.ndarray) -> None:
+    """Standardize each row of the 2-D ``block`` in place, ``(x - mean) /
+    (std + 1e-8)``.  A row's axis-1 mean and std equal those of the row
+    alone (``adv.mean()``, ``adv.std()``) bit for bit."""
+    if block.size:
+        mean = block.mean(axis=1, keepdims=True)
+        std = block.std(axis=1, keepdims=True)
+        block -= mean
+        block /= std + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -524,36 +557,42 @@ def _collect_window(
 ):
     """Fill ``buffer`` with one update window of steps from ``obs``.
 
-    The clipped log stds and the window's normal draws, one
-    ``(n_steps, act_dim)`` block from ``sample_rng``, are fixed before the
-    first step; each step then runs one batch-1 policy forward, draws
-    ``z = mean + std * noise`` and steps ``env`` with ``tanh(z)``, resetting
-    it from ``env_rng`` when an episode ends.  The log probs
-    (:func:`_log_prob_of_z`) and values (:func:`_window_values`) of the
-    whole window follow its last step.  Returns the next observation, the
-    return of the episode still running and the returns of the episodes
-    finished in the window.
+    Once per window, before the first step: the clipped log stds and the
+    window's normal draws, one ``(n_steps, act_dim)`` block from
+    ``sample_rng``, times the stds.  Each step then writes its observation
+    into the buffer, runs one batch-1 policy forward, adds its scaled draw
+    to the mean into the buffer's ``z``, checks the draw with
+    ``math.isfinite`` and steps ``env`` with ``tanh(z)``, resetting it from
+    ``env_rng`` when an episode ends.  After the last step: the rewards,
+    done flags and action differences go into the buffer in one assignment
+    each, and the log probs (:func:`_log_prob_of_z`) and values
+    (:func:`_window_values`) of the whole window are computed.  Returns the
+    next observation, the return of the episode still running and the
+    returns of the episodes finished in the window.
     """
+    n = buffer.n_steps
     log_std = _clipped_log_std(params, cfg)
-    std = np.exp(log_std)
-    noise = sample_rng.standard_normal(buffer.z.shape)
+    scaled_noise = np.exp(log_std) * sample_rng.standard_normal(buffer.z.shape)
     means = np.empty_like(buffer.z)
+    rewards, dones, action_diffs = [0.0] * n, [False] * n, [0.0] * n
     finished: list[float] = []
-    buffer.reset()
-    for t in range(buffer.n_steps):
-        mean = net_forward(params.policy, obs)[0][0]
-        z = mean + std * noise[t]
-        if not np.isfinite(z).all():
+    for t in range(n):
+        buffer.obs[t] = obs
+        means[t] = mean = net_forward(params.policy, obs)[0][0]
+        z = np.add(mean, scaled_noise[t], out=buffer.z[t])
+        if not all(map(math.isfinite, z.tolist())):
             raise RuntimeError(f"non-finite policy output: mean={mean}, log_std={log_std}")
-        next_obs, step_reward, done, info = env.step_raw(np.tanh(z))
-        means[t] = mean
-        buffer.add(obs, z, step_reward, done, info["action_diff"])
-        episode_return += step_reward
-        if done:
+        obs, rewards[t], dones[t], info = env.step_raw(np.tanh(z))
+        action_diffs[t] = info["action_diff"]
+        episode_return += rewards[t]
+        if dones[t]:
             finished.append(episode_return)
             episode_return = 0.0
-            next_obs = env.reset_random(env_rng)
-        obs = next_obs
+            obs = env.reset_random(env_rng)
+    buffer.reward[:] = rewards
+    buffer.done[:] = dones
+    buffer.action_diff[:] = action_diffs
+    buffer.ptr = n
     buffer.logp[:] = _log_prob_of_z(means, log_std, buffer.z)
     buffer.value[:] = _window_values(params, buffer.obs)
     return obs, episode_return, finished
@@ -717,7 +756,7 @@ def load_policy(path) -> tuple[PolicyParams, dict]:
         raise PolicyLoadError(f"truncated policy header in {path}") from exc
     arrays = []
     for dims in shapes:
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # exact: np.prod wraps past int64
         nbytes = 8 * count
         if offset + nbytes > len(view):
             raise PolicyLoadError(f"truncated policy payload in {path}")

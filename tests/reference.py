@@ -70,6 +70,24 @@ def contains_box(outer, inner, tol: float = 0.0) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def gae_advantages_ref(rewards, values, dones, gamma, lam, bootstrap_value):
+    """The advantage recursion on numpy float64 scalars, indexing the arrays
+    at each step."""
+    rewards = np.asarray(rewards, dtype=float)
+    values = np.asarray(values, dtype=float)
+    dones = np.asarray(dones, dtype=float)
+    T = rewards.shape[0]
+    advantages = np.zeros(T)
+    last = 0.0
+    for t in range(T - 1, -1, -1):
+        nonterminal = 1.0 - dones[t]
+        next_value = bootstrap_value if t == T - 1 else values[t + 1]
+        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
+        last = delta + gamma * lam * nonterminal * last
+        advantages[t] = last
+    return advantages, advantages + values
+
+
 def log_prob_of_z_ref(mean, log_std, z):
     std = np.exp(log_std)
     zn = (z - mean) / std

@@ -97,3 +97,34 @@ def test_dict_roundtrip_and_immutability():
     assert IntervalBox.from_dict(box.to_dict()) == box
     with pytest.raises(ValueError):
         box.lower[0] = 5.0
+
+
+def test_equal_boxes_hash_alike():
+    box = IntervalBox([-0.0, -1.0], [0.0, 2.0])
+    same = IntervalBox(np.array([0.0, -1.0]), [-0.0, 2.0])  # signed zeros swapped
+    assert box == same and hash(box) == hash(same)
+    assert len({box, same, IntervalBox([-0.0, -1.0], [0.0, 2.0])}) == 1
+    assert IntervalBox([0.0], [1.0]) not in {box}
+
+
+def test_task_config_is_a_dict_and_cache_key():
+    import functools
+    from dataclasses import replace
+
+    from saferl.evasion import TaskConfig
+
+    a, b = TaskConfig(), TaskConfig(arena=IntervalBox([-1.6, -1.0], [1.6, 1.0]))
+    assert a == b and hash(a) == hash(b)
+    table = {a: "first"}
+    table[b] = "second"
+    assert table == {a: "second"}
+    calls = []
+
+    @functools.lru_cache(maxsize=4)
+    def cached(cfg):
+        calls.append(cfg)
+        return cfg.k_max
+
+    assert cached(a) == cached(b) == 300
+    assert cached(replace(a, k_max=10)) == 10
+    assert len(calls) == 2

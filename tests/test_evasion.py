@@ -790,13 +790,23 @@ def test_safe_controller_bit_equal_to_array_reference(cfg):
     ctl, ref = SafeController(cfg), SafeController(cfg)
     rng = np.random.default_rng(607)
     tracked = 0
+    # states the shipped controller decides without computing the gap (the
+    # obstacle behind an evading robot), and evading states the exit margin
+    # keeps evading (gap in (R, R + exit_margin])
+    evading_behind = evading_in_margin = 0
     for robot, obstacle, _ in random_step_states(cfg, rng, 10_000):
         ctl._evading = ref._evading = bool(rng.random() < 0.3)
+        if ctl.evading and not infront(robot, obstacle):
+            evading_behind += 1
+        elif ctl.evading:
+            gap = mindistance(robot, obstacle, cfg.dt, cfg.lookahead)
+            evading_in_margin += cfg.danger_radius < gap <= cfg.danger_radius + ctl.cfg.exit_margin
         got, want = ctl(robot, obstacle), safe_call_ref(ref, robot, obstacle)
         assert np.array_equal(bits(got), bits(want)), (robot, obstacle)
         assert ctl.evading == ref.evading
         tracked += not ctl.evading
     assert tracked > 5_000
+    assert evading_behind >= 200 and evading_in_margin >= 10
     # the robot exactly at the goal: no direction to the target, the path heading
     goal = RobotState(cfg.goal[0], cfg.goal[1], 0.3, 0.1)
     far = ObstacleState(cfg.goal[0] + 5.0, cfg.goal[1], 0.0, 0.0)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from reference import (
     clip_by_global_norm,
     flatten_arrays,
+    gae_advantages_ref,
     log_prob_of_z_ref,
     policy_sample,
     ppo_update_ref,
@@ -38,7 +41,7 @@ from saferl.ppo import (
     train,
     value_estimate,
 )
-from saferl.ppo import _float_mask, _log_prob_of_z
+from saferl.ppo import _clipped_log_std, _float_mask, _log_prob_of_z
 from saferl.evasion import LOCKSTEP_MIN_ROWS, sample_obstacle
 from saferl.ppo import _VALUE_CHUNK, PolicyParams, _collect_window, _window_values
 from test_evasion import bits, near_encounters
@@ -260,6 +263,24 @@ def test_gae_equals_per_episode_lambda_return(steps, gamma, lam, bootstrap_value
     want = lambda_returns(rewards, values, dones, gamma, lam, bootstrap_value)
     assert np.allclose(ret, want, rtol=1e-9, atol=1e-9)
     assert np.allclose(adv, want - np.array(values), rtol=1e-9, atol=1e-9)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.booleans()), max_size=40
+    ),
+    gamma=_unit,
+    lam=_unit,
+    bootstrap_value=st.floats(-1e3, 1e3),
+)
+def test_gae_bit_equal_to_numpy_scalar_reference(steps, gamma, lam, bootstrap_value):
+    rewards, values, dones = (list(col) for col in zip(*steps)) if steps else ([], [], [])
+    got = gae_advantages(np.array(rewards), np.array(values), dones, gamma, lam, bootstrap_value)
+    want = gae_advantages_ref(rewards, values, dones, gamma, lam, bootstrap_value)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape == (len(steps),)
+        assert np.array_equal(bits(g), bits(w))
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +670,19 @@ def test_policy_load_errors(tmp_path):
         load_policy(tmp_path / "missing.bin")
 
 
+def test_policy_load_rejects_dims_whose_product_overflows_int64(tmp_path):
+    # (2**32 - 1)**2 elements: np.prod wraps it to a negative count
+    params = init_policy(3, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
+    path = tmp_path / "p.bin"
+    save_policy(params, path)
+    raw = bytearray(path.read_bytes())
+    assert raw[12:24] == struct.pack("<III", 2, 3, 4)  # the first array's header
+    raw[16:24] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(PolicyLoadError, match="truncated policy payload in " + re.escape(str(path))):
+        load_policy(path)
+
+
 def test_policy_load_rejects_a_sidecar_of_another_binary(tmp_path):
     small = init_policy(7, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
     large = init_policy(7, 2, PpoConfig(hidden=(8,)), np.random.default_rng(0))
@@ -814,6 +848,50 @@ def test_window_rollout_refuses_a_nan_policy_before_stepping(monkeypatch):
     with pytest.raises(RuntimeError, match="non-finite policy output"):
         _collect_window(params, env, buffer, env.reset_random(rng), 0.0, PpoConfig(), rng, rng)
     assert not calls
+
+
+def test_clipped_log_std_bit_equal_to_np_clip():
+    values = [-math.inf, -7.0, -5.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf, math.nan]
+    params = init_policy(3, len(values), PpoConfig(hidden=(4,)), np.random.default_rng(0))
+    params.log_std[...] = values
+    for lo, hi in [(-5.0, 1.0), (0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0), (0.5, 0.5)]:
+        got = _clipped_log_std(params, PpoConfig(log_std_min=lo, log_std_max=hi))
+        assert np.array_equal(bits(got), bits(np.clip(values, lo, hi))), (lo, hi)
+
+
+def test_window_rollout_computes_the_gap_only_with_the_obstacle_ahead(monkeypatch):
+    from saferl import controller
+
+    events = []
+    infront, mindistance = controller.infront, controller.mindistance
+
+    def infront_spy(robot, obstacle):
+        ahead = infront(robot, obstacle)
+        events.append(("infront", robot, obstacle, ahead))
+        return ahead
+
+    def mindistance_spy(robot, obstacle, dt, lookahead):
+        events.append(("mindistance", robot, obstacle))
+        return mindistance(robot, obstacle, dt, lookahead)
+
+    monkeypatch.setattr(controller, "infront", infront_spy)
+    monkeypatch.setattr(controller, "mindistance", mindistance_spy)
+    params = init_policy(7, 2, PpoConfig(hidden=(8,)), np.random.default_rng(0))
+    env = make_env_factory()()
+    rng = np.random.default_rng(5)
+    buffer = RolloutBuffer(1024, 7, 2)
+    _collect_window(params, env, buffer, env.reset_random(rng), 0.0, PpoConfig(), rng, rng)
+    steps = [e for e in events if e[0] == "infront"]  # one safe-controller call per step
+    assert len(steps) == buffer.n_steps
+    want = []
+    for _, robot, obstacle, ahead in steps:
+        want.append(("infront", robot, obstacle, ahead))
+        if ahead:
+            want.append(("mindistance", robot, obstacle))
+    assert events == want
+    behind = sum(not ahead for *_, ahead in steps)
+    assert 50 <= behind <= buffer.n_steps - 500
+    assert buffer.done.sum() >= 2
 
 
 def rebuilt(params, copy):
