@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -45,7 +46,6 @@ __all__ = [
     "delta_theta",
     "perform",
     "episode_robustness",
-    "reward",
     "observe",
     "require_zero_offset",
     "sample_obstacle",
@@ -399,20 +399,6 @@ def observe(robot: RobotState, obstacle: ObstacleState, cfg: TaskConfig) -> np.n
     )
 
 
-def reward(
-    prev_robot: RobotState, action, safe_action, cfg: TaskConfig
-) -> float:
-    """Scaled one-step advantage of ``action`` over the safe command: the
-    difference of next-step distances to the goal, counterfactual safe step
-    minus actual step, times ``r_diff``."""
-    goal = cfg.goal
-    actual = unicycle_step(prev_robot, action, cfg.dt)
-    ref = unicycle_step(prev_robot, safe_action, cfg.dt)
-    d_actual = math.hypot(actual.x - goal[0], actual.y - goal[1])
-    d_ref = math.hypot(ref.x - goal[0], ref.y - goal[1])
-    return cfg.r_diff * (d_ref - d_actual)
-
-
 def perform(final_pos, initial_pos, goal, k: int, k_max: int) -> float:
     """Episode score for a safe trace: clamped fractional progress toward the
     goal plus the unused share of the time budget.  Lies in [0, 2)."""
@@ -635,17 +621,15 @@ LOCKSTEP_MIN_ROWS = 8
 
 
 class EvasionEnv:
-    """Closed-loop episode runner.
+    """The masked learning environment.
 
-    Two modes share one step implementation: :meth:`run_episode` drives the
-    provided controller (optionally with an additive per-step perturbation
-    stream), while :meth:`reset`/:meth:`step_raw` expose the learning
-    interface where a raw action in [-1, 1]^2 is mapped affinely into the
-    action box around the controller output, and :meth:`returns` plays
-    whole episodes of it under a fixed policy, many at once.  Every applied
-    control is checked against that box; a violation is counted and raises
-    :class:`ContainmentViolation` at that step.  A step records one trace row
-    and evaluates no monitor predicate; :func:`safety_predicates` does that.
+    :meth:`reset`/:meth:`step_raw` play one episode, where a raw action in
+    [-1, 1]^2 is mapped affinely into the action box ``mask`` around the
+    controller output, and :meth:`returns` plays whole episodes of it under
+    a fixed policy, many at once.  Every applied control is checked against
+    that box; a violation is counted and raises
+    :class:`ContainmentViolation` at that step.  The traces that the
+    monitor scores come from :meth:`EvasionSource.rollout_batch`.
 
     The per-step arithmetic runs on Python floats; it repeats, operation for
     operation, the IEEE arithmetic of the array expressions given in the
@@ -656,36 +640,31 @@ class EvasionEnv:
         self,
         cfg: TaskConfig,
         controller_factory: Callable[[], Callable],
-        mask: IntervalBox | None = None,
+        mask: IntervalBox,
     ):
-        if mask is not None:
-            require_zero_offset(mask)
+        require_zero_offset(mask)
         self.cfg = cfg
         self.controller_factory = controller_factory
         self.mask = mask
         self.theta_path = path_heading(cfg.start, cfg.goal)
         self.containment_violations = 0
-        self._rows: np.ndarray | None = None
         self._robot: RobotState | None = None
         self._obstacle: ObstacleState | None = None
         self._controller = None
         self._k = 0
         self._done = True
-        self._termination = ""
 
     @property
-    def mask(self) -> IntervalBox | None:
+    def mask(self) -> IntervalBox:
         return self._mask
 
     @mask.setter
-    def mask(self, box: IntervalBox | None) -> None:
+    def mask(self, box: IntervalBox) -> None:
         """Install the action box and the per-axis floats that
         :meth:`step_raw` and :meth:`returns` read: lower bound, width,
         containment bounds with the 1e-9 tolerance, center and half-width of
         the normalised offset."""
         self._mask = box
-        if box is None:
-            return
         if box.dim != 2:
             raise ValueError(f"action mask box must be 2-D (speed, turn rate), got {box!r}")
         widths = box.widths
@@ -699,39 +678,10 @@ class EvasionEnv:
             math.sqrt(box.dim),
         )
 
-    # -- shared machinery -------------------------------------------------
-
     def _clamp(self, control) -> tuple[float, float]:
         v = min(max(float(control[0]), self.cfg.v_min), self.cfg.v_max)
         w = min(max(float(control[1]), -self.cfg.omega_max), self.cfg.omega_max)
         return v, w
-
-    def _context(self) -> tuple[float, float]:
-        return self._clamp(self._controller(self._robot, self._obstacle))
-
-    def _advance(self, applied, u_safe) -> float:
-        """Record the step's row (encounter columns NaN until :meth:`trace`),
-        step the robot and the obstacle, and return the robot's new distance
-        to the goal."""
-        cfg = self.cfg
-        r, o = self._robot, self._obstacle
-        self._rows[self._k] = (
-            r.x, r.y, r.theta, r.v,
-            o.x, o.y, o.theta, o.v,
-            applied[0], applied[1],
-            math.nan, math.nan,
-            u_safe[0], u_safe[1], math.nan,
-        )
-        self._robot = unicycle_step(r, applied, cfg.dt)
-        self._obstacle = unicycle_step(o, (o.v, 0.0), cfg.dt)
-        self._k += 1
-        gx, gy = cfg.goal
-        distance = math.hypot(self._robot.x - gx, self._robot.y - gy)
-        if distance <= cfg.goal_radius:
-            self._done, self._termination = True, "goal"
-        elif self._k >= cfg.k_max:
-            self._done, self._termination = True, "horizon"
-        return distance
 
     def _check_mask(self, applied, u_safe, step: int | None = None) -> None:
         """Count and raise a :class:`ContainmentViolation` at ``step`` (by
@@ -746,36 +696,14 @@ class EvasionEnv:
                 f"control {list(u_safe)} lies outside the action box {self.mask!r}"
             )
 
-    # -- controller-driven episodes ---------------------------------------
-
-    def run_episode(
-        self,
-        obstacle: ObstacleState,
-        perturb: Callable[[], np.ndarray] | None = None,
-    ) -> EpisodeTrace:
-        """Roll one full episode under the controller; ``perturb()`` is drawn
-        once per step and added to the controller output before clamping."""
-        self.reset(obstacle)
-        while not self._done:
-            u_safe = self._context()
-            if perturb is not None:
-                xi = perturb()
-                applied = self._clamp((u_safe[0] + float(xi[0]), u_safe[1] + float(xi[1])))
-            else:
-                applied = u_safe
-            self._advance(applied, u_safe)
-        return self.trace()
-
     # -- learning interface ------------------------------------------------
 
     def reset(self, obstacle: ObstacleState) -> np.ndarray:
         self._robot = RobotState(self.cfg.start[0], self.cfg.start[1], self.theta_path, 0.0)
         self._obstacle = obstacle
         self._controller = self.controller_factory()
-        self._rows = np.empty((self.cfg.k_max, _ROW_WIDTH))
         self._k = 0
         self._done = False
-        self._termination = ""
         return observe(self._robot, self._obstacle, self.cfg)
 
     def reset_random(self, rng: np.random.Generator) -> np.ndarray:
@@ -787,20 +715,19 @@ class EvasionEnv:
         info)``.  A NaN raw action raises ``ValueError`` before anything is
         mapped or applied; it is not a containment violation.
 
-        Each step takes one :func:`unicycle_step` of the robot and one of the
-        obstacle (:meth:`_advance`).  The :func:`reward` takes no step of its
-        own: its applied step is the robot's step, whose distance to the goal
-        :meth:`_advance` returns, and of its counterfactual safe step only x
-        and y are computed, as :func:`unicycle_step` computes them.
+        The reward is the scaled one-step advantage of the applied control
+        over the safe one: the counterfactual safe step's distance to the
+        goal minus the applied step's, times ``r_diff``.  Each step takes one
+        :func:`unicycle_step` of the robot and one of the obstacle; the
+        applied step is the robot's step, and of the safe step only x and y
+        are computed, as :func:`unicycle_step` computes them.
         """
         if self._done:
             raise RuntimeError("episode finished; call reset() first")
-        if self._mask is None:
-            raise RuntimeError("learning interface requires an action mask box")
         r0, r1 = np.asarray(raw_action, dtype=float).tolist()
         if math.isnan(r0) or math.isnan(r1):
             raise ValueError(f"step {self._k}: raw action {[r0, r1]} is not a number")
-        u_safe = self._context()
+        u_safe = self._clamp(self._controller(self._robot, self._obstacle))
         (lo0, lo1), (w0, w1), (in_lo0, in_lo1), (in_hi0, in_hi1), (c0, c1), (h0, h1), root_dim = (
             self._mask_floats
         )
@@ -818,19 +745,20 @@ class EvasionEnv:
         # the norm is numpy's 2-element dot (see _closest_on_path)
         q = np.array(((d0 - c0) / h0, (d1 - c1) / h1))
         action_diff = math.sqrt(q.dot(q)) / root_dim
-        # reward(): the safe step's offset from the goal (x and y as
+        # the reward: the safe step's offset from the goal (x and y as
         # unicycle_step moves them), its distance minus the applied step's
-        r, cfg = self._robot, self.cfg
-        safe_x = r.x + u0 * math.cos(r.theta) * cfg.dt - cfg.goal[0]
-        safe_y = r.y + u0 * math.sin(r.theta) * cfg.dt - cfg.goal[1]
-        step_reward = cfg.r_diff * (math.hypot(safe_x, safe_y) - self._advance(applied, u_safe))
-        info = {
-            "action_diff": action_diff,
-            "termination": self._termination,
-            "safe_control": u_safe,
-            "applied": applied,
-        }
-        return observe(self._robot, self._obstacle, self.cfg), step_reward, self._done, info
+        r, o, cfg = self._robot, self._obstacle, self.cfg
+        gx, gy = cfg.goal
+        safe_x = r.x + u0 * math.cos(r.theta) * cfg.dt - gx
+        safe_y = r.y + u0 * math.sin(r.theta) * cfg.dt - gy
+        self._robot = r = unicycle_step(r, applied, cfg.dt)
+        self._obstacle = o = unicycle_step(o, (o.v, 0.0), cfg.dt)
+        self._k += 1
+        distance = math.hypot(r.x - gx, r.y - gy)
+        self._done = distance <= cfg.goal_radius or self._k >= cfg.k_max
+        step_reward = cfg.r_diff * (math.hypot(safe_x, safe_y) - distance)
+        info = {"action_diff": action_diff, "safe_control": u_safe, "applied": applied}
+        return observe(r, o, cfg), step_reward, self._done, info
 
     def returns(self, obstacles, act: Callable) -> list[float]:
         """Play one :meth:`step_raw` episode per obstacle under a fixed
@@ -850,8 +778,6 @@ class EvasionEnv:
         lockstep the first step at which some row fails raises, for the
         lowest such row.
         """
-        if self._mask is None:
-            raise RuntimeError("learning interface requires an action mask box")
         controller = self.controller_factory() if len(obstacles) >= LOCKSTEP_MIN_ROWS else None
         batch = getattr(controller, "batch", None)
         if batch is None:
@@ -914,7 +840,7 @@ class EvasionEnv:
         applied = _clamp_rows(u + offset, lo, hi)
         d = applied - u
         outside = ~((in_lo <= d) & (d <= in_hi)).all(axis=1)
-        # reward(): the counterfactual safe step's distance to the goal minus
+        # the reward: the counterfactual safe step's distance to the goal minus
         # the applied step's, as unicycle_step moves x and y
         gx, gy = cfg.goal
         ref_x = state[:, 0, 0] + u[:, 0] * cs[0, :, 0] * dt - gx
@@ -925,25 +851,6 @@ class EvasionEnv:
         step_rewards = cfg.r_diff * (np.array(ref) - np.array(actual))
         done = _at_goal(state[:, 0], cfg) | (k + 1 >= cfg.k_max)
         return u, applied, step_rewards, done, evading, outside
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def trace(self) -> EpisodeTrace:
-        if self._rows is None or not self._done:
-            raise RuntimeError("no finished episode to export")
-        rows = self._rows[: self._k]
-        _complete_rows(rows, _cos_sin(rows[:, COL_THR : COL_THO + 1 : 4]), self.theta_path)
-        return EpisodeTrace(
-            rows=rows,
-            final_robot=self._robot,
-            final_obstacle=self._obstacle,
-            dt=self.cfg.dt,
-            termination=self._termination,
-            start=self.cfg.start,
-            goal=self.cfg.goal,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -970,9 +877,14 @@ class EvasionSource:
         return np.array([o.x, o.y, o.theta, o.v])
 
     def rollout(self, initial, perturb=None) -> EpisodeTrace:
-        o = ObstacleState(*(float(v) for v in initial))
-        env = EvasionEnv(self.cfg, self.controller_factory)
-        return env.run_episode(o, perturb)
+        """One episode from ``initial``: :meth:`rollout_batch` of that one
+        row.  ``perturb()`` is called once per step for that step's
+        perturbation; without it the episode runs unperturbed."""
+        blocks = None
+        if perturb is not None:
+            blocks = [(np.asarray(perturb(), dtype=float)[None] for _ in itertools.count())]
+        ((_, trace),) = self.rollout_batch([initial], blocks)
+        return trace
 
     def rollout_batch(self, initials, perturbations=None) -> Iterator[tuple[int, EpisodeTrace]]:
         """Roll one episode per row of ``initials`` with all rows stepped
@@ -988,12 +900,14 @@ class EvasionSource:
 
         ``perturbations`` is None or a sequence of one iterator per row, each
         yielding blocks of per-step perturbation rows; a row's next block is
-        taken when its step count reaches the end of the current one.  Row ``i``'s
-        trace equals :meth:`rollout` of ``initials[i]`` with the rows of its
-        blocks as the per-step stream, bit for bit: every step repeats
-        :meth:`EvasionEnv.run_episode`'s operations on arrays with one row
-        per sample, and a finished row leaves the active set.  A non-finite
-        control or state raises ``ValueError``.
+        taken when its step count reaches the end of the current one.  A
+        step adds the row's perturbation to its clamped control and clamps
+        the sum again, and a finished row leaves the active set, so row
+        ``i``'s trace depends on ``initials[i]`` and its own blocks alone.
+        The tests pin every row, bit for bit, to a float oracle that steps
+        one episode at a time through the controller's per-row call and
+        :func:`unicycle_step` (``rollout_ref`` in ``tests/reference.py``).  A
+        non-finite control or state raises ``ValueError``.
         """
         cfg, dt = self.cfg, self.cfg.dt
         controller = self.controller_factory()

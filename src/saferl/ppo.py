@@ -171,21 +171,6 @@ def mask_action(raw, safe_u, box: IntervalBox) -> np.ndarray:
     return np.asarray(safe_u, dtype=float) + box.lower + 0.5 * (raw + 1.0) * box.widths
 
 
-def _float_mask(box: IntervalBox) -> Callable:
-    """:func:`mask_action` for one box on Python floats: the box's bounds and
-    widths are read once, and each axis repeats mask_action's IEEE
-    operations in its order, ``(u + lower) + 0.5 * (clip(raw) + 1.0) * width``."""
-    lower, widths = box.lower.tolist(), box.widths.tolist()
-
-    def mapped(raw, safe_u) -> tuple[float, ...]:
-        return tuple(
-            (u + lo) + 0.5 * (min(max(r, -1.0), 1.0) + 1.0) * w
-            for u, lo, r, w in zip(safe_u, lower, raw, widths)
-        )
-
-    return mapped
-
-
 # ---------------------------------------------------------------------------
 # Policy evaluation
 # ---------------------------------------------------------------------------
@@ -258,7 +243,7 @@ def _window_values(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
 class AgentController:
     """The deterministic extracted policy on top of its own safe controller
     ``safe``: ``(robot, obstacle)`` maps to ``mask_action(policy_mean(obs),
-    safe_control)``, computed on floats (see :func:`_float_mask`).
+    safe_control)``.
 
     :meth:`batch` steps many rows at once, with the contract of
     :meth:`saferl.controller.SafeController.batch`.  Over a safe controller
@@ -271,14 +256,13 @@ class AgentController:
         self.mask = mask
         self.task_cfg = task_cfg
         self.safe = safe
-        self._mapped = _float_mask(mask)
         if getattr(safe, "batch", None) is None:
             self.batch = None  # rollout_batch then steps one instance per row
 
     def __call__(self, robot, obstacle) -> tuple[float, ...]:
         u_safe = self.safe(robot, obstacle)
         raw = policy_mean(self.params, observe(robot, obstacle, self.task_cfg))
-        return self._mapped(raw.tolist(), u_safe)
+        return tuple(mask_action(raw, u_safe, self.mask).tolist())
 
     def batch(self, robot, obstacle, evading, headings):
         """:meth:`__call__` for many rows, with the arguments and returns of
@@ -287,8 +271,8 @@ class AgentController:
         row ``i``'s states, bit for bit.
 
         The policy forward is :func:`_row_forward`, bit-equal to one
-        batch-1 forward per row.  :func:`mask_action` on ``(rows, 2)``
-        arrays repeats :func:`_float_mask`'s operations.
+        batch-1 forward per row, and :func:`mask_action` maps each row of
+        its ``(rows, 2)`` arrays as it maps one row alone.
         """
         v, omega, evading = self.safe.batch(robot, obstacle, evading, headings)
         obs = _observe_rows(robot, obstacle, self.task_cfg)
@@ -622,8 +606,7 @@ def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
     env = env_factory()
     obs = env.reset_random(env_rng)
     obs_dim = obs.shape[0]
-    probe = env.mask
-    act_dim = probe.dim if probe is not None else 2
+    act_dim = env.mask.dim
     params = init_policy(obs_dim, act_dim, cfg, init_rng)
     adam = Adam(params.flat.size, cfg.learning_rate, eps=cfg.adam_eps)
     buffer = RolloutBuffer(cfg.n_steps, obs_dim, act_dim)

@@ -7,7 +7,7 @@ values of N independent rollouts.  The sample minimum ``rho_star`` bounds
 the (1 - epsilon) quantile of achievable robustness from below with
 confidence ``1 - (1 - epsilon)**N``; verification passes when
 ``rho_star >= 0``.  A source with ``rollout_batch`` runs all N rollouts in
-lockstep, at every N; one-by-one ``rollout`` calls are its reference.
+lockstep, at every N.
 
 :func:`find_expansion_set` searches for the largest verifiable perturbation
 box by growing an initial box axis-wise with fixed fractional increments and
@@ -68,8 +68,8 @@ class RolloutSource(Protocol):
     perturbations)`` with one row per sample and, when perturbed, one
     iterator of per-step perturbation blocks per sample, and scores each
     ``(row, trajectory)`` pair it yields (see
-    :meth:`saferl.evasion.EvasionSource.rollout_batch`), which must equal
-    ``rollout``'s.
+    :meth:`saferl.evasion.EvasionSource.rollout_batch`); ``rollout`` then
+    only re-runs a sample to name a failure.
     """
 
     def sample_initial(self, rng: np.random.Generator): ...
@@ -102,7 +102,8 @@ class InitialSetTooLarge(RuntimeError):
 class EngineMismatch(RuntimeError):
     """The lockstep run failed although every sample run alone succeeded.
 
-    The two rollout engines disagree, an internal error: no report is given.
+    The failure depends on how many samples step together, an internal
+    error: no report is given.
     """
 
 
@@ -325,12 +326,13 @@ def probv(
     None the system runs unperturbed (the deterministic-policy case).
     A source with ``rollout_batch`` has all its samples stepped together,
     whatever its controller; otherwise samples run one by one in index
-    order.  Both give the same report.  A failing rollout raises
-    :class:`RolloutFailure` for the lowest failing index: after any error in
-    the lockstep run the samples are re-run one by one only to find it.  If
-    that re-run completes, the two engines disagree, and
-    :class:`EngineMismatch` is raised from the lockstep error; no report
-    comes from the re-run.
+    order.  A failing rollout raises :class:`RolloutFailure` for the lowest
+    failing index: after any error in the lockstep run the samples are re-run
+    one at a time through ``rollout`` (for
+    :class:`~saferl.evasion.EvasionSource`, the same lockstep engine on one
+    row) only to find it.  If that re-run completes, the failure depends on
+    the number of rows stepped together, and :class:`EngineMismatch` is
+    raised from the lockstep error; no report comes from the re-run.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")

@@ -2,13 +2,25 @@
 
 The library computes these on Python floats, row arrays or whole update
 windows; the versions here are the direct NumPy expressions, one row or one
-minibatch at a time, that the tests check those paths against.
+minibatch at a time, and a float episode engine (:func:`rollout_ref`) that
+the tests check those paths against.
 """
 
 import math
 
 import numpy as np
 
+from saferl.evasion import (
+    COL_THO,
+    COL_THR,
+    EpisodeTrace,
+    ObstacleState,
+    RobotState,
+    _complete_rows,
+    _cos_sin,
+    path_heading,
+    unicycle_step,
+)
 from saferl.mlp import net_forward
 from saferl.ppo import _LOG_2PI, _SQUASH_EPS, _clipped_log_std
 
@@ -55,6 +67,59 @@ def evade(theta_dot: float, dtheta: float, sign: int, cfg) -> bool:
         theta_dot
     ) <= cfg.evade_rate_tol
     return turning or holding
+
+
+def reward(prev_robot, action, safe_action, cfg) -> float:
+    """Scaled one-step advantage of ``action`` over the safe command: the
+    difference of next-step distances to the goal, counterfactual safe step
+    minus actual step, times ``r_diff``."""
+    goal = cfg.goal
+    actual = unicycle_step(prev_robot, action, cfg.dt)
+    ref = unicycle_step(prev_robot, safe_action, cfg.dt)
+    d_actual = math.hypot(actual.x - goal[0], actual.y - goal[1])
+    d_ref = math.hypot(ref.x - goal[0], ref.y - goal[1])
+    return cfg.r_diff * (d_ref - d_actual)
+
+
+def rollout_ref(source, initial, perturb=None) -> EpisodeTrace:
+    """``source.rollout(initial, perturb)`` one step at a time on floats.
+
+    The controller is called on one robot and obstacle state per step, its
+    output clamped to the actuator limits, ``perturb()`` (once per step)
+    added and the sum clamped again; the robot and the obstacle move by
+    :func:`unicycle_step`, and the episode ends within ``goal_radius`` of the
+    goal or at ``k_max`` steps.  The encounter columns are filled from the
+    finished rows, as the lockstep engine fills them.
+    """
+    cfg = source.cfg
+    controller = source.controller_factory()
+    theta_path = path_heading(cfg.start, cfg.goal)
+    robot = RobotState(cfg.start[0], cfg.start[1], theta_path, 0.0)
+    obstacle = ObstacleState(*(float(v) for v in initial))
+
+    def clamp(v, w):
+        return (
+            min(max(float(v), cfg.v_min), cfg.v_max),
+            min(max(float(w), -cfg.omega_max), cfg.omega_max),
+        )
+
+    rows, termination = [], "horizon"
+    while len(rows) < cfg.k_max:
+        control = controller(robot, obstacle)
+        u_safe = applied = clamp(control[0], control[1])
+        if perturb is not None:
+            xi = perturb()
+            applied = clamp(u_safe[0] + float(xi[0]), u_safe[1] + float(xi[1]))
+        nan = math.nan
+        rows.append((*vars(robot).values(), *vars(obstacle).values(), *applied, nan, nan, *u_safe, nan))
+        robot = unicycle_step(robot, applied, cfg.dt)
+        obstacle = unicycle_step(obstacle, (obstacle.v, 0.0), cfg.dt)
+        if math.hypot(robot.x - cfg.goal[0], robot.y - cfg.goal[1]) <= cfg.goal_radius:
+            termination = "goal"
+            break
+    rows = np.array(rows)
+    _complete_rows(rows, _cos_sin(rows[:, COL_THR : COL_THO + 1 : 4]), theta_path)
+    return EpisodeTrace(rows, robot, obstacle, cfg.dt, termination, cfg.start, cfg.goal)
 
 
 def contains_box(outer, inner, tol: float = 0.0) -> bool:

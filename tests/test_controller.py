@@ -96,8 +96,7 @@ def test_evade_consistency_over_random_episodes():
     table = safety_predicates(TASK)
     rng = np.random.default_rng(10)
     triggered_steps = 0
-    for _ in range(40):
-        trace = source.rollout(source.sample_initial(rng))
+    for _, trace in source.rollout_batch([source.sample_initial(rng) for _ in range(40)]):
         states = trace.signal().states
         triggered = (table.evaluate("infront", states) >= 0) & (table.evaluate("near", states) >= 0)
         triggered_steps += int(triggered.sum())
@@ -109,8 +108,7 @@ def test_unperturbed_compliance_500_episodes():
     source = EvasionSource(TASK, fresh)
     rng = np.random.default_rng(123)
     worst = math.inf
-    for _ in range(500):
-        trace = source.rollout(source.sample_initial(rng))
+    for _, trace in source.rollout_batch([source.sample_initial(rng) for _ in range(500)]):
         rho = episode_robustness(trace, TASK)
         worst = min(worst, rho)
         assert rho >= 0.0

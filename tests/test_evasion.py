@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import closest_point_on_segment, evade, heading_vector
+from reference import closest_point_on_segment, evade, heading_vector, reward
 from saferl import evasion, stl
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
@@ -36,7 +36,6 @@ from saferl.evasion import (
     observe,
     path_heading,
     perform,
-    reward,
     safety_formula,
     safety_predicates,
     sample_obstacle,
@@ -48,7 +47,7 @@ from saferl.evasion import _min_gaps, _time_grid
 from saferl.pipeline import config_from_dict, config_to_dict
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
-from saferl.verify import probv
+from saferl.verify import _perturbation_chunks, probv
 
 CFG = TaskConfig()
 
@@ -398,13 +397,10 @@ def test_measure_sign_matches_formula(tmp_path):
     big = IntervalBox([-0.01, -0.08], [0.01, 0.08])  # large enough to cause violations
     formula = safety_formula()
     seen = set()
-    for i in range(30):
-        ic = source.sample_initial(rng)
-        if i % 2:
-            prng = np.random.default_rng(i)
-            trace = source.rollout(ic, lambda: big.sample(prng))
-        else:
-            trace = source.rollout(ic)
+    ics = [source.sample_initial(rng) for _ in range(30)]
+    streams = [_perturbation_chunks(big, np.random.default_rng(i)) for i in range(1, 30, 2)]
+    traces = [*source.rollout_batch(ics[0::2]), *source.rollout_batch(ics[1::2], streams)]
+    for _, trace in traces:
         rho = episode_robustness(trace, cfg)
         table = safety_predicates(cfg)
         sat = satisfies(formula, trace.signal(), 0, table)
@@ -536,32 +532,38 @@ def test_env_rollout_deterministic():
 
 
 def test_env_step_contract(tmp_path):
-    env = EvasionEnv(CFG, lambda: SafeController(CFG, ControllerConfig()))
-    with pytest.raises(RuntimeError):
-        env.step_raw([0.0, 0.0])  # not reset
-    env.reset_random(np.random.default_rng(0))
-    with pytest.raises(RuntimeError):
-        env.step_raw([0.0, 0.0])  # no mask installed
     masked = EvasionEnv(
         CFG, lambda: SafeController(CFG, ControllerConfig()), mask=IntervalBox.zero(2)
     )
-    obs = masked.reset_random(np.random.default_rng(0))
+    with pytest.raises(RuntimeError):
+        masked.step_raw([0.0, 0.0])  # not reset
+    obstacle = sample_obstacle(CFG, np.random.default_rng(0))
+    obs = masked.reset(obstacle)
     assert obs.shape == (7,)
     total_steps = 0
     total_reward = 0.0
     done = False
+    applied, safe = [], []
     while not done:
         obs, r, done, info = masked.step_raw([0.4, -0.4])  # degenerate mask: safe action
         assert 0.0 <= info["action_diff"] <= 1.0
+        applied.append(info["applied"])
+        safe.append(info["safe_control"])
         total_reward += r
         total_steps += 1
+    with pytest.raises(RuntimeError):
+        masked.step_raw([0.0, 0.0])  # finished
     assert masked.containment_violations == 0
     assert total_reward == 0.0  # playing the safe control exactly scores zero
     assert total_steps <= CFG.k_max
-    trace = masked.trace()
+    # degenerate mask: applied control equals the safe control bit-exactly,
+    # so the episode is the controller-driven one from the same obstacle
+    assert np.array_equal(bits(applied), bits(safe))
+    source = EvasionSource(CFG, lambda: SafeController(CFG, ControllerConfig()))
+    trace = source.rollout([obstacle.x, obstacle.y, obstacle.theta, obstacle.v])
     assert trace.n_steps == total_steps
-    # degenerate mask: applied control equals the safe control bit-exactly
-    assert np.array_equal(trace.rows[:, 8:10], trace.rows[:, 12:14])
+    assert np.array_equal(bits(trace.rows[:, 8:10]), bits(applied))
+    assert np.array_equal(bits(trace.rows[:, 12:14]), bits(safe))
     path = tmp_path / "trace.csv"
     trace.to_csv(path, CFG)
     lines = path.read_text().strip().splitlines()
@@ -592,23 +594,18 @@ def encounter_ref(row, cfg):
 
 
 def flag_test_episodes(cfg, rng):
-    """Traces of controller-driven episodes, unperturbed and perturbed, and
-    of learning-interface episodes under random raw actions."""
+    """Traces of controller-driven episodes: unperturbed, perturbed, and
+    perturbed by draws from :data:`STEP_MASK`, which offset the safe control
+    as uniform raw actions offset it through the learning interface."""
     source = EvasionSource(cfg, lambda: SafeController(cfg, ControllerConfig()))
+    ics = [source.sample_initial(rng) for _ in range(64)]
     box = IntervalBox([-0.01, -0.08], [0.01, 0.08])
-    for i in range(48):
-        ic = source.sample_initial(rng)
-        if i % 2:
-            prng = np.random.default_rng(i)
-            yield source.rollout(ic, lambda: box.sample(prng))
-        else:
-            yield source.rollout(ic)
-    env = EvasionEnv(cfg, lambda: SafeController(cfg, ControllerConfig()), mask=STEP_MASK)
-    for _ in range(16):
-        env.reset_random(rng)
-        while not env.done:
-            env.step_raw(rng.uniform(-1.0, 1.0, 2))
-        yield env.trace()
+    for _, trace in source.rollout_batch(ics[0:48:2]):
+        yield trace
+    seeds, boxes = [*range(1, 48, 2), *range(48, 64)], [box] * 24 + [STEP_MASK] * 16
+    streams = [_perturbation_chunks(b, np.random.default_rng(seed)) for seed, b in zip(seeds, boxes)]
+    for _, trace in source.rollout_batch(ics[1:48:2] + ics[48:], streams):
+        yield trace
 
 
 def test_trigger_and_evade_from_predicate_columns_equal_step_flags():
@@ -664,7 +661,8 @@ def test_nan_raw_action_raises_before_mapping():
     want = twin.step_raw([1.0, -1.0])
     assert np.array_equal(got[0], want[0]) and got[1:3] == want[1:3]
     assert got[3] == want[3]
-    assert np.array_equal(env._rows[:1], twin._rows[:1], equal_nan=True)
+    for key in ("applied", "safe_control"):
+        assert np.array_equal(bits(got[3][key]), bits(want[3][key])), key
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +689,10 @@ def observe_ref(robot, obstacle, cfg):
 
 
 def step_raw_ref(env, raw_action):
-    """EvasionEnv.step_raw in array code: (observation, reward, done, action_diff)."""
-    u_safe = env._context()
+    """EvasionEnv.step_raw in array code: (observation, reward, done,
+    action_diff, applied control, safe control)."""
+    cfg = env.cfg
+    u_safe = env._clamp(env._controller(env._robot, env._obstacle))
     raw = np.clip(np.asarray(raw_action, dtype=float), -1.0, 1.0)
     offset = env.mask.lower + 0.5 * (raw + 1.0) * env.mask.widths
     applied = env._clamp((u_safe[0] + offset[0], u_safe[1] + offset[1]))
@@ -701,8 +701,12 @@ def step_raw_ref(env, raw_action):
     half = np.maximum(0.5 * env.mask.widths, 1e-12)
     diff = np.asarray(applied) - np.asarray(u_safe) - env.mask.center
     action_diff = float(np.linalg.norm(diff / half) / math.sqrt(env.mask.dim))
-    env._advance(applied, u_safe)
-    return observe_ref(env._robot, env._obstacle, env.cfg), step_reward, env.done, action_diff
+    env._robot = unicycle_step(env._robot, applied, cfg.dt)
+    env._obstacle = unicycle_step(env._obstacle, (env._obstacle.v, 0.0), cfg.dt)
+    env._k += 1
+    at_goal = math.hypot(env._robot.x - cfg.goal[0], env._robot.y - cfg.goal[1]) <= cfg.goal_radius
+    done = at_goal or env._k >= cfg.k_max
+    return observe_ref(env._robot, env._obstacle, cfg), step_reward, done, action_diff, applied, u_safe
 
 
 def safe_call_ref(ctl, robot, obstacle):
@@ -762,6 +766,10 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def joint_state(env):
+    return [*vars(env._robot).values(), *vars(env._obstacle).values()]
+
+
 @pytest.mark.parametrize("cfg, n", [(CFG, 10_000), (TILTED[0], 5_000), (TILTED[1], 5_000)])
 def test_step_raw_bit_equal_to_array_reference(cfg, n):
     def make(mask):
@@ -776,13 +784,13 @@ def test_step_raw_bit_equal_to_array_reference(cfg, n):
         got_obs, want_obs = observe(robot, obstacle, cfg), observe_ref(robot, obstacle, cfg)
         assert np.array_equal(bits(got_obs), bits(want_obs)), i
         obs, r, done, info = env.step_raw(raw)
-        want_obs, want_r, want_done, want_diff = step_raw_ref(ref, raw)
+        want_obs, want_r, want_done, want_diff, want_applied, want_safe = step_raw_ref(ref, raw)
         assert np.array_equal(bits(obs), bits(want_obs)), i
         assert np.array_equal(bits([r, info["action_diff"]]), bits([want_r, want_diff])), i
         assert done == want_done
-        # end both episodes here and compare their finished trace rows
-        env._done = ref._done = True
-        assert np.array_equal(bits(env.trace().rows), bits(ref.trace().rows)), i
+        assert np.array_equal(bits(info["applied"]), bits(want_applied)), i
+        assert np.array_equal(bits(info["safe_control"]), bits(want_safe)), i
+        assert np.array_equal(bits(joint_state(env)), bits(joint_state(ref))), i
 
 
 @pytest.mark.parametrize("cfg", [CFG, *TILTED])

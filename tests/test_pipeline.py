@@ -9,7 +9,7 @@ import pytest
 from saferl.boxes import IntervalBox
 from saferl.cli import main as cli_main
 from saferl.controller import SafeController
-from saferl.evasion import EvasionEnv
+from saferl.evasion import EvasionEnv, EvasionSource
 from saferl.pipeline import _safe_factory, calibrate_reward_scale
 from saferl.pipeline import (
     ExpandConfig,
@@ -173,8 +173,9 @@ def test_full_pipeline_end_to_end(tmp_path):
 
 def test_verification_stages_run_no_sample_one_by_one(tmp_path, monkeypatch):
     # probv steps every sample of the safe and the agent controller in
-    # lockstep, at any sample count: with the one-by-one episode runner
-    # broken, the stages still pass and write the same bytes
+    # lockstep, at any sample count: with the one-sample rollout and the
+    # controllers' per-row calls broken, the stages still pass and write the
+    # same bytes
     cfg = tiny_config()
     a, b = tmp_path / "a", tmp_path / "b"
     run_expand(cfg, a)
@@ -191,9 +192,11 @@ def test_verification_stages_run_no_sample_one_by_one(tmp_path, monkeypatch):
     want = stages(a)
 
     def one_by_one(*args, **kwargs):
-        raise AssertionError("a sample ran one by one")
+        raise AssertionError("a sample or a controller ran one row alone")
 
-    monkeypatch.setattr(EvasionEnv, "run_episode", one_by_one)
+    monkeypatch.setattr(EvasionSource, "rollout", one_by_one)
+    monkeypatch.setattr(SafeController, "__call__", one_by_one)
+    monkeypatch.setattr(AgentController, "__call__", one_by_one)
     got = stages(b)
     for paths_a, paths_b in zip(want, got):
         assert paths_a.keys() == paths_b.keys()
@@ -435,8 +438,12 @@ def test_cli_zero_filled_artifact_is_an_input_error(
 def test_cli_engine_mismatch_is_an_error_not_a_verdict(tmp_path, capsys, monkeypatch):
     # a lockstep run that fails where every sample alone passes is an
     # internal error: exit 2, never the exit 1 of an unsafe verdict
+    real = SafeController.batch
+
     def batch(self, robot, obstacle, evading, headings):
-        raise ValueError("batch fault")
+        if robot.shape[0] > 1:
+            raise ValueError("batch fault")
+        return real(self, robot, obstacle, evading, headings)
 
     monkeypatch.setattr(SafeController, "batch", batch)
     args = ["verify-safe", "--config", write_config(tmp_path, tiny_config())]

@@ -41,7 +41,7 @@ from saferl.ppo import (
     train,
     value_estimate,
 )
-from saferl.ppo import _clipped_log_std, _float_mask, _log_prob_of_z
+from saferl.ppo import _clipped_log_std, _log_prob_of_z
 from saferl.evasion import LOCKSTEP_MIN_ROWS, sample_obstacle
 from saferl.ppo import _VALUE_CHUNK, PolicyParams, _collect_window, _window_values
 from test_evasion import bits, near_encounters
@@ -96,27 +96,13 @@ _raw = st.one_of(
 _bound = st.floats(0.0, 2.0)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(
-    raw=st.tuples(_raw, _raw),
-    safe=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
-    below=st.tuples(_bound, _bound),
-    above=st.tuples(_bound, _bound),
-)
-def test_float_mask_bit_equal_to_mask_action(raw, safe, below, above):
-    box = IntervalBox([-b for b in below], list(above))
-    got = _float_mask(box)(raw, safe)
-    want = mask_action(raw, safe, box)
-    assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
-
-
 def _rows(m: int, rows: int, values) -> st.SearchStrategy:
     return st.lists(st.lists(values, min_size=m, max_size=m), min_size=rows, max_size=rows)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 3)), data=st.data())
-def test_mask_action_rows_bit_equal_to_float_mask_and_inside_the_box(shape, data):
+def test_mask_action_rows_bit_equal_to_one_row_and_inside_the_box(shape, data):
     rows, m = shape
     below = data.draw(st.lists(_bound, min_size=m, max_size=m))
     box = IntervalBox([-b for b in below], data.draw(st.lists(_bound, min_size=m, max_size=m)))
@@ -124,9 +110,9 @@ def test_mask_action_rows_bit_equal_to_float_mask_and_inside_the_box(shape, data
     safe = np.array(data.draw(_rows(m, rows, st.floats(-5.0, 5.0))))
     got = mask_action(raw, safe, box)
     assert got.shape == (rows, m)
-    mapped = _float_mask(box)
+    # each row as AgentController.__call__ maps it, alone and 1-D
     for r, u, out in zip(raw.tolist(), safe.tolist(), got):
-        assert np.array_equal(bits(mapped(r, u)), bits(out))
+        assert np.array_equal(bits(mask_action(r, u, box)), bits(out))
     # every raw action, clipped into [-1, 1]^m, lands in [safe + lower, safe +
     # upper]: exactly at the bottom, since the added offset is never negative;
     # at the top (u + lower) + width may round past u + upper by an ulp or two

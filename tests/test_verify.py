@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from reference import rollout_ref
 from saferl.boxes import IntervalBox
 from saferl.controller import SafeController
 from saferl.evasion import EpisodeTrace, EvasionSource, TaskConfig
@@ -283,7 +284,7 @@ def test_report_json_and_csv_roundtrip(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Lockstep rollouts: every sample stepped together through rollout_batch,
-# against the sequential per-sample path, which stays the reference
+# against the float engine of tests/reference.py, one sample at a time
 # ---------------------------------------------------------------------------
 
 TASK = TaskConfig()
@@ -296,8 +297,11 @@ def safe_source(controller=SafeController) -> EvasionSource:
 
 def sequential(source: EvasionSource) -> SimpleNamespace:
     """``source`` behind a wrapper without ``rollout_batch``, whose samples
-    probv runs one by one: the reference path."""
-    return SimpleNamespace(sample_initial=source.sample_initial, rollout=source.rollout)
+    probv runs one by one through :func:`reference.rollout_ref`: the
+    reference path."""
+    return SimpleNamespace(
+        sample_initial=source.sample_initial, rollout=functools.partial(rollout_ref, source)
+    )
 
 
 class BatchOnly(EvasionSource):
@@ -330,7 +334,7 @@ def test_lockstep_probv_equals_sequential(box, seed):
             return out
 
     source = safe_source(Counting)
-    want = [_run_sample(source, box, source.robustness, seed, i) for i in range(50)]
+    want = [_run_sample(sequential(source), box, source.robustness, seed, i) for i in range(50)]
     # _run_lockstep raises where probv would fall back to the sequential path
     got = _run_lockstep(source, box, source.robustness, seed, 50)
     assert repr(got) == repr(want)
@@ -346,7 +350,7 @@ def test_lockstep_single_sample():
     source = safe_source()
     for box in (None, E_INIT):
         got = _run_lockstep(source, box, source.robustness, 5, 1)
-        assert repr(got) == repr([_run_sample(source, box, source.robustness, 5, 0)])
+        assert repr(got) == repr([_run_sample(sequential(source), box, source.robustness, 5, 0)])
 
 
 def test_rollout_batch_retires_rows_that_finish_first():
@@ -372,7 +376,31 @@ def test_rollout_batch_retires_rows_that_finish_first():
     assert len(set(lengths)) == 4
     for initial, chunk, trace in zip(initials, chunks, traces):
         stream = functools.partial(next, itertools.chain.from_iterable(chunk))
-        assert trace_bits(trace) == trace_bits(source.rollout(initial, stream))
+        assert trace_bits(trace) == trace_bits(rollout_ref(source, initial, stream))
+
+
+def test_rollout_is_one_row_of_rollout_batch():
+    # rollout calls perturb() once per step and equals rollout_batch on its
+    # one row and the float engine, bit for bit; the widest box pushes the
+    # perturbed controls past both actuator limits
+    source = safe_source()
+    boxes = (None, E_INIT, E_INIT.scale((41, 5)), IntervalBox([-0.15, -4.0], [0.15, 4.0]))
+    for seed, box in itertools.product(range(3), boxes):
+        initial = source.sample_initial(np.random.default_rng(seed))
+        rng, draws = np.random.default_rng(seed), []
+
+        def perturb():
+            draws.append(box.sample(rng))
+            return draws[-1]
+
+        trace = source.rollout(initial, None if box is None else perturb)
+        assert len(draws) == (0 if box is None else trace.n_steps)
+        replay, blocks = None, None
+        if box is not None:
+            replay, blocks = functools.partial(next, iter(draws)), [iter(np.array(draws)[:, None])]
+        assert trace_bits(trace) == trace_bits(rollout_ref(source, initial, replay))
+        ((row, batched),) = source.rollout_batch([initial], blocks)
+        assert row == 0 and trace_bits(batched) == trace_bits(trace)
 
 
 def test_lockstep_nan_control_names_the_lowest_failing_sample():
@@ -475,7 +503,8 @@ def test_opaque_controller_error_names_the_lowest_failing_sample():
     source = Counting(TASK, factory)
     with pytest.raises(RolloutFailure) as err:
         probv(source, E_INIT, source.robustness, 12, 0.05, base_seed=4)
-    assert batches == [12]
+    # the lockstep run, then samples 0-5 re-run one row each
+    assert batches == [12, 1, 1, 1, 1, 1, 1]
     assert err.value.sample_index == 5
     assert err.value.seed == derive_seed(4, 5)
     assert "controller fault" in str(err.value)
@@ -507,8 +536,7 @@ def test_opaque_controller_may_return_extra_entries():
 
     source = Counting(TASK, factory)
     for box in (None, E_INIT):
-        want = [_run_sample(source, box, source.robustness, 6, i) for i in range(12)]
-        rollouts.clear()
+        want = [_run_sample(sequential(source), box, source.robustness, 6, i) for i in range(12)]
         report = probv(source, box, source.robustness, 12, 0.05, 6)
         assert rollouts == []
         got = list(zip(report.per_sample_seeds, report.per_sample_params, report.robustnesses))
@@ -517,10 +545,13 @@ def test_opaque_controller_may_return_extra_entries():
 
 def test_lockstep_failure_that_no_sample_repeats_raises():
     # the one-by-one re-run only names a failing sample; when every sample
-    # passes alone the engines disagree and probv reports nothing
+    # passes alone the failure depends on the row count and probv reports
+    # nothing
     class BatchFault(SafeController):
         def batch(self, robot, obstacle, evading, headings):
-            raise ValueError("batch fault")
+            if robot.shape[0] > 1:
+                raise ValueError("batch fault")
+            return super().batch(robot, obstacle, evading, headings)
 
     source = safe_source(BatchFault)
     with pytest.raises(EngineMismatch) as err:
