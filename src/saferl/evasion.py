@@ -865,10 +865,17 @@ class EvasionSource:
     The sampled initial condition is the obstacle state ``[x, y, theta, v]``;
     the robot always starts at the configured start pose.  Rollouts are
     deterministic given the initial condition and the perturbation stream.
+
+    ``agent``, when given, is the trained agent as an action map around the
+    safe controller (:class:`saferl.ppo.MaskedPolicy`): ``agent(robot,
+    obstacle, safe)`` maps a block of rows' ``(rows, 4)`` states and
+    ``(rows, 2)`` safe controls to the controls executed, which must stay
+    in the box ``agent.mask`` around the safe ones.
     """
 
     cfg: TaskConfig
     controller_factory: Callable[[], Callable]
+    agent: Callable | None = None
 
     initial_labels = ("obstacle_x", "obstacle_y", "obstacle_theta", "obstacle_v")
 
@@ -891,26 +898,34 @@ class EvasionSource:
         together; yield ``(row, trace)`` as each row finishes, so that a
         caller can score and drop a trace before the others end.
 
-        A controller with an array method ``batch`` steps all rows in one
-        call: :meth:`saferl.controller.SafeController.batch` and the trained
-        agent's :meth:`saferl.ppo.AgentController.batch` have one.  Any other
-        controller is opaque: it is created once per row and called on its
-        states, and, as in :meth:`EvasionEnv._clamp`, only the first two
-        entries of each control it returns count.
+        Each step first clamps every active row's safe control to the
+        actuator limits.  A controller with an array method ``batch``, such
+        as :meth:`saferl.controller.SafeController.batch`, gives all rows'
+        controls in one call.  Any other controller is opaque: it is created
+        once per row and called on its states, and, as in
+        :meth:`EvasionEnv._clamp`, only the first two entries of each control
+        it returns count.  With an ``agent``, the step then maps the clamped
+        safe controls through it and clamps the result; a finite executed
+        control that lies outside ``agent.mask`` around its safe control by
+        more than 1e-9 raises :class:`ContainmentViolation` naming the step,
+        as :class:`EvasionEnv` checks it in training.  The trace's
+        ``safe_*`` columns record the clamped safe control, its ``cmd_*``
+        columns the control executed.
 
         ``perturbations`` is None or a sequence of one iterator per row, each
         yielding blocks of per-step perturbation rows; a row's next block is
         taken when its step count reaches the end of the current one.  A
-        step adds the row's perturbation to its clamped control and clamps
-        the sum again, and a finished row leaves the active set, so row
-        ``i``'s trace depends on ``initials[i]`` and its own blocks alone.
-        The tests pin every row, bit for bit, to a float oracle that steps
-        one episode at a time through the controller's per-row call and
+        step adds the row's perturbation to its control, the agent's when
+        given, and clamps the sum again, and a finished row leaves the
+        active set, so row ``i``'s trace depends on ``initials[i]`` and its
+        own blocks alone.  The tests pin every row, bit for bit, to a float
+        oracle that steps one episode at a time through the controller's
+        per-row call, the agent's per-row arithmetic and
         :func:`unicycle_step` (``rollout_ref`` in ``tests/reference.py``).  A
         non-finite control or state raises ``ValueError``.
         """
         cfg, dt = self.cfg, self.cfg.dt
-        controller = self.controller_factory()
+        controller, agent = self.controller_factory(), self.agent
         batch = getattr(controller, "batch", None)
         initials = np.asarray(initials, dtype=float)
         n = initials.shape[0]
@@ -951,14 +966,22 @@ class EvasionSource:
             else:
                 u[:, 0], u[:, 1], evading = batch(state[:, 0], state[:, 1], evading, cs)
             _clamp_rows(u, lo, hi, out=u)
+            executed = u
+            if agent is not None:
+                executed = _clamp_rows(agent(state[:, 0], state[:, 1], u), lo, hi)
             if chunk is None:
-                applied[...] = u
+                applied[...] = executed
             else:
-                _clamp_rows(np.add(u, chunk[k - drawn], out=applied), lo, hi, out=applied)
+                _clamp_rows(np.add(executed, chunk[k - drawn], out=applied), lo, hi, out=applied)
             block[active, k] = cur
             headings[:, active, k] = cs
             if not np.isfinite(cur[:, : COL_CMD_W + 1]).all():
                 raise ValueError(f"step {k}: non-finite control or state")
+            if agent is not None and not agent.mask.contains(executed - u, tol=1e-9):
+                raise ContainmentViolation(
+                    f"step {k}: applied offsets {(executed - u).tolist()} from the safe "
+                    f"controls {u.tolist()} leave the action box {agent.mask!r}"
+                )
             _step_rows(state, applied, cs, dt)
             k += 1
             done = _at_goal(state[:, 0], cfg)

@@ -28,8 +28,8 @@ from .boxes import IntervalBox
 from .controller import ControllerConfig, SafeController
 from .evasion import EvasionEnv, EvasionSource, TaskConfig, sample_obstacle
 from .ppo import (
+    MaskedPolicy,
     PpoConfig,
-    agent_controller_factory,
     evaluate_policy,
     load_policy,
     save_policy,
@@ -552,9 +552,10 @@ def run_train(
 
 
 def _agent_source(cfg: PipelineConfig, policy_path) -> EvasionSource:
-    """The trained policy as a rollout source.  Raises :class:`PipelineError`
-    naming the sidecar when its ``mask`` is missing or is not a 2-D
-    (speed, turn rate) :class:`IntervalBox` of numbers."""
+    """The safe controller with the trained policy on top
+    (:class:`~saferl.ppo.MaskedPolicy`) as a rollout source.  Raises
+    :class:`PipelineError` naming the sidecar when its ``mask`` is missing
+    or is not a 2-D (speed, turn rate) :class:`IntervalBox` of numbers."""
     params, meta = load_policy(policy_path)
     sidecar = Path(policy_path).with_suffix(".json")
     if "mask" not in meta:
@@ -567,8 +568,7 @@ def _agent_source(cfg: PipelineConfig, policy_path) -> EvasionSource:
         raise PipelineError(
             f"policy sidecar {sidecar} key 'mask' must be 2-D (speed, turn rate), not {box.dim}-D"
         )
-    factory = agent_controller_factory(params, box, cfg.task, _safe_factory(cfg))
-    return EvasionSource(cfg.task, factory)
+    return EvasionSource(cfg.task, _safe_factory(cfg), MaskedPolicy(params, box, cfg.task))
 
 
 def run_verify_agent(

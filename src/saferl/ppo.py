@@ -3,9 +3,13 @@
 The policy and value networks are small dense nets evaluated and
 differentiated by hand (:mod:`saferl.mlp`); no autodiff framework is
 involved.  Actions are parameterized in [-1, 1]^m: the network mean is
-squashed by tanh, and the environment maps the raw action affinely into the
-interval box around the safe controller output (:func:`mask_action`), so
-every executed control stays inside that box by construction.
+squashed by tanh, and the raw action is mapped affinely into the interval
+box around the safe controller output, so every executed control stays
+inside that box up to rounding.  Training maps it in
+:meth:`saferl.evasion.EvasionEnv.step_raw` as ``u + (lower + x)``; the
+trained agent (:class:`MaskedPolicy`) maps it with :func:`mask_action` as
+``(u + lower) + x``, where ``x = 0.5 * (raw + 1) * width``; the two
+addition orders can round differently.
 
 Gradient notes: the tanh density correction of a stored sample depends only
 on the stored pre-squash draw, so it cancels from probability ratios; the
@@ -27,7 +31,7 @@ import numpy as np
 
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
-from .evasion import _clamp_rows, _observe_rows, observe, require_zero_offset, sample_obstacle
+from .evasion import _clamp_rows, _observe_rows, require_zero_offset, sample_obstacle
 from .mlp import (
     Adam,
     DenseNet,
@@ -43,7 +47,6 @@ __all__ = [
     "PolicyLoadError",
     "init_policy",
     "mask_action",
-    "policy_mean",
     "value_estimate",
     "gae_advantages",
     "ppo_loss",
@@ -51,8 +54,7 @@ __all__ = [
     "ppo_update",
     "train",
     "evaluate_policy",
-    "AgentController",
-    "agent_controller_factory",
+    "MaskedPolicy",
     "save_policy",
     "load_policy",
 ]
@@ -206,11 +208,6 @@ def _squashed_log_prob(zn2, log_std, correction) -> np.ndarray:
     return gauss - correction
 
 
-def policy_mean(params: PolicyParams, obs) -> np.ndarray:
-    """Deterministic raw action: squashed network mean."""
-    return np.tanh(net_forward(params.policy, obs)[0][0])
-
-
 def value_estimate(params: PolicyParams, obs) -> float:
     return float(net_forward(params.value, obs)[0][0, 0])
 
@@ -218,8 +215,8 @@ def value_estimate(params: PolicyParams, obs) -> float:
 def _row_forward(net: DenseNet, obs: np.ndarray) -> np.ndarray:
     """``net``'s output for each row of the ``(rows, obs_dim)`` array
     ``obs``.  The forward runs on the stacked ``(rows, 1, obs_dim)`` input,
-    which rounds as one batch-1 forward per row (:func:`policy_mean`,
-    :func:`value_estimate`); a plain ``(rows, obs_dim)`` product does not."""
+    which rounds as one batch-1 forward per row (as :func:`value_estimate`
+    runs one); a plain ``(rows, obs_dim)`` product does not."""
     return net_forward(net, obs[:, None])[0][:, 0]
 
 
@@ -240,59 +237,31 @@ def _window_values(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
     )
 
 
-class AgentController:
-    """The deterministic extracted policy on top of its own safe controller
-    ``safe``: ``(robot, obstacle)`` maps to ``mask_action(policy_mean(obs),
-    safe_control)``.
+class MaskedPolicy:
+    """The deterministic extracted policy as the RL term of step 2 on top of
+    a safe controller: a block of rows' safe controls ``safe`` maps to the
+    executed controls ``mask_action(tanh(policy(obs)), safe, mask)``, where
+    ``obs`` is :func:`~saferl.evasion.observe` of each row's states.
 
-    :meth:`batch` steps many rows at once, with the contract of
-    :meth:`saferl.controller.SafeController.batch`.  Over a safe controller
-    without ``batch`` the agent has none either, and a lockstep rollout
-    calls one instance per row.
+    :class:`~saferl.evasion.EvasionSource` applies it, when given, to the
+    clamped safe control of every active row at every step.  The policy
+    forward is :func:`_row_forward`, bit-equal to one batch-1 forward per
+    row, and :func:`mask_action` maps each row of its ``(rows, 2)`` arrays
+    as it maps one row alone.  Raises ``ValueError`` when ``mask`` lacks
+    the zero offset.
     """
 
-    def __init__(self, params: PolicyParams, mask: IntervalBox, task_cfg, safe: Callable):
+    def __init__(self, params: PolicyParams, mask: IntervalBox, task_cfg):
+        require_zero_offset(mask)
         self.params = params
         self.mask = mask
         self.task_cfg = task_cfg
-        self.safe = safe
-        if getattr(safe, "batch", None) is None:
-            self.batch = None  # rollout_batch then steps one instance per row
 
-    def __call__(self, robot, obstacle) -> tuple[float, ...]:
-        u_safe = self.safe(robot, obstacle)
-        raw = policy_mean(self.params, observe(robot, obstacle, self.task_cfg))
-        return tuple(mask_action(raw, u_safe, self.mask).tolist())
-
-    def batch(self, robot, obstacle, evading, headings):
-        """:meth:`__call__` for many rows, with the arguments and returns of
-        :meth:`saferl.controller.SafeController.batch`; row ``i`` equals a
-        controller whose safe controller is in mode ``evading[i]``, called on
-        row ``i``'s states, bit for bit.
-
-        The policy forward is :func:`_row_forward`, bit-equal to one
-        batch-1 forward per row, and :func:`mask_action` maps each row of
-        its ``(rows, 2)`` arrays as it maps one row alone.
-        """
-        v, omega, evading = self.safe.batch(robot, obstacle, evading, headings)
+    def __call__(self, robot: np.ndarray, obstacle: np.ndarray, safe: np.ndarray) -> np.ndarray:
+        """The executed controls of the ``(rows, 4)`` robot and obstacle
+        states and their ``(rows, 2)`` safe controls."""
         obs = _observe_rows(robot, obstacle, self.task_cfg)
-        raw = np.tanh(_row_forward(self.params.policy, obs))
-        u = mask_action(raw, np.stack((v, omega), axis=1), self.mask)
-        return u[:, 0], u[:, 1], evading
-
-
-def agent_controller_factory(
-    params: PolicyParams,
-    mask: IntervalBox,
-    task_cfg,
-    safe_factory: Callable[[], Callable],
-) -> Callable[[], AgentController]:
-    """The deterministic extracted policy as a controller factory: each call
-    returns an :class:`AgentController` around a fresh ``safe_factory()``.
-    Raises ``ValueError`` when ``mask`` lacks the zero offset.
-    """
-    require_zero_offset(mask)
-    return lambda: AgentController(params, mask, task_cfg, safe_factory())
+        return mask_action(np.tanh(_row_forward(self.params.policy, obs)), safe, self.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +293,10 @@ def gae_advantages(rewards, values, dones, gamma, lam, bootstrap_value):
 
 
 class RolloutBuffer:
-    """Fixed-size on-policy storage for one update window.
-
-    :meth:`add` stores one step's fields.  :func:`_collect_window` writes a
-    window's columns directly and marks the buffer full; it fills the log
-    probs and values once the window is complete.
+    """Fixed-size on-policy storage for one update window, one column per
+    field.  :func:`_collect_window` writes a window's columns, its log probs
+    and values once the window is complete; :meth:`finalize` then computes
+    the advantages and returns.
     """
 
     def __init__(self, n_steps: int, obs_dim: int, act_dim: int):
@@ -342,26 +310,8 @@ class RolloutBuffer:
         self.action_diff = np.zeros(n_steps)
         self.advantages = np.zeros(n_steps)
         self.returns = np.zeros(n_steps)
-        self.ptr = 0
-
-    def add(self, obs, z, reward, done, action_diff):
-        i = self.ptr
-        if i >= self.n_steps:
-            raise RuntimeError("rollout buffer overflow")
-        self.obs[i] = obs
-        self.z[i] = z
-        self.reward[i] = reward
-        self.done[i] = float(done)
-        self.action_diff[i] = action_diff
-        self.ptr += 1
-
-    @property
-    def full(self) -> bool:
-        return self.ptr == self.n_steps
 
     def finalize(self, gamma: float, lam: float, bootstrap_value: float) -> None:
-        if not self.full:
-            raise RuntimeError("buffer not full")
         self.advantages, self.returns = gae_advantages(
             self.reward, self.value, self.done, gamma, lam, bootstrap_value
         )
@@ -576,7 +526,6 @@ def _collect_window(
     buffer.reward[:] = rewards
     buffer.done[:] = dones
     buffer.action_diff[:] = action_diffs
-    buffer.ptr = n
     buffer.logp[:] = _log_prob_of_z(means, log_std, buffer.z)
     buffer.value[:] = _window_values(params, buffer.obs)
     return obs, episode_return, finished
@@ -647,7 +596,8 @@ def evaluate_policy(
     :meth:`~saferl.evasion.EvasionEnv.returns` plays the episodes, all
     together from ``LOCKSTEP_MIN_ROWS`` of them on, with one stacked policy
     forward per step (:func:`_row_forward`).  Each return is bit-equal to a
-    :meth:`~saferl.evasion.EvasionEnv.step_raw` loop of :func:`policy_mean`.
+    :meth:`~saferl.evasion.EvasionEnv.step_raw` loop of the squashed mean of
+    one batch-1 forward per step.
     """
     env = env_factory()
     rng = np.random.default_rng(np.random.SeedSequence(seed))

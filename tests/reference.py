@@ -18,11 +18,12 @@ from saferl.evasion import (
     RobotState,
     _complete_rows,
     _cos_sin,
+    observe,
     path_heading,
     unicycle_step,
 )
 from saferl.mlp import net_forward
-from saferl.ppo import _LOG_2PI, _SQUASH_EPS, _clipped_log_std
+from saferl.ppo import _LOG_2PI, _SQUASH_EPS, _clipped_log_std, mask_action
 
 
 def heading_vector(theta: float) -> np.ndarray:
@@ -84,15 +85,18 @@ def reward(prev_robot, action, safe_action, cfg) -> float:
 def rollout_ref(source, initial, perturb=None) -> EpisodeTrace:
     """``source.rollout(initial, perturb)`` one step at a time on floats.
 
-    The controller is called on one robot and obstacle state per step, its
-    output clamped to the actuator limits, ``perturb()`` (once per step)
+    The controller is called on one robot and obstacle state per step and
+    its output clamped to the actuator limits.  With ``source.agent`` (a
+    ``MaskedPolicy``) the squashed mean of one batch-1 policy forward on the
+    step's observation is mapped around that safe control by the 1-D
+    :func:`mask_action` and clamped again.  ``perturb()`` (once per step) is
     added and the sum clamped again; the robot and the obstacle move by
     :func:`unicycle_step`, and the episode ends within ``goal_radius`` of the
     goal or at ``k_max`` steps.  The encounter columns are filled from the
     finished rows, as the lockstep engine fills them.
     """
     cfg = source.cfg
-    controller = source.controller_factory()
+    controller, agent = source.controller_factory(), source.agent
     theta_path = path_heading(cfg.start, cfg.goal)
     robot = RobotState(cfg.start[0], cfg.start[1], theta_path, 0.0)
     obstacle = ObstacleState(*(float(v) for v in initial))
@@ -107,9 +111,12 @@ def rollout_ref(source, initial, perturb=None) -> EpisodeTrace:
     while len(rows) < cfg.k_max:
         control = controller(robot, obstacle)
         u_safe = applied = clamp(control[0], control[1])
+        if agent is not None:
+            raw = policy_mean(agent.params, observe(robot, obstacle, agent.task_cfg))
+            applied = clamp(*mask_action(raw, u_safe, agent.mask))
         if perturb is not None:
             xi = perturb()
-            applied = clamp(u_safe[0] + float(xi[0]), u_safe[1] + float(xi[1]))
+            applied = clamp(applied[0] + float(xi[0]), applied[1] + float(xi[1]))
         nan = math.nan
         rows.append((*vars(robot).values(), *vars(obstacle).values(), *applied, nan, nan, *u_safe, nan))
         robot = unicycle_step(robot, applied, cfg.dt)
@@ -133,6 +140,12 @@ def contains_box(outer, inner, tol: float = 0.0) -> bool:
 # PPO: the per-step sample and the per-minibatch update that ``ppo.train``
 # and ``ppo.ppo_update`` replace with per-window and per-epoch arrays
 # ---------------------------------------------------------------------------
+
+
+def policy_mean(params, obs) -> np.ndarray:
+    """Deterministic raw action: the squashed network mean of one batch-1
+    forward."""
+    return np.tanh(net_forward(params.policy, obs)[0][0])
 
 
 def gae_advantages_ref(rewards, values, dones, gamma, lam, bootstrap_value):

@@ -16,8 +16,8 @@ from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import EvasionEnv, EvasionSource, TaskConfig
 from saferl.ppo import (
+    MaskedPolicy,
     PpoConfig,
-    agent_controller_factory,
     evaluate_policy,
     init_policy,
     ppo_loss_and_grads,
@@ -217,9 +217,7 @@ def test_criterion_7_step2_learning(trained_agents):
 
 def test_criterion_8_step3_verification(safe_source, expansion, trained_agents):
     seed, params, mean = max(trained_agents, key=lambda item: item[2])
-    agent_source = EvasionSource(
-        TASK, agent_controller_factory(params, expansion.box, TASK, safe_factory)
-    )
+    agent_source = EvasionSource(TASK, safe_factory, MaskedPolicy(params, expansion.box, TASK))
     report = probv(
         agent_source, None, agent_source.robustness, n=50, epsilon=0.05, base_seed=60601
     )

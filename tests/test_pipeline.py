@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from saferl import ppo
 from saferl.boxes import IntervalBox
 from saferl.cli import main as cli_main
 from saferl.controller import SafeController
@@ -28,7 +30,8 @@ from saferl.pipeline import (
     run_verify_agent,
     run_verify_safe,
 )
-from saferl.ppo import AgentController, PpoConfig, init_policy, save_policy
+from saferl.ppo import MaskedPolicy, PpoConfig, init_policy, save_policy
+from saferl.verify import derive_seed
 
 
 def tiny_config(**overrides) -> PipelineConfig:
@@ -196,7 +199,6 @@ def test_verification_stages_run_no_sample_one_by_one(tmp_path, monkeypatch):
 
     monkeypatch.setattr(EvasionSource, "rollout", one_by_one)
     monkeypatch.setattr(SafeController, "__call__", one_by_one)
-    monkeypatch.setattr(AgentController, "__call__", one_by_one)
     got = stages(b)
     for paths_a, paths_b in zip(want, got):
         assert paths_a.keys() == paths_b.keys()
@@ -468,25 +470,50 @@ def test_cli_unexpected_exception_is_an_error_not_a_verdict(tmp_path, capsys, mo
 
 
 def test_verify_agent_steps_the_policy_in_batches(tmp_path, monkeypatch, trained_out):
-    # the verify-agent source steps every row through the agent's array
-    # method and never calls the agent one row at a time
+    # the verify-agent source maps all rows' safe controls through the agent
+    # in one call per step, over the safe controller's array method, and
+    # never calls the safe controller one row at a time
     policy = trained_out / "policy.bin"
     want = run_verify_agent(tiny_config(), policy, tmp_path / "a")[0]
     rows = []
-    batch = AgentController.batch
+    call = MaskedPolicy.__call__
 
-    def spy(self, robot, obstacle, evading, headings):
+    def spy(self, robot, obstacle, safe):
         rows.append(len(robot))
-        return batch(self, robot, obstacle, evading, headings)
+        return call(self, robot, obstacle, safe)
 
     def one_row(self, robot, obstacle):
-        raise AssertionError("the agent was called on one row")
+        raise AssertionError("the safe controller was called on one row")
 
-    monkeypatch.setattr(AgentController, "batch", spy)
-    monkeypatch.setattr(AgentController, "__call__", one_row)
+    monkeypatch.setattr(MaskedPolicy, "__call__", spy)
+    monkeypatch.setattr(SafeController, "__call__", one_row)
     got = run_verify_agent(tiny_config(), policy, tmp_path / "b")[0]
     assert got == want
     assert rows and rows[0] == want.n_samples
+
+
+def test_cli_verify_agent_control_outside_the_box_is_an_error(
+    tmp_path, capsys, monkeypatch, trained_out
+):
+    # an agent whose map reaches past the sidecar's box fails verify-agent
+    # with exit 2, naming the lowest failing sample, its seed and the step
+    mask_action = ppo.mask_action
+
+    def wider(raw, safe, box):
+        return mask_action(raw, safe, box.scale(1000.0))
+
+    monkeypatch.setattr(ppo, "mask_action", wider)
+    cfg = tiny_config()
+    policy = trained_out / "policy.bin"
+    args = ["verify-agent", "--config", write_config(tmp_path, cfg), "--policy", str(policy)]
+    capsys.readouterr()
+    assert cli_main(args + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    found = re.search(r"rollout sample (\d+) \(seed (\d+)\) failed: step (\d+): applied", err)
+    assert found, err
+    sample, seed = int(found[1]), int(found[2])
+    assert seed == derive_seed(cfg.verification.seed, sample)
+    assert "leave the action box" in err and "Traceback" not in err
 
 
 def test_cli_train_prints_the_steps_of_whole_windows(tmp_path, capsys):

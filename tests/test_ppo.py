@@ -15,25 +15,25 @@ from reference import (
     flatten_arrays,
     gae_advantages_ref,
     log_prob_of_z_ref,
+    policy_mean,
     policy_sample,
     ppo_update_ref,
     unflatten_arrays,
 )
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
-from saferl.evasion import EvasionEnv, ObstacleState, RobotState, TaskConfig, _cos_sin
+from saferl.evasion import EvasionEnv, ObstacleState, RobotState, TaskConfig, _cos_sin, observe
 from saferl.mlp import DenseNet, net_forward
 from saferl.ppo import (
+    MaskedPolicy,
     PolicyLoadError,
     PpoConfig,
     RolloutBuffer,
-    agent_controller_factory,
     evaluate_policy,
     gae_advantages,
     init_policy,
     load_policy,
     mask_action,
-    policy_mean,
     ppo_loss,
     ppo_loss_and_grads,
     ppo_update,
@@ -77,7 +77,7 @@ def test_mask_requires_zero_offset():
         make_env_factory(offset_box)()
     params = init_policy(7, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        agent_controller_factory(params, offset_box, TASK, lambda: None)
+        MaskedPolicy(params, offset_box, TASK)
 
 
 def test_masked_output_always_inside_box():
@@ -110,7 +110,7 @@ def test_mask_action_rows_bit_equal_to_one_row_and_inside_the_box(shape, data):
     safe = np.array(data.draw(_rows(m, rows, st.floats(-5.0, 5.0))))
     got = mask_action(raw, safe, box)
     assert got.shape == (rows, m)
-    # each row as AgentController.__call__ maps it, alone and 1-D
+    # each row as the oracle's agent (reference.rollout_ref) maps it, alone and 1-D
     for r, u, out in zip(raw.tolist(), safe.tolist(), got):
         assert np.array_equal(bits(mask_action(r, u, box)), bits(out))
     # every raw action, clipped into [-1, 1]^m, lands in [safe + lower, safe +
@@ -351,11 +351,10 @@ def test_update_with_zero_learning_rate_is_identity():
     params = init_policy(3, 2, cfg, rng)
     before = [p.copy() for p in params.param_list()]
     buffer = RolloutBuffer(16, 3, 2)
-    for _ in range(16):
-        obs = rng.standard_normal(3)
-        _, z, logp = policy_sample(params, obs, rng, cfg)
-        buffer.logp[buffer.ptr] = logp
-        buffer.add(obs, z, rng.standard_normal(), False, 0.0)
+    for i in range(16):
+        buffer.obs[i] = obs = rng.standard_normal(3)
+        _, buffer.z[i], buffer.logp[i] = policy_sample(params, obs, rng, cfg)
+        buffer.reward[i] = rng.standard_normal()
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
     adam = Adam(params.flat.size, cfg.learning_rate, eps=cfg.adam_eps)
     ppo_update(params, buffer, cfg, adam, np.random.default_rng(0))
@@ -369,10 +368,9 @@ def test_nonfinite_loss_aborts_update():
     params = init_policy(2, 1, cfg, rng)
     buffer = RolloutBuffer(8, 2, 1)
     for i in range(8):
-        obs = rng.standard_normal(2)
-        _, z, logp = policy_sample(params, obs, rng, cfg)
-        buffer.logp[i] = logp
-        buffer.add(obs, z, math.inf if i == 3 else 0.0, False, 0.0)
+        buffer.obs[i] = obs = rng.standard_normal(2)
+        _, buffer.z[i], buffer.logp[i] = policy_sample(params, obs, rng, cfg)
+        buffer.reward[i] = math.inf if i == 3 else 0.0
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
     adam = Adam(params.flat.size, cfg.learning_rate)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite"):
@@ -421,19 +419,15 @@ def test_untrained_policy_matches_safe_controller_closely():
 def test_deterministic_extraction_bit_identical():
     cfg = PpoConfig(hidden=(8,))
     params = init_policy(7, 2, cfg, np.random.default_rng(2))
-    factory = agent_controller_factory(
-        params, BOX, TASK, lambda: SafeController(TASK, ControllerConfig())
-    )
-    from saferl.evasion import ObstacleState, RobotState
-
-    robot = RobotState(-0.2, 0.05, 0.1, 0.12)
-    obstacle = ObstacleState(0.1, -0.1, 2.0, 0.1)
-    c1, c2 = factory(), factory()
-    assert c1(robot, obstacle) == c2(robot, obstacle)
-    assert c1(robot, obstacle) == c1(robot, obstacle)
-    u_safe = SafeController(TASK, ControllerConfig())(robot, obstacle)
-    out = c1(robot, obstacle)
-    assert BOX.contains(np.asarray(out) - np.asarray(u_safe), tol=1e-12)
+    robot = np.array([[-0.2, 0.05, 0.1, 0.12]])
+    obstacle = np.array([[0.1, -0.1, 2.0, 0.1]])
+    safe = SafeController(TASK, ControllerConfig())
+    u_safe = np.array([safe(RobotState(*robot[0]), ObstacleState(*obstacle[0]))])
+    a1, a2 = MaskedPolicy(params, BOX, TASK), MaskedPolicy(params, BOX, TASK)
+    out = a1(robot, obstacle, u_safe)
+    assert np.array_equal(bits(out), bits(a2(robot, obstacle, u_safe)))
+    assert np.array_equal(bits(out), bits(a1(robot, obstacle, u_safe)))
+    assert BOX.contains(out - u_safe, tol=1e-12)
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["init_policy", "loaded"])
@@ -446,32 +440,23 @@ def test_agent_batch_rows_bit_equal_to_calls(tmp_path, loaded):
         params, _ = load_policy(tmp_path / "p.bin")
     assert params.policy.weights[0].flags.f_contiguous is not loaded
     mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
-    factory = agent_controller_factory(params, mask, TASK, lambda: SafeController(TASK))
+    agent = MaskedPolicy(params, mask, TASK)
     rng = np.random.default_rng(611)
     states = list(near_encounters(TASK, rng, 2_000))
     modes = rng.random(len(states)) < 0.5
     robot = np.array([[r.x, r.y, r.theta, r.v] for r, _ in states])
     obstacle = np.array([[o.x, o.y, o.theta, o.v] for _, o in states])
     cs = _cos_sin(np.stack((robot[:, 2], obstacle[:, 2]), axis=1))
-    v, omega, evading = factory().batch(robot, obstacle, modes, cs)
-    for i, ((r, o), mode) in enumerate(zip(states, modes)):
-        ctl = factory()
-        ctl.safe._evading = bool(mode)
-        assert np.array_equal(bits(ctl(r, o)), bits((v[i], omega[i]))), i
-        assert ctl.safe.evading == evading[i]
-    # rows enter and leave the evade mode
-    assert (evading & ~modes).any() and (modes & ~evading).any()
-    # the policy moves the control off the safe one on every row
     safe_v, safe_omega, _ = SafeController(TASK).batch(robot, obstacle, modes, cs)
-    assert (omega != safe_omega).all() and (v != safe_v).all()
-
-
-def test_agent_over_an_opaque_safe_controller_has_no_batch():
-    params = init_policy(7, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
-    ctl = SafeController(TASK)
-    factory = agent_controller_factory(params, BOX, TASK, lambda: lambda r, o: ctl(r, o))
-    assert getattr(factory(), "batch", None) is None
-    assert agent_controller_factory(params, BOX, TASK, lambda: SafeController(TASK))().batch
+    u = agent(robot, obstacle, np.stack((safe_v, safe_omega), axis=1))
+    # each row as the oracle's per-row agent maps it: one batch-1 forward
+    # and the 1-D mask_action
+    for i, (r, o) in enumerate(states):
+        raw = policy_mean(params, observe(r, o, TASK))
+        want = mask_action(raw, (safe_v[i], safe_omega[i]), mask)
+        assert np.array_equal(bits(u[i]), bits(want)), i
+    # the policy moves the control off the safe one on every row
+    assert (u[:, 1] != safe_omega).all() and (u[:, 0] != safe_v).all()
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,22 @@ import pytest
 from reference import rollout_ref
 from saferl.boxes import IntervalBox
 from saferl.controller import SafeController
-from saferl.evasion import EpisodeTrace, EvasionSource, TaskConfig
-from saferl.ppo import PpoConfig, agent_controller_factory, init_policy, load_policy, save_policy
+from saferl.evasion import (
+    COL_CMD_V,
+    COL_SAFE_V,
+    EpisodeTrace,
+    EvasionSource,
+    ObstacleState,
+    RobotState,
+    TaskConfig,
+)
+from saferl.ppo import MaskedPolicy, PpoConfig, init_policy, load_policy, save_policy
 from saferl.stl import Signal
 from saferl.verify import (
     EngineMismatch,
     RolloutFailure,
     VerificationReport,
+    _perturbation_chunks,
     _run_lockstep,
     _run_sample,
     confidence,
@@ -381,11 +390,17 @@ def test_rollout_batch_retires_rows_that_finish_first():
 
 def test_rollout_is_one_row_of_rollout_batch():
     # rollout calls perturb() once per step and equals rollout_batch on its
-    # one row and the float engine, bit for bit; the widest box pushes the
-    # perturbed controls past both actuator limits
-    source = safe_source()
-    boxes = (None, E_INIT, E_INIT.scale((41, 5)), IntervalBox([-0.15, -4.0], [0.15, 4.0]))
-    for seed, box in itertools.product(range(3), boxes):
+    # one row and the float engine, bit for bit, for the safe controller
+    # alone and under an agent; the widest box pushes the perturbed controls
+    # past both actuator limits, and so does the agent's wide mask alone
+    params = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(20))
+    params.policy.weights[-1][...] *= 300.0  # raw actions across (-1, 1)
+    wide = IntervalBox([-0.15, -4.0], [0.15, 4.0])
+    agent = MaskedPolicy(params, wide, TASK)
+    sources = (safe_source(), EvasionSource(TASK, safe_source().controller_factory, agent))
+    boxes = (None, E_INIT, E_INIT.scale((41, 5)), wide)
+    limits = set()
+    for source, seed, box in itertools.product(sources, range(3), boxes):
         initial = source.sample_initial(np.random.default_rng(seed))
         rng, draws = np.random.default_rng(seed), []
 
@@ -401,6 +416,11 @@ def test_rollout_is_one_row_of_rollout_batch():
         assert trace_bits(trace) == trace_bits(rollout_ref(source, initial, replay))
         ((row, batched),) = source.rollout_batch([initial], blocks)
         assert row == 0 and trace_bits(batched) == trace_bits(trace)
+        if source.agent is not None and box is None:
+            cmd = trace.rows[:, COL_CMD_V : COL_CMD_V + 2]
+            limits.update(np.flatnonzero((cmd == (TASK.v_min, -TASK.omega_max)).any(axis=0)))
+            limits.update(2 + np.flatnonzero((cmd == (TASK.v_max, TASK.omega_max)).any(axis=0)))
+    assert limits == {0, 1, 2, 3}
 
 
 def test_lockstep_nan_control_names_the_lowest_failing_sample():
@@ -432,50 +452,72 @@ def test_lockstep_nan_control_names_the_lowest_failing_sample():
 
 
 def test_opaque_controller_runs_lockstep():
-    # controllers without an array method: the safe controller and a masked
-    # agent with a random policy, each behind a closure; and that agent with
-    # its array method
+    # the safe controller behind a closure, without an array method, alone
+    # and under a masked agent with a random policy; and that agent over the
+    # safe controller's array method
     def safe():
         ctl = SafeController(TASK)
         return lambda robot, obstacle: ctl(robot, obstacle)
 
     params = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(12))
-    mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
-    agent = agent_controller_factory(params, mask, TASK, safe_source().controller_factory)
-
-    def wrapped_agent():
-        ctl = agent()
-        return lambda robot, obstacle: ctl(robot, obstacle)
-
-    for factory, box in itertools.product((safe, agent, wrapped_agent), (None, E_INIT)):
-        reference = EvasionSource(TASK, factory)
-        batch_only = BatchOnly(TASK, factory)
+    agent = MaskedPolicy(params, IntervalBox([-0.02, -0.3], [0.03, 0.4]), TASK)
+    batch_factory = safe_source().controller_factory
+    cases = ((safe, None), (batch_factory, agent), (safe, agent))
+    for (factory, policy), box in itertools.product(cases, (None, E_INIT)):
+        reference = EvasionSource(TASK, factory, policy)
+        batch_only = BatchOnly(TASK, factory, policy)
         for n in (1, 3, 12, 50):
             want = probv(sequential(reference), box, reference.robustness, n, 0.05, 6)
             got = probv(batch_only, box, batch_only.robustness, n, 0.05, 6)
-            assert report_text(got) == report_text(want), (factory, box, n)
+            assert report_text(got) == report_text(want), (factory, policy, box, n)
         if factory is safe:  # the same verdict as the controller's array method
-            batched = probv(safe_source(), box, reference.robustness, 50, 0.05, 6)
-            assert report_text(got) == report_text(batched)
+            batched = EvasionSource(TASK, batch_factory, policy)
+            assert report_text(got) == report_text(
+                probv(batched, box, reference.robustness, 50, 0.05, 6)
+            )
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["init_policy", "loaded"])
 def test_agent_lockstep_probv_equals_sequential(tmp_path, loaded):
-    # the agent's array method against its one-by-one rollouts, with the
-    # default network and both memory orders of its first layer
+    # the agent over the safe controller's array method in lockstep against
+    # the oracle's one-by-one rollouts, with the default network and both
+    # memory orders of its first layer
     params = init_policy(7, 2, PpoConfig(), np.random.default_rng(13))
     if loaded:
         save_policy(params, tmp_path / "p.bin", meta={})
         params, _ = load_policy(tmp_path / "p.bin")
-    mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
-    agent = agent_controller_factory(params, mask, TASK, safe_source().controller_factory)
-    assert agent().batch
-    reference = EvasionSource(TASK, agent)
-    batch_only = BatchOnly(TASK, agent)
+    agent = MaskedPolicy(params, IntervalBox([-0.02, -0.3], [0.03, 0.4]), TASK)
+    safe = safe_source().controller_factory
+    assert safe().batch
+    reference = EvasionSource(TASK, safe, agent)
+    batch_only = BatchOnly(TASK, safe, agent)
     for box, n in itertools.product((None, E_INIT), (1, 3, 12, 50)):
         want = probv(sequential(reference), box, reference.robustness, n, 0.05, 7)
         got = probv(batch_only, box, batch_only.robustness, n, 0.05, 7)
         assert report_text(got) == report_text(want), (box, n)
+
+
+@pytest.mark.parametrize("box", [None, E_INIT], ids=str)
+def test_agent_trace_records_the_safe_control_and_the_executed_one(box):
+    # the safe columns hold the safe controller's own control, replayed on
+    # the trace's states one step at a time; the cmd columns hold the control
+    # executed, which the agent moves off it on every step
+    params = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(14))
+    mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+    source = EvasionSource(TASK, safe_source().controller_factory, MaskedPolicy(params, mask, TASK))
+    initials = [source.sample_initial(np.random.default_rng([8, i])) for i in range(12)]
+    blocks = None
+    if box is not None:
+        blocks = [_perturbation_chunks(box, np.random.default_rng(i)) for i in range(12)]
+    for _, trace in source.rollout_batch(initials, blocks):
+        ctl = SafeController(TASK)
+        want = [ctl(RobotState(*r[:4]), ObstacleState(*r[4:8])) for r in trace.rows.tolist()]
+        safe = trace.rows[:, COL_SAFE_V : COL_SAFE_V + 2]
+        cmd = trace.rows[:, COL_CMD_V : COL_CMD_V + 2]
+        assert np.ascontiguousarray(safe).tobytes() == np.array(want).tobytes()
+        assert (cmd[:, 1] != safe[:, 1]).all()
+        if box is None:
+            assert mask.contains(cmd - safe, tol=1e-9)
 
 
 def test_opaque_controller_error_names_the_lowest_failing_sample():
