@@ -24,7 +24,7 @@ from .pipeline import (
     run_verify_safe,
 )
 from .ppo import PolicyLoadError
-from .verify import EngineMismatch, InitialSetTooLarge, RolloutFailure, VerificationReport
+from .verify import InitialSetTooLarge, RolloutFailure, VerificationReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     except InitialSetTooLarge as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (EngineMismatch, PipelineError, PolicyLoadError, RolloutFailure, ValueError) as exc:
+    except (PipelineError, PolicyLoadError, RolloutFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception:

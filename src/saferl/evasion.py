@@ -663,7 +663,8 @@ class EvasionEnv:
         """Install the action box and the per-axis floats that
         :meth:`step_raw` and :meth:`returns` read: lower bound, width,
         containment bounds with the 1e-9 tolerance, center and half-width of
-        the normalised offset."""
+        the normalised offset; the first four also as arrays, for
+        :meth:`_step_rows_raw`."""
         self._mask = box
         if box.dim != 2:
             raise ValueError(f"action mask box must be 2-D (speed, turn rate), got {box!r}")
@@ -677,6 +678,7 @@ class EvasionEnv:
             np.maximum(0.5 * widths, 1e-12).tolist(),
             math.sqrt(box.dim),
         )
+        self._mask_rows = tuple(np.array(v) for v in self._mask_floats[:4])
 
     def _clamp(self, control) -> tuple[float, float]:
         v = min(max(float(control[0]), self.cfg.v_min), self.cfg.v_max)
@@ -791,6 +793,7 @@ class EvasionEnv:
             return totals
 
         cfg, n = self.cfg, len(obstacles)
+        bounds = _actuator_bounds(cfg)
         out = np.empty(n)
         state = np.empty((n, 2, 4))  # (row, robot|obstacle, x|y|theta|v)
         state[:, 0] = (*cfg.start, self.theta_path, 0.0)
@@ -802,7 +805,7 @@ class EvasionEnv:
             if nan.any():
                 raise ValueError(f"step {k}: raw action {raw[nan][0].tolist()} is not a number")
             u, applied, step_rewards, done, evading, outside = self._step_rows_raw(
-                k, state, evading, raw, batch
+                k, state, evading, raw, batch, bounds
             )
             if outside.any():
                 j = int(np.argmax(outside))
@@ -817,10 +820,11 @@ class EvasionEnv:
                 active, state, evading, totals = (a[~done] for a in (active, state, evading, totals))
         return out.tolist()
 
-    def _step_rows_raw(self, k: int, state, evading, raw, batch):
+    def _step_rows_raw(self, k: int, state, evading, raw, batch, bounds):
         """:meth:`step_raw` at step ``k`` of every row of the ``(rows, 2, 4)``
-        robot and obstacle states, with raw actions ``raw`` and the safe
-        controller's array method ``batch``; updates ``state`` in place.
+        robot and obstacle states, with raw actions ``raw``, the safe
+        controller's array method ``batch`` and the actuator ``bounds``
+        (:func:`_actuator_bounds`); updates ``state`` in place.
 
         Returns the safe and applied controls, the rewards, the done flags,
         each row's new evade mode and whether its applied offset lies
@@ -830,8 +834,7 @@ class EvasionEnv:
         the reward calls ``math.hypot`` per row.
         """
         cfg, dt = self.cfg, self.cfg.dt
-        lower, width, in_lo, in_hi = (np.array(v) for v in self._mask_floats[:4])
-        lo, hi = _actuator_bounds(cfg)
+        (lower, width, in_lo, in_hi), (lo, hi) = self._mask_rows, bounds
         cs = _cos_sin(state[:, :, 2])
         u = np.empty((state.shape[0], 2))
         u[:, 0], u[:, 1], evading = batch(state[:, 0], state[:, 1], evading, cs)
@@ -856,6 +859,24 @@ class EvasionEnv:
 # ---------------------------------------------------------------------------
 # Verification adapter
 # ---------------------------------------------------------------------------
+
+
+def _rows_alone(exc, k: int, rows, failed: dict, call) -> np.ndarray:
+    """Make ``call``, which raised ``exc`` at step ``k``, again on each row
+    alone; ``failed`` gets the error of each sample in ``rows`` that raises
+    again.  Returns which rows passed, unless all did (``RuntimeError``)."""
+    passed = np.ones(len(rows), dtype=bool)
+    for j, i in enumerate(rows.tolist()):
+        try:
+            call(slice(j, j + 1))
+        except Exception as row_exc:
+            failed.setdefault(i, row_exc)
+            passed[j] = False
+    if passed.all():
+        raise RuntimeError(
+            f"step {k}: a call on {len(rows)} rows raised, but each sample run alone succeeded"
+        ) from exc
+    return passed
 
 
 @dataclass
@@ -905,10 +926,7 @@ class EvasionSource:
         once per row and called on its states, and, as in
         :meth:`EvasionEnv._clamp`, only the first two entries of each control
         it returns count.  With an ``agent``, the step then maps the clamped
-        safe controls through it and clamps the result; a finite executed
-        control that lies outside ``agent.mask`` around its safe control by
-        more than 1e-9 raises :class:`ContainmentViolation` naming the step,
-        as :class:`EvasionEnv` checks it in training.  The trace's
+        safe controls through it and clamps the result.  The trace's
         ``safe_*`` columns record the clamped safe control, its ``cmd_*``
         columns the control executed.
 
@@ -921,16 +939,28 @@ class EvasionSource:
         own blocks alone.  The tests pin every row, bit for bit, to a float
         oracle that steps one episode at a time through the controller's
         per-row call, the agent's per-row arithmetic and
-        :func:`unicycle_step` (``rollout_ref`` in ``tests/reference.py``).  A
-        non-finite control or state raises ``ValueError``.
+        :func:`unicycle_step` (``rollout_ref`` in ``tests/reference.py``).
+
+        A row fails, and leaves without a trace, at the step where its state
+        or control is non-finite (``ValueError``), its agent control leaves
+        ``agent.mask`` around its safe control by more than 1e-9
+        (:class:`ContainmentViolation`), or its controller raises, alone or
+        in a block call (:func:`_rows_alone`); a controller factory that
+        raises fails every row at step 0.  After the last row the lowest
+        failed row's error is raised, with that row as its ``row``.
         """
         cfg, dt = self.cfg, self.cfg.dt
-        controller, agent = self.controller_factory(), self.agent
-        batch = getattr(controller, "batch", None)
+        agent = self.agent
         initials = np.asarray(initials, dtype=float)
         n = initials.shape[0]
-        if batch is None:
-            controllers = [controller, *(self.controller_factory() for _ in range(n - 1))]
+        try:
+            controller = self.controller_factory()
+            batch = getattr(controller, "batch", None)
+            if batch is None:
+                controllers = [controller, *(self.controller_factory() for _ in range(n - 1))]
+        except Exception as exc:
+            exc.row = 0
+            raise
         theta_path = path_heading(cfg.start, cfg.goal)
         lo, hi = _actuator_bounds(cfg)
         block = np.empty((n, cfg.k_max, _ROW_WIDTH))
@@ -941,14 +971,42 @@ class EvasionSource:
         cur[:, :COL_XO] = (*cfg.start, theta_path, 0.0)
         cur[:, COL_XO : COL_VO + 1] = initials
 
-        def views(cur):
-            safe = cur[:, COL_SAFE_V : COL_SAFE_W + 1]
-            return cur[:, :COL_CMD_V].reshape(-1, 2, 4), safe, cur[:, COL_CMD_V : COL_CMD_W + 1]
+        def keep_rows(keep):
+            """The active rows' arrays and views, cut to the rows ``keep``."""
+            kept = cur[keep]
+            safe = kept[:, COL_SAFE_V : COL_SAFE_W + 1]
+            kept_chunk = None if chunk is None else chunk[:, keep]
+            state, cmd = kept[:, :COL_CMD_V].reshape(-1, 2, 4), kept[:, COL_CMD_V : COL_CMD_W + 1]
+            return active[keep], kept, evading[keep], kept_chunk, state, safe, cmd
 
-        state, u, applied = views(cur)
+        def control(s):
+            """Step ``k``'s safe, executed and applied controls of the active
+            rows ``s``; raises on a non-finite row or a control off the box."""
+            us, applied_s = u[s], applied[s]
+            if batch is not None:
+                us[:, 0], us[:, 1], mode[s] = batch(state[s, 0], state[s, 1], evading[s], cs[:, s])
+            _clamp_rows(us, lo, hi, out=us)
+            executed = us
+            if agent is not None:
+                executed = _clamp_rows(agent(state[s, 0], state[s, 1], us), lo, hi)
+            if chunk is None:
+                applied_s[...] = executed
+            else:
+                np.add(executed, chunk[k - drawn, s], out=applied_s)
+                _clamp_rows(applied_s, lo, hi, out=applied_s)
+            if not np.isfinite(cur[s, : COL_CMD_W + 1]).all():
+                raise ValueError(f"step {k}: non-finite control or state")
+            if agent is not None and not agent.mask.contains(executed - us, tol=1e-9):
+                raise ContainmentViolation(
+                    f"step {k}: applied offsets {(executed - us).tolist()} from the safe "
+                    f"controls {us.tolist()} leave the action box {agent.mask!r}"
+                )
+
         active = np.arange(n)
         evading = np.zeros(n, dtype=bool)
         chunk, drawn = None, 0  # perturbation rows (step, row, axis), drawn at step `drawn`
+        active, cur, evading, chunk, state, u, applied = keep_rows(slice(None))
+        failed = {}  # sample index -> the error it failed with
         k = 0
         while True:
             if perturbations is not None and (chunk is None or k - drawn == chunk.shape[0]):
@@ -956,32 +1014,27 @@ class EvasionSource:
                 drawn = k
             cs = _cos_sin(state[:, :, 2])
             if batch is None:
-                u[...] = [
-                    (float(c[0]), float(c[1]))
-                    for c in (
-                        controllers[i](RobotState(*r), ObstacleState(*o))
-                        for i, (r, o) in zip(active.tolist(), state.tolist())
-                    )
-                ]
-            else:
-                u[:, 0], u[:, 1], evading = batch(state[:, 0], state[:, 1], evading, cs)
-            _clamp_rows(u, lo, hi, out=u)
-            executed = u
-            if agent is not None:
-                executed = _clamp_rows(agent(state[:, 0], state[:, 1], u), lo, hi)
-            if chunk is None:
-                applied[...] = executed
-            else:
-                _clamp_rows(np.add(executed, chunk[k - drawn], out=applied), lo, hi, out=applied)
+                calls = []
+                for i, (r, o) in zip(active.tolist(), state.tolist()):
+                    try:
+                        c = controllers[i](RobotState(*r), ObstacleState(*o))
+                        calls.append((float(c[0]), float(c[1])))
+                    except Exception as exc:
+                        failed[i] = exc
+                        calls.append((math.nan, math.nan))
+                u[...] = calls
+            mode = evading.copy()  # each row's evade mode after this step
+            try:
+                control(slice(None))
+                evading = mode
+            except Exception as exc:
+                passed = _rows_alone(exc, k, active, failed, control)
+                if not passed.any():
+                    break
+                evading, cs = mode, cs[:, passed]
+                active, cur, evading, chunk, state, u, applied = keep_rows(passed)
             block[active, k] = cur
             headings[:, active, k] = cs
-            if not np.isfinite(cur[:, : COL_CMD_W + 1]).all():
-                raise ValueError(f"step {k}: non-finite control or state")
-            if agent is not None and not agent.mask.contains(executed - u, tol=1e-9):
-                raise ContainmentViolation(
-                    f"step {k}: applied offsets {(executed - u).tolist()} from the safe "
-                    f"controls {u.tolist()} leave the action box {agent.mask!r}"
-                )
             _step_rows(state, applied, cs, dt)
             k += 1
             done = _at_goal(state[:, 0], cfg)
@@ -1003,12 +1056,12 @@ class EvasionSource:
                     goal=cfg.goal,
                 )
             if at_horizon or finished == len(active):
-                return
-            keep = ~done
-            active, cur, evading = active[keep], cur[keep], evading[keep]
-            state, u, applied = views(cur)
-            if chunk is not None:
-                chunk = chunk[:, keep]
+                break
+            active, cur, evading, chunk, state, u, applied = keep_rows(~done)
+        if failed:
+            i = int(min(failed))
+            failed[i].row = i
+            raise failed[i]
 
     @functools.cached_property
     def _monitor(self) -> PredicateTable:

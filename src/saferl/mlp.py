@@ -122,7 +122,9 @@ class Adam:
     ``step`` updates in place through two scratch vectors, with the
     elementwise operations of
     ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in that order.
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in that order.  Once ``bc1``
+    rounds to 1.0 (from t = 356 at b1 = 0.9), ``m/bc1`` is ``m`` bit for
+    bit, and that division is skipped.
     """
 
     def __init__(self, size: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-5):
@@ -150,8 +152,11 @@ class Adam:
         np.multiply(grads, 1 - b2, out=a)
         a *= grads
         v += a
-        np.divide(m, bc1, out=a)
-        a *= self.lr
+        if bc1 == 1.0:
+            np.multiply(m, self.lr, out=a)
+        else:
+            np.divide(m, bc1, out=a)
+            a *= self.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
         b += self.eps

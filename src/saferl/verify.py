@@ -40,7 +40,6 @@ __all__ = [
     "ExpansionSearchResult",
     "RolloutFailure",
     "InitialSetTooLarge",
-    "EngineMismatch",
     "confidence",
     "min_samples_for",
     "derive_seed",
@@ -68,8 +67,9 @@ class RolloutSource(Protocol):
     perturbations)`` with one row per sample and, when perturbed, one
     iterator of per-step perturbation blocks per sample, and scores each
     ``(row, trajectory)`` pair it yields (see
-    :meth:`saferl.evasion.EvasionSource.rollout_batch`); ``rollout`` then
-    only re-runs a sample to name a failure.
+    :meth:`saferl.evasion.EvasionSource.rollout_batch`).  A failing row
+    lets the others run on; after them the run raises an error whose
+    ``row`` attribute names the lowest failed row.
     """
 
     def sample_initial(self, rng: np.random.Generator): ...
@@ -97,14 +97,6 @@ class InitialSetTooLarge(RuntimeError):
             f"(rho_star = {report.rho_star:.6g}); reduce it and retry"
         )
         self.report = report
-
-
-class EngineMismatch(RuntimeError):
-    """The lockstep run failed although every sample run alone succeeded.
-
-    The failure depends on how many samples step together, an internal
-    error: no report is given.
-    """
 
 
 def confidence(epsilon: float, n: int) -> float:
@@ -295,16 +287,28 @@ def _run_lockstep(
 ):
     """All ``n`` samples through one ``source.rollout_batch`` call, each
     trace scored as its rollout ends; returns what :func:`_run_sample`
-    returns for each index, and raises on any failure without naming the
-    sample."""
+    returns for each index.  Raises :class:`RolloutFailure` for the lowest
+    sample whose rollout failed (the ``row`` of the run's error) or whose
+    robustness raised or is not finite."""
     initials, chunks = zip(*(_sample_inputs(source, expansion, base_seed, i) for i in range(n)))
-    rhos = [math.nan] * n
-    for i, trace in source.rollout_batch(
-        np.array(initials), None if expansion is None else list(chunks)
-    ):
-        rhos[i] = float(robustness_fn(trace))
-    if not all(math.isfinite(rho) for rho in rhos):
-        raise ValueError("non-finite robustness")
+    rhos, errors = [math.nan] * n, {}
+    try:
+        for i, trace in source.rollout_batch(
+            np.array(initials), None if expansion is None else list(chunks)
+        ):
+            try:
+                rhos[i] = float(robustness_fn(trace))
+            except Exception as exc:
+                errors[i] = exc
+    except Exception as exc:
+        if not hasattr(exc, "row"):
+            raise
+        errors[exc.row] = exc
+    for i, rho in enumerate(rhos):  # a failed row's robustness stays NaN
+        if not math.isfinite(rho):
+            exc = errors.get(i)
+            message = f"non-finite robustness {rho}" if exc is None else str(exc)
+            raise RolloutFailure(i, derive_seed(base_seed, i), message) from exc
     return [
         (derive_seed(base_seed, i), tuple(float(v) for v in initial), rho)
         for i, (initial, rho) in enumerate(zip(initials, rhos))
@@ -326,28 +330,15 @@ def probv(
     None the system runs unperturbed (the deterministic-policy case).
     A source with ``rollout_batch`` has all its samples stepped together,
     whatever its controller; otherwise samples run one by one in index
-    order.  A failing rollout raises :class:`RolloutFailure` for the lowest
-    failing index: after any error in the lockstep run the samples are re-run
-    one at a time through ``rollout`` (for
-    :class:`~saferl.evasion.EvasionSource`, the same lockstep engine on one
-    row) only to find it.  If that re-run completes, the failure depends on
-    the number of rows stepped together, and :class:`EngineMismatch` is
-    raised from the lockstep error; no report comes from the re-run.
+    order.  A failing rollout, or a robustness that raises or is not
+    finite, raises :class:`RolloutFailure` for the lowest failing index.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     conf = confidence(epsilon, n)  # validates epsilon
 
     if hasattr(source, "rollout_batch"):
-        try:
-            results = _run_lockstep(source, expansion, robustness_fn, base_seed, n)
-        except Exception as exc:
-            for i in range(n):  # raises RolloutFailure for the lowest failing sample
-                _run_sample(source, expansion, robustness_fn, base_seed, i)
-            raise EngineMismatch(
-                f"the lockstep run of {n} samples failed ({exc!r}) but each sample "
-                "run alone succeeded"
-            ) from exc
+        results = _run_lockstep(source, expansion, robustness_fn, base_seed, n)
     else:
         results = [_run_sample(source, expansion, robustness_fn, base_seed, i) for i in range(n)]
     seeds, params, rhos = zip(*results)

@@ -13,6 +13,7 @@ import numpy as np
 from saferl.evasion import (
     COL_THO,
     COL_THR,
+    ContainmentViolation,
     EpisodeTrace,
     ObstacleState,
     RobotState,
@@ -87,13 +88,16 @@ def rollout_ref(source, initial, perturb=None) -> EpisodeTrace:
 
     The controller is called on one robot and obstacle state per step and
     its output clamped to the actuator limits.  With ``source.agent`` (a
-    ``MaskedPolicy``) the squashed mean of one batch-1 policy forward on the
-    step's observation is mapped around that safe control by the 1-D
-    :func:`mask_action` and clamped again.  ``perturb()`` (once per step) is
-    added and the sum clamped again; the robot and the obstacle move by
-    :func:`unicycle_step`, and the episode ends within ``goal_radius`` of the
-    goal or at ``k_max`` steps.  The encounter columns are filled from the
-    finished rows, as the lockstep engine fills them.
+    ``MaskedPolicy``) :func:`agent_ref` maps that safe control and the
+    result is clamped again.  ``perturb()`` (once per step) is added and the
+    sum clamped again.  A non-finite state or applied control raises
+    ``ValueError``, and then an agent control outside ``agent.mask`` around
+    the safe one by more than 1e-9 raises ``ContainmentViolation``, each
+    with the lockstep engine's message for one row.  The robot and the
+    obstacle move by :func:`unicycle_step`, and the episode ends within
+    ``goal_radius`` of the goal or at ``k_max`` steps.  The encounter
+    columns are filled from the finished rows, as the lockstep engine fills
+    them.
     """
     cfg = source.cfg
     controller, agent = source.controller_factory(), source.agent
@@ -110,13 +114,20 @@ def rollout_ref(source, initial, perturb=None) -> EpisodeTrace:
     rows, termination = [], "horizon"
     while len(rows) < cfg.k_max:
         control = controller(robot, obstacle)
-        u_safe = applied = clamp(control[0], control[1])
+        u_safe = executed = applied = clamp(control[0], control[1])
         if agent is not None:
-            raw = policy_mean(agent.params, observe(robot, obstacle, agent.task_cfg))
-            applied = clamp(*mask_action(raw, u_safe, agent.mask))
+            executed = applied = clamp(*agent_ref(agent, robot, obstacle, u_safe))
         if perturb is not None:
             xi = perturb()
             applied = clamp(applied[0] + float(xi[0]), applied[1] + float(xi[1]))
+        if not all(map(math.isfinite, (*vars(robot).values(), *vars(obstacle).values(), *applied))):
+            raise ValueError(f"step {len(rows)}: non-finite control or state")
+        if agent is not None and not agent.mask.contains(np.subtract(executed, u_safe), tol=1e-9):
+            offset = np.subtract(executed, u_safe).tolist()
+            raise ContainmentViolation(
+                f"step {len(rows)}: applied offsets {[offset]} from the safe "
+                f"controls {[list(u_safe)]} leave the action box {agent.mask!r}"
+            )
         nan = math.nan
         rows.append((*vars(robot).values(), *vars(obstacle).values(), *applied, nan, nan, *u_safe, nan))
         robot = unicycle_step(robot, applied, cfg.dt)
@@ -127,6 +138,14 @@ def rollout_ref(source, initial, perturb=None) -> EpisodeTrace:
     rows = np.array(rows)
     _complete_rows(rows, _cos_sin(rows[:, COL_THR : COL_THO + 1 : 4]), theta_path)
     return EpisodeTrace(rows, robot, obstacle, cfg.dt, termination, cfg.start, cfg.goal)
+
+
+def agent_ref(agent, robot, obstacle, u_safe) -> np.ndarray:
+    """A ``MaskedPolicy``'s control for one row: the squashed mean of one
+    batch-1 policy forward on the row's observation, mapped around the safe
+    control ``u_safe`` by the 1-D :func:`mask_action`."""
+    raw = policy_mean(agent.params, observe(robot, obstacle, agent.task_cfg))
+    return mask_action(raw, u_safe, agent.mask)
 
 
 def contains_box(outer, inner, tol: float = 0.0) -> bool:

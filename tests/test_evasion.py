@@ -43,7 +43,7 @@ from saferl.evasion import (
     wrap_angle,
 )
 from saferl.evasion import LOCKSTEP_MIN_ROWS, _clamp_rows, _cos_sin, _observe_rows, _wrap_angles
-from saferl.evasion import _min_gaps, _time_grid
+from saferl.evasion import _actuator_bounds, _min_gaps, _time_grid
 from saferl.pipeline import config_from_dict, config_to_dict
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
@@ -1047,7 +1047,7 @@ def test_lockstep_step_equals_step_raw_row_by_row(seed, raws, warm, horizon, low
     lock.mask = box
     batch = SafeController(cfg, ControllerConfig()).batch
     u, applied, rewards, done, modes, outside = lock._step_rows_raw(
-        warm, state, modes, np.array(raws), batch
+        warm, state, modes, np.array(raws), batch, _actuator_bounds(cfg)
     )
     obs = _observe_rows(state[:, 0], state[:, 1], cfg)
     for i, (env, raw) in enumerate(zip(envs, raws)):

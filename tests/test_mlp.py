@@ -106,6 +106,26 @@ def test_adam_descends_quadratic():
     assert abs(p[0]) < 1e-3
 
 
+def test_adam_step_equals_the_written_formula():
+    # bit for bit over t = 1..1000, across t = 356 where 1 - b1**t rounds to
+    # 1.0 and the step drops its division by it; the gradients include
+    # zeros of both signs and a wide range of magnitudes
+    rng = np.random.default_rng(5)
+    size, lr, b1, b2, eps = 64, 3e-4, 0.9, 0.999, 1e-5
+    params = rng.standard_normal(size)
+    want, m, v = params.copy(), np.zeros(size), np.zeros(size)
+    adam = Adam(size, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 1001):
+        g = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 4, size)
+        g[:4] = (0.0, -0.0, 0.0, -0.0)
+        adam.step(params, g)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        want -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert params.tobytes() == want.tobytes(), t
+    assert 1.0 - b1**355 != 1.0 and 1.0 - b1**356 == 1.0
+
+
 def test_global_norm_clip():
     g = [np.array([3.0, 0.0]), np.array([[4.0]])]
     total = clip_by_global_norm(g, 2.5)

@@ -4,26 +4,32 @@ import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from reference import rollout_ref
 from saferl.boxes import IntervalBox
 from saferl.controller import SafeController
 from saferl.evasion import (
     COL_CMD_V,
     COL_SAFE_V,
+    COL_VO,
     EpisodeTrace,
     EvasionSource,
     ObstacleState,
     RobotState,
     TaskConfig,
+    unicycle_step,
 )
 from saferl.ppo import MaskedPolicy, PpoConfig, init_policy, load_policy, save_policy
 from saferl.stl import Signal
+import saferl.verify
 from saferl.verify import (
-    EngineMismatch,
     RolloutFailure,
     VerificationReport,
     _perturbation_chunks,
@@ -344,7 +350,7 @@ def test_lockstep_probv_equals_sequential(box, seed):
 
     source = safe_source(Counting)
     want = [_run_sample(sequential(source), box, source.robustness, seed, i) for i in range(50)]
-    # _run_lockstep raises where probv would fall back to the sequential path
+    # probv's path for a source with rollout_batch
     got = _run_lockstep(source, box, source.robustness, seed, 50)
     assert repr(got) == repr(want)
     assert sum(evading_rows) > 0
@@ -545,11 +551,195 @@ def test_opaque_controller_error_names_the_lowest_failing_sample():
     source = Counting(TASK, factory)
     with pytest.raises(RolloutFailure) as err:
         probv(source, E_INIT, source.robustness, 12, 0.05, base_seed=4)
-    # the lockstep run, then samples 0-5 re-run one row each
-    assert batches == [12, 1, 1, 1, 1, 1, 1]
+    # the lockstep run alone names the sample
+    assert batches == [12]
     assert err.value.sample_index == 5
     assert err.value.seed == derive_seed(4, 5)
     assert "controller fault" in str(err.value)
+
+
+def test_nan_row_is_named_by_the_one_lockstep_run(monkeypatch):
+    # a NaN control in row j of 50 names j and its seed from one
+    # rollout_batch call; no sample runs again, alone or through rollout
+    base, j = 4, 37
+    speed = float(safe_source().sample_initial(np.random.default_rng([base, j, 0]))[3])
+    calls = []
+
+    class NanForOne(SafeController):
+        def batch(self, robot, obstacle, evading, headings):
+            v, omega, evading = super().batch(robot, obstacle, evading, headings)
+            v[obstacle[:, 3] == speed] = math.nan
+            return v, omega, evading
+
+    class Spy(EvasionSource):
+        def rollout(self, initial, perturb=None):
+            calls.append("rollout")
+            return super().rollout(initial, perturb)
+
+        def rollout_batch(self, initials, perturbations=None):
+            calls.append(len(initials))
+            return super().rollout_batch(initials, perturbations)
+
+    def no_run_sample(*args):
+        raise AssertionError("a sample ran alone")
+
+    monkeypatch.setattr(saferl.verify, "_run_sample", no_run_sample)
+    source = Spy(TASK, lambda: NanForOne(TASK))
+    with pytest.raises(RolloutFailure) as err:
+        probv(source, E_INIT, source.robustness, 50, 0.05, base_seed=base)
+    assert calls == [50]
+    assert err.value.sample_index == j and err.value.seed == derive_seed(base, j)
+    assert "step 0: non-finite control or state" in str(err.value)
+
+
+def test_robustness_error_names_its_sample():
+    # the monitor raises on the traces of samples 9 and 4, or returns NaN on
+    # that of sample 6: probv names the lowest such sample
+    source = safe_source()
+    speeds = [float(source.sample_initial(np.random.default_rng([3, i, 0]))[3]) for i in range(12)]
+
+    def robustness(failing):
+        def score(trace):
+            i = speeds.index(trace.rows[0, COL_VO])
+            if i in failing:
+                raise ValueError(f"monitor fault {i}")
+            return math.nan if i == 6 else source.robustness(trace)
+
+        return score
+
+    with pytest.raises(RolloutFailure) as err:
+        probv(source, None, robustness((9, 4)), 12, 0.05, 3)
+    assert (err.value.sample_index, err.value.seed) == (4, derive_seed(3, 4))
+    assert str(err.value).endswith("failed: monitor fault 4")
+    with pytest.raises(RolloutFailure) as err:
+        probv(source, None, robustness((9,)), 12, 0.05, 3)
+    assert (err.value.sample_index, err.value.seed) == (6, derive_seed(3, 6))
+    assert str(err.value).endswith("failed: non-finite robustness nan")
+
+
+@pytest.mark.parametrize("where", ["batch", "agent"])
+def test_block_fault_that_one_row_repeats_fails_that_row_only(where):
+    # the batch or the agent raises on any block that holds row 3 at the
+    # step where another row first changes its evade mode: row 3 fails
+    # there, and every other row goes on, on its one-row results of that
+    # step, with the evade modes and to the trace of a run without the fault
+    params = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(12))
+    mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+    initials = [safe_source().sample_initial(np.random.default_rng([6, i])) for i in range(8)]
+    speed = initials[3][3]
+    runs = {"clean": {}, "faulty": {}}  # each row's evade mode fed in, by its obstacle state
+    fault = []  # row 3's obstacle position at the step of the fault
+    run = "clean"
+
+    def check(kind, obstacle):
+        if run == "faulty" and where == kind and fault[0] in obstacle[:, :2].tolist():
+            raise ValueError(f"{where} fault")
+
+    class Recording(SafeController):
+        def batch(self, robot, obstacle, evading, headings):
+            for key, mode in zip(map(tuple, obstacle.tolist()), evading.tolist()):
+                assert runs[run].setdefault(key, mode) == mode, key
+            check("batch", obstacle)
+            out = super().batch(robot, obstacle, evading, headings)
+            if not fault and ((out[2] != evading) & (obstacle[:, 3] != speed)).any():
+                fault.append(obstacle[obstacle[:, 3] == speed, :2][0].tolist())
+            return out
+
+    class Faulty(MaskedPolicy):
+        def __call__(self, robot, obstacle, safe):
+            check("agent", obstacle)
+            return super().__call__(robot, obstacle, safe)
+
+    source = EvasionSource(TASK, lambda: Recording(TASK), Faulty(params, mask, TASK))
+    want = {i: trace_bits(t) for i, t in source.rollout_batch(initials)}
+    run, got = "faulty", {}
+    with pytest.raises(ValueError, match=f"{where} fault") as err:
+        for i, trace in source.rollout_batch(initials):
+            got[i] = trace_bits(trace)
+    assert err.value.row == 3 and fault
+    assert got == {i: bits for i, bits in want.items() if i != 3}
+    assert runs["faulty"].items() <= runs["clean"].items()
+
+
+AGENT_PARAMS = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(15))
+AGENT_MASK = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+reference_agent = reference.agent_ref  # the float agent that the property patches
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 10),
+    box=st.sampled_from([None, E_INIT]),
+    base=st.integers(0, 2**16),
+)
+def test_lockstep_names_the_lowest_failing_sample_as_the_reference_does(data, n, box, base):
+    # random samples fail from a random step, by a NaN safe control or by an
+    # agent control outside the box; the lockstep run names the sample, with
+    # the message, that the float engine names running one sample at a time.
+    # A fault finds its sample and step by the obstacle's position, which
+    # no control moves.
+    faults = data.draw(
+        st.dictionaries(
+            st.integers(0, n - 1),
+            st.tuples(st.integers(0, 250), st.sampled_from(["nan", "out"])),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    where = {}  # obstacle (x, y) -> (sample, step)
+    for i in range(n):
+        o = ObstacleState(*safe_source().sample_initial(np.random.default_rng([base, i, 0])))
+        for k in range(TASK.k_max):
+            where[o.x, o.y] = (i, k)
+            o = unicycle_step(o, (o.v, 0.0), TASK.dt)
+
+    def hit(kind, x, y):
+        i, k = where[x, y]
+        return i in faults and faults[i][1] == kind and k >= faults[i][0]
+
+    class NanFrom(SafeController):
+        def __call__(self, robot, obstacle):
+            v, omega = super().__call__(robot, obstacle)
+            return (math.nan if hit("nan", obstacle.x, obstacle.y) else v), omega
+
+        def batch(self, robot, obstacle, evading, headings):
+            v, omega, evading = super().batch(robot, obstacle, evading, headings)
+            v[[hit("nan", x, y) for x, y in obstacle[:, :2].tolist()]] = math.nan
+            return v, omega, evading
+
+    def away(omega):  # a turn rate whose offset from omega leaves the box
+        return -TASK.omega_max if omega > 0 else TASK.omega_max
+
+    class OutFrom(MaskedPolicy):
+        def __call__(self, robot, obstacle, safe):
+            out = super().__call__(robot, obstacle, safe)
+            for j, (x, y) in enumerate(obstacle[:, :2].tolist()):
+                if hit("out", x, y):
+                    out[j, 1] = away(safe[j, 1])
+            return out
+
+    def agent_ref(agent, robot, obstacle, u_safe):
+        out = reference_agent(agent, robot, obstacle, u_safe)
+        if hit("out", obstacle.x, obstacle.y):
+            out[1] = away(u_safe[1])
+        return out
+
+    source = EvasionSource(TASK, lambda: NanFrom(TASK), OutFrom(AGENT_PARAMS, AGENT_MASK, TASK))
+    with mock.patch.object(reference, "agent_ref", agent_ref):
+        try:
+            want = probv(sequential(source), box, source.robustness, n, 0.05, base)
+        except RolloutFailure as exc:
+            want = (exc.sample_index, exc.seed, str(exc))
+    lockstep = BatchOnly(TASK, source.controller_factory, source.agent)
+    try:
+        got = probv(lockstep, box, source.robustness, n, 0.05, base)
+    except RolloutFailure as exc:
+        got = (exc.sample_index, exc.seed, str(exc))
+    if isinstance(want, VerificationReport):
+        assert isinstance(got, VerificationReport) and report_text(got) == report_text(want)
+    else:
+        assert got == want
 
 
 def test_failing_controller_factory_names_sample_zero():
@@ -586,9 +776,9 @@ def test_opaque_controller_may_return_extra_entries():
 
 
 def test_lockstep_failure_that_no_sample_repeats_raises():
-    # the one-by-one re-run only names a failing sample; when every sample
-    # passes alone the failure depends on the row count and probv reports
-    # nothing
+    # a block call that raises is made again on each row alone only to name
+    # the failing rows; when every row passes alone the failure depends on
+    # the row count and probv reports nothing
     class BatchFault(SafeController):
         def batch(self, robot, obstacle, evading, headings):
             if robot.shape[0] > 1:
@@ -596,7 +786,8 @@ def test_lockstep_failure_that_no_sample_repeats_raises():
             return super().batch(robot, obstacle, evading, headings)
 
     source = safe_source(BatchFault)
-    with pytest.raises(EngineMismatch) as err:
+    with pytest.raises(RuntimeError, match=r"step 0: a call on 12 rows raised, but each") as err:
         probv(source, E_INIT, source.robustness, 12, 0.05, base_seed=4)
+    assert not isinstance(err.value, RolloutFailure)
     assert isinstance(err.value.__cause__, ValueError)
     assert "batch fault" in str(err.value.__cause__)
