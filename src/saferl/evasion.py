@@ -298,11 +298,6 @@ def _clamp_rows(x: np.ndarray, lo, hi, out=None) -> np.ndarray:
     return np.minimum(hi, np.maximum(lo, x, out=out), out=out)
 
 
-def _actuator_bounds(cfg: TaskConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and upper ``(v, omega)`` bounds of :meth:`EvasionEnv._clamp`."""
-    return np.array((cfg.v_min, -cfg.omega_max)), np.array((cfg.v_max, cfg.omega_max))
-
-
 def _closest_rows(pos: np.ndarray, start, goal) -> np.ndarray:
     """:func:`_closest_on_path` of each row of the ``(rows, 2)`` positions
     ``pos``; the projection is ``np.vecdot`` over C-ordered rows, which
@@ -611,12 +606,16 @@ def require_zero_offset(mask: IntervalBox) -> None:
 
 
 # EvasionEnv.returns plays fewer rows than this one after another: a lockstep
-# step costs about a hundred numpy calls whatever the row count, for as many
-# steps as the longest episode takes.  Measured (ms per call, min of 7,
-# lockstep against one by one, default task and controller, 2-core host):
-# evaluation n = 1: 16.1 against 4.2, n = 4: 28.9 against 19.1, n = 6: 31.1
-# against 31.3, n = 8: 32.5 against 41.2; calibration 4 rows: 25.4 against
-# 15.8, 8 rows: 26.6 against 30.1.
+# step of EvasionSource.rollout_batch costs about a hundred numpy calls
+# whatever the row count, for as many steps as the longest episode takes.
+# Measured (ms per call, lockstep against one by one through step_raw, the
+# min of 9 alternating calls averaged over 4 obstacle seeds, default task
+# and controller, 2-core host): evaluation (a default-size policy) n = 1:
+# 31.4 against 7.4, n = 4: 66.5 against 42.8, n = 6: 70.8 against 57.0,
+# n = 8: 73.5 against 83.3, n = 12: 119.4 against 168.8; calibration (one
+# corner) n = 8: 58.1 against 41.0, n = 10: 67.4 against 58.8, n = 12: 63.3
+# against 64.8, n = 16: 73.1 against 84.7.  Calibration's crossover lies
+# nearer 12 rows, but both paths are bit-equal and one threshold serves both.
 LOCKSTEP_MIN_ROWS = 8
 
 
@@ -626,10 +625,10 @@ class EvasionEnv:
     :meth:`reset`/:meth:`step_raw` play one episode, where a raw action in
     [-1, 1]^2 is mapped affinely into the action box ``mask`` around the
     controller output, and :meth:`returns` plays whole episodes of it under
-    a fixed policy, many at once.  Every applied control is checked against
-    that box; a violation is counted and raises
-    :class:`ContainmentViolation` at that step.  The traces that the
-    monitor scores come from :meth:`EvasionSource.rollout_batch`.
+    a fixed policy, many at once on :meth:`EvasionSource.rollout_batch`,
+    the engine that also makes the traces the monitor scores.  Every
+    applied control is checked against that box; a violation is counted
+    and raises :class:`ContainmentViolation` at that step.
 
     The per-step arithmetic runs on Python floats; it repeats, operation for
     operation, the IEEE arithmetic of the array expressions given in the
@@ -661,10 +660,9 @@ class EvasionEnv:
     @mask.setter
     def mask(self, box: IntervalBox) -> None:
         """Install the action box and the per-axis floats that
-        :meth:`step_raw` and :meth:`returns` read: lower bound, width,
-        containment bounds with the 1e-9 tolerance, center and half-width of
-        the normalised offset; the first four also as arrays, for
-        :meth:`_step_rows_raw`."""
+        :meth:`step_raw` reads: lower bound, width, containment bounds with
+        the 1e-9 tolerance, center and half-width of the normalised
+        offset."""
         self._mask = box
         if box.dim != 2:
             raise ValueError(f"action mask box must be 2-D (speed, turn rate), got {box!r}")
@@ -678,23 +676,21 @@ class EvasionEnv:
             np.maximum(0.5 * widths, 1e-12).tolist(),
             math.sqrt(box.dim),
         )
-        self._mask_rows = tuple(np.array(v) for v in self._mask_floats[:4])
 
     def _clamp(self, control) -> tuple[float, float]:
         v = min(max(float(control[0]), self.cfg.v_min), self.cfg.v_max)
         w = min(max(float(control[1]), -self.cfg.omega_max), self.cfg.omega_max)
         return v, w
 
-    def _check_mask(self, applied, u_safe, step: int | None = None) -> None:
-        """Count and raise a :class:`ContainmentViolation` at ``step`` (by
-        default the episode's current step) when ``applied - u_safe`` lies
-        outside the action box by more than 1e-9."""
+    def _check_mask(self, applied, u_safe) -> None:
+        """Count and raise a :class:`ContainmentViolation` at the episode's
+        current step when ``applied - u_safe`` lies outside the action box
+        by more than 1e-9."""
         offset = np.asarray(applied) - np.asarray(u_safe)
         if not self.mask.contains(offset, tol=1e-9):
             self.containment_violations += 1
-            step = self._k if step is None else step
             raise ContainmentViolation(
-                f"step {step}: applied offset {offset.tolist()} from the safe "
+                f"step {self._k}: applied offset {offset.tolist()} from the safe "
                 f"control {list(u_safe)} lies outside the action box {self.mask!r}"
             )
 
@@ -766,94 +762,80 @@ class EvasionEnv:
         """Play one :meth:`step_raw` episode per obstacle under a fixed
         policy and return each episode's return, the sum of its rewards.
 
-        ``act(obs, rows)`` maps the ``(len(rows), 7)`` observations of the
-        running episodes ``rows`` (indices into ``obstacles``) to their
-        ``(len(rows), 2)`` raw actions.  From :data:`LOCKSTEP_MIN_ROWS`
-        obstacles on, over a controller with an array method ``batch``, all
-        episodes step together as arrays (:meth:`_step_rows_raw`) and a
-        finished one leaves the active set; otherwise they play one after
-        another through :meth:`reset` and :meth:`step_raw`.  Either way
+        ``act(obs)`` maps a ``(rows, 7)`` array of observations to the
+        ``(rows, 2)`` raw actions of those rows.  Fewer than
+        :data:`LOCKSTEP_MIN_ROWS` episodes play one after another through
+        :meth:`reset` and :meth:`step_raw`.  From that many on they run as
+        one :meth:`EvasionSource.rollout_batch` with the raw actions mapped
+        as :meth:`step_raw` maps them (:class:`_RawActions`), and each
+        trace's rewards are summed (:func:`_trace_rewards`).  Either way
         episode ``i``'s return is bit-equal to a :meth:`step_raw` loop on
-        ``obstacles[i]``.  A containment violation is counted and raises
+        ``obstacles[i]``, and the lowest failing episode raises: a
+        containment violation is counted and raises
         :class:`ContainmentViolation` naming its step; a NaN raw action, a
-        non-finite control or a non-finite state raises ``ValueError``.  In
-        lockstep the first step at which some row fails raises, for the
-        lowest such row.
+        non-finite control or a non-finite state raises ``ValueError``.
         """
-        controller = self.controller_factory() if len(obstacles) >= LOCKSTEP_MIN_ROWS else None
-        batch = getattr(controller, "batch", None)
-        if batch is None:
+        if len(obstacles) < LOCKSTEP_MIN_ROWS:
             totals = []
-            for i, obstacle in enumerate(obstacles):
-                obs, total, done, rows = self.reset(obstacle), 0.0, False, np.array([i])
+            for obstacle in obstacles:
+                obs, total, done = self.reset(obstacle), 0.0, False
                 while not done:
-                    obs, step_reward, done, _ = self.step_raw(act(obs[None], rows)[0])
+                    obs, step_reward, done, _ = self.step_raw(act(obs[None])[0])
                     total += step_reward
                 totals.append(total)
             return totals
+        source = EvasionSource(self.cfg, self.controller_factory, agent=_RawActions(self, act))
+        totals = [0.0] * len(obstacles)
+        try:
+            for i, trace in source.rollout_batch([(o.x, o.y, o.theta, o.v) for o in obstacles]):
+                for step_reward in _trace_rewards(trace, self.cfg):
+                    totals[i] += step_reward
+        except ContainmentViolation:
+            self.containment_violations += 1
+            raise
+        return totals
 
-        cfg, n = self.cfg, len(obstacles)
-        bounds = _actuator_bounds(cfg)
-        out = np.empty(n)
-        state = np.empty((n, 2, 4))  # (row, robot|obstacle, x|y|theta|v)
-        state[:, 0] = (*cfg.start, self.theta_path, 0.0)
-        state[:, 1] = [(o.x, o.y, o.theta, o.v) for o in obstacles]
-        active, evading, totals = np.arange(n), np.zeros(n, dtype=bool), np.zeros(n)
-        for k in range(cfg.k_max):
-            raw = np.asarray(act(_observe_rows(state[:, 0], state[:, 1], cfg), active), dtype=float)
-            nan = np.isnan(raw).any(axis=1)
-            if nan.any():
-                raise ValueError(f"step {k}: raw action {raw[nan][0].tolist()} is not a number")
-            u, applied, step_rewards, done, evading, outside = self._step_rows_raw(
-                k, state, evading, raw, batch, bounds
-            )
-            if outside.any():
-                j = int(np.argmax(outside))
-                self._check_mask(applied[j].tolist(), u[j].tolist(), step=k)
-            if not all(np.isfinite(a).all() for a in (u, applied, state)):
-                raise ValueError(f"step {k}: non-finite control or state")
-            totals += step_rewards
-            out[active[done]] = totals[done]
-            if done.all():
-                break
-            if done.any():
-                active, state, evading, totals = (a[~done] for a in (active, state, evading, totals))
-        return out.tolist()
 
-    def _step_rows_raw(self, k: int, state, evading, raw, batch, bounds):
-        """:meth:`step_raw` at step ``k`` of every row of the ``(rows, 2, 4)``
-        robot and obstacle states, with raw actions ``raw``, the safe
-        controller's array method ``batch`` and the actuator ``bounds``
-        (:func:`_actuator_bounds`); updates ``state`` in place.
+class _RawActions:
+    """A fixed policy's raw actions, mapped as :meth:`EvasionEnv.step_raw`
+    maps them into the action box of ``env``, as an
+    :class:`EvasionSource` agent: the safe controls ``safe`` of a block of
+    rows go to ``safe + (lower + 0.5 * (clip(raw, -1, 1) + 1) * width)``,
+    with ``raw = act(obs)`` and ``obs`` :func:`observe` of each row.  The
+    box is the env's at each call."""
 
-        Returns the safe and applied controls, the rewards, the done flags,
-        each row's new evade mode and whether its applied offset lies
-        outside the action box by more than 1e-9.  Row ``i`` equals
-        :meth:`step_raw` on row ``i`` bit for bit: the mapping keeps its
-        addition order ``u + (lower + 0.5 * (clip(raw) + 1) * width)``, and
-        the reward calls ``math.hypot`` per row.
-        """
-        cfg, dt = self.cfg, self.cfg.dt
-        (lower, width, in_lo, in_hi), (lo, hi) = self._mask_rows, bounds
-        cs = _cos_sin(state[:, :, 2])
-        u = np.empty((state.shape[0], 2))
-        u[:, 0], u[:, 1], evading = batch(state[:, 0], state[:, 1], evading, cs)
-        _clamp_rows(u, lo, hi, out=u)
-        offset = lower + 0.5 * (_clamp_rows(raw, -1.0, 1.0) + 1.0) * width
-        applied = _clamp_rows(u + offset, lo, hi)
-        d = applied - u
-        outside = ~((in_lo <= d) & (d <= in_hi)).all(axis=1)
-        # the reward: the counterfactual safe step's distance to the goal minus
-        # the applied step's, as unicycle_step moves x and y
-        gx, gy = cfg.goal
-        ref_x = state[:, 0, 0] + u[:, 0] * cs[0, :, 0] * dt - gx
-        ref_y = state[:, 0, 1] + u[:, 0] * cs[1, :, 0] * dt - gy
-        _step_rows(state, applied, cs, dt)
-        ref = [*map(math.hypot, ref_x.tolist(), ref_y.tolist())]
-        actual = [*map(math.hypot, (state[:, 0, 0] - gx).tolist(), (state[:, 0, 1] - gy).tolist())]
-        step_rewards = cfg.r_diff * (np.array(ref) - np.array(actual))
-        done = _at_goal(state[:, 0], cfg) | (k + 1 >= cfg.k_max)
-        return u, applied, step_rewards, done, evading, outside
+    def __init__(self, env: EvasionEnv, act: Callable):
+        self.env, self.act = env, act
+
+    @property
+    def mask(self) -> IntervalBox:
+        return self.env.mask
+
+    def __call__(self, robot: np.ndarray, obstacle: np.ndarray, safe: np.ndarray) -> np.ndarray:
+        raw = np.asarray(self.act(_observe_rows(robot, obstacle, self.env.cfg)), dtype=float)
+        box = self.mask
+        return safe + (box.lower + 0.5 * (_clamp_rows(raw, -1.0, 1.0) + 1.0) * box.widths)
+
+
+def _trace_rewards(trace: EpisodeTrace, cfg: TaskConfig) -> list[float]:
+    """:meth:`EvasionEnv.step_raw`'s reward at each step of ``trace``: the
+    distance to the goal of a step under the safe control minus that of
+    the next row's robot (after the last row, the final robot), times
+    ``r_diff``, per row in ``math`` calls as :meth:`~EvasionEnv.step_raw`
+    makes them."""
+    gx, gy, dt = *cfg.goal, cfg.dt
+    rows = trace.rows
+    x, y = rows[:, COL_XR].tolist(), rows[:, COL_YR].tolist()
+    theta, safe_v = rows[:, COL_THR].tolist(), rows[:, COL_SAFE_V].tolist()
+    final = trace.final_robot
+    return [
+        cfg.r_diff
+        * (
+            math.hypot(x0 + v * math.cos(th) * dt - gx, y0 + v * math.sin(th) * dt - gy)
+            - math.hypot(x1 - gx, y1 - gy)
+        )
+        for x0, y0, th, v, x1, y1 in zip(x, y, theta, safe_v, x[1:] + [final.x], y[1:] + [final.y])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -887,11 +869,13 @@ class EvasionSource:
     the robot always starts at the configured start pose.  Rollouts are
     deterministic given the initial condition and the perturbation stream.
 
-    ``agent``, when given, is the trained agent as an action map around the
-    safe controller (:class:`saferl.ppo.MaskedPolicy`): ``agent(robot,
-    obstacle, safe)`` maps a block of rows' ``(rows, 4)`` states and
-    ``(rows, 2)`` safe controls to the controls executed, which must stay
-    in the box ``agent.mask`` around the safe ones.
+    ``agent``, when given, is an action map around the safe controller,
+    the trained agent (:class:`saferl.ppo.MaskedPolicy`) or a fixed
+    policy's raw actions (:class:`_RawActions`, for
+    :meth:`EvasionEnv.returns`): ``agent(robot, obstacle, safe)`` maps a
+    block of rows' ``(rows, 4)`` states and ``(rows, 2)`` safe controls to
+    the controls executed, which must stay in the box ``agent.mask`` around
+    the safe ones.
     """
 
     cfg: TaskConfig
@@ -962,7 +946,8 @@ class EvasionSource:
             exc.row = 0
             raise
         theta_path = path_heading(cfg.start, cfg.goal)
-        lo, hi = _actuator_bounds(cfg)
+        # the actuator bounds of EvasionEnv._clamp
+        lo, hi = np.array((cfg.v_min, -cfg.omega_max)), np.array((cfg.v_max, cfg.omega_max))
         block = np.empty((n, cfg.k_max, _ROW_WIDTH))
         headings = np.empty((2, n, cfg.k_max, 2))  # _cos_sin of each step's thetas
         # The active samples' current trace rows; columns 0-7 hold the robot

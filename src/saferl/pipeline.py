@@ -441,19 +441,21 @@ def calibrate_reward_scale(
 
     ``max(1, episodes // 2)`` episodes run at each corner, those of the +1
     corner first, on obstacles drawn in that order from one generator.
-    :meth:`EvasionEnv.returns` plays them, all together from
-    ``LOCKSTEP_MIN_ROWS`` rows on; each return is bit-equal to playing its
-    episode alone through ``step_raw``.
+    :meth:`EvasionEnv.returns` plays each corner's episodes, as one
+    :meth:`EvasionSource.rollout_batch` run from ``LOCKSTEP_MIN_ROWS`` of
+    them on; each return is bit-equal to playing its episode alone through
+    ``step_raw``.
     """
     pilot_task = replace(task, r_diff=1.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
     per_corner = max(1, episodes // 2)
-    obstacles = [sample_obstacle(pilot_task, rng) for _ in range(2 * per_corner)]
-    corners = np.repeat([[1.0, 1.0], [-1.0, -1.0]], per_corner, axis=0)
     env = EvasionEnv(pilot_task, controller_factory, mask=box)
     worst = 0.0
-    for total in env.returns(obstacles, lambda obs, rows: corners[rows]):
-        worst = max(worst, abs(total))
+    for corner in (1.0, -1.0):
+        obstacles = [sample_obstacle(pilot_task, rng) for _ in range(per_corner)]
+        raw = np.full((per_corner, 2), corner)
+        for total in env.returns(obstacles, lambda obs, raw=raw: raw[: len(obs)]):
+            worst = max(worst, abs(total))
     if worst <= 0.0:
         return task.r_diff
     return target / worst

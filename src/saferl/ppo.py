@@ -5,8 +5,10 @@ differentiated by hand (:mod:`saferl.mlp`); no autodiff framework is
 involved.  Actions are parameterized in [-1, 1]^m: the network mean is
 squashed by tanh, and the raw action is mapped affinely into the interval
 box around the safe controller output, so every executed control stays
-inside that box up to rounding.  Training maps it in
-:meth:`saferl.evasion.EvasionEnv.step_raw` as ``u + (lower + x)``; the
+inside that box up to rounding.  Training, its evaluation and the reward
+calibration map it as :meth:`saferl.evasion.EvasionEnv.step_raw` does, as
+``u + (lower + x)``, whether an episode plays through ``step_raw`` or in
+lockstep through :meth:`saferl.evasion.EvasionSource.rollout_batch`; the
 trained agent (:class:`MaskedPolicy`) maps it with :func:`mask_action` as
 ``(u + lower) + x``, where ``x = 0.5 * (raw + 1) * width``; the two
 addition orders can round differently.
@@ -86,10 +88,17 @@ class PpoConfig:
     eval_episodes: int = 50
 
     def __post_init__(self):
-        for name in ("steps", "n_steps", "minibatch_size", "epochs", "eval_episodes"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"PpoConfig.{name} must be at least 1, not {value!r}")
+        counts = ("steps", "n_steps", "minibatch_size", "epochs", "eval_episodes")
+        rules = [(name, getattr(self, name) >= 1, "at least 1") for name in counts]
+        for name in ("learning_rate", "clip_range", "adam_eps"):
+            rules.append((name, 0 < getattr(self, name) < math.inf, "finite and positive"))
+        for name in ("gamma", "gae_lambda"):
+            rules.append((name, 0 <= getattr(self, name) <= 1, "in [0, 1]"))
+        rules.append(("hidden", all(width >= 1 for width in self.hidden), "widths of at least 1"))
+        rules.append(("log_std_min", self.log_std_min <= self.log_std_max, "at most log_std_max"))
+        for name, valid, rule in rules:
+            if not valid:
+                raise ValueError(f"PpoConfig.{name} must be {rule}, not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -593,16 +602,17 @@ def evaluate_policy(
     The obstacles are drawn up front, in episode order, from one generator
     seeded by ``seed``.  ``env_factory`` must produce an
     :class:`saferl.evasion.EvasionEnv` with the action mask installed; its
-    :meth:`~saferl.evasion.EvasionEnv.returns` plays the episodes, all
-    together from ``LOCKSTEP_MIN_ROWS`` of them on, with one stacked policy
-    forward per step (:func:`_row_forward`).  Each return is bit-equal to a
-    :meth:`~saferl.evasion.EvasionEnv.step_raw` loop of the squashed mean of
-    one batch-1 forward per step.
+    :meth:`~saferl.evasion.EvasionEnv.returns` plays the episodes, from
+    ``LOCKSTEP_MIN_ROWS`` of them on as one
+    :meth:`~saferl.evasion.EvasionSource.rollout_batch` run with one
+    stacked policy forward per step (:func:`_row_forward`).  Each return is
+    bit-equal to a :meth:`~saferl.evasion.EvasionEnv.step_raw` loop of the
+    squashed mean of one batch-1 forward per step.
     """
     env = env_factory()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     obstacles = [sample_obstacle(env.cfg, rng) for _ in range(n_episodes)]
-    returns = env.returns(obstacles, lambda obs, rows: np.tanh(_row_forward(params.policy, obs)))
+    returns = env.returns(obstacles, lambda obs: np.tanh(_row_forward(params.policy, obs)))
     mean = float(np.mean(returns))
     std = float(np.std(returns))
     return mean, std, returns

@@ -43,7 +43,7 @@ from saferl.evasion import (
     wrap_angle,
 )
 from saferl.evasion import LOCKSTEP_MIN_ROWS, _clamp_rows, _cos_sin, _observe_rows, _wrap_angles
-from saferl.evasion import _actuator_bounds, _min_gaps, _time_grid
+from saferl.evasion import _min_gaps, _time_grid
 from saferl.pipeline import config_from_dict, config_to_dict
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
@@ -980,37 +980,47 @@ def test_lockstep_containment_violation_raises_at_the_step(monkeypatch):
     env = safe_env(mask=IntervalBox.zero(2))
     steps = []
 
-    def act(obs, rows):
+    def act(obs):
         # from step 3 on, a box without the zero offset (see
         # test_containment_violation_raises_at_the_step)
-        steps.append(len(rows))
+        steps.append(len(obs))
         if len(steps) == 4:
             env.mask = IntervalBox([0.1, 0.0], [0.2, 0.0])
-        return np.zeros((len(rows), 2))
+        return np.zeros((len(obs), 2))
 
-    with pytest.raises(ContainmentViolation, match=r"step 3: applied offset .*IntervalBox\(\[0\.1, 0\.2\]"):
+    match = r"step 3: applied offsets .*IntervalBox\(\[0\.1, 0\.2\]"
+    with pytest.raises(ContainmentViolation, match=match) as exc:
         env.returns(obstacles, act)
     assert env.containment_violations == 1
-    assert steps == [len(obstacles)] * 4
+    assert exc.value.row == 0
+    # every row leaves the box at step 3, in the block and alone
+    assert steps == [len(obstacles)] * 4 + [1] * len(obstacles)
 
 
 def test_lockstep_nan_raw_action_raises(monkeypatch):
-    no_step_raw(monkeypatch)
     rng = np.random.default_rng(1)
     obstacles = [sample_obstacle(CFG, rng) for _ in range(LOCKSTEP_MIN_ROWS)]
-    env = safe_env()
-    steps = []
+    # the observation of episode 5 at step 2
+    ref = safe_env()
+    obs = ref.reset(obstacles[5])
+    for _ in range(2):
+        obs = ref.step_raw(np.zeros(2))[0]
+    target = obs.tobytes()
 
-    def act(obs, rows):
-        steps.append(len(rows))
-        raw = np.zeros((len(rows), 2))
-        if len(steps) == 3:
-            raw[5] = (math.nan, 0.5)
+    def act(obs):
+        raw = np.zeros((len(obs), 2))
+        raw[[row.tobytes() == target for row in obs]] = (math.nan, 0.5)
         return raw
 
+    # alone, episode 5 plays through step_raw, which names the raw action
     with pytest.raises(ValueError, match=r"step 2: raw action \[nan, 0\.5\] is not a number"):
+        safe_env().returns(obstacles[5:6], act)
+    no_step_raw(monkeypatch)
+    env = safe_env()
+    with pytest.raises(ValueError, match=r"^step 2: non-finite control or state$") as exc:
         env.returns(obstacles, act)
     assert env.containment_violations == 0
+    assert exc.value.row == 5
 
 
 _RAW = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
@@ -1026,40 +1036,89 @@ _RAW = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
     widths=st.tuples(st.floats(0.0, 0.15), st.floats(0.0, 0.6)),
 )
 def test_lockstep_step_equals_step_raw_row_by_row(seed, raws, warm, horizon, lower, widths):
-    # rows warmed up by `warm` random steps, then one step under a box that
-    # may lack the zero offset, so that the actuator clamp can push the
-    # applied offset out of it; with `horizon` 1 or 2 the step is the last
-    # one or the one before it
+    # each row plays `warm` random raw actions under STEP_MASK, then its raw
+    # action of `raws` at every later step under a box that may lack the zero
+    # offset, so that the actuator clamp can push the applied offset out of
+    # it; with `horizon` 1 or 2 the first box step is the last one or the one
+    # before it.  EvasionEnv.returns runs these rows through rollout_batch
+    # from LOCKSTEP_MIN_ROWS on; here they run so at every row count.
     cfg = CFG if horizon is None else replace(CFG, k_max=warm + horizon)
     rng = np.random.default_rng(seed)
-    envs = [safe_env(cfg) for _ in raws]
-    for env in envs:
-        env.reset(sample_obstacle(cfg, rng))
-        for _ in range(warm):
-            env.step_raw(rng.uniform(-1.0, 1.0, 2))
-    state = np.array(
-        [[[e._robot.x, e._robot.y, e._robot.theta, e._robot.v],
-          [e._obstacle.x, e._obstacle.y, e._obstacle.theta, e._obstacle.v]] for e in envs]
-    )
-    modes = np.array([e._controller.evading for e in envs])
+    obstacles = [sample_obstacle(cfg, rng) for _ in raws]
+    warmup = rng.uniform(-1.0, 1.0, (len(raws), warm, 2))
     box = IntervalBox(lower, np.add(lower, widths))
+
+    # the step_raw loops: each step's (state, safe control, applied control,
+    # reward), then the final state or the step of the containment violation;
+    # `script` maps each observation to its row, step and raw action
+    script, want = {}, []
+    for i, (obstacle, raw) in enumerate(zip(obstacles, raws)):
+        env = safe_env(cfg)
+        obs, steps, end, done = env.reset(obstacle), [], None, False
+        while not done:
+            k = env._k
+            a = warmup[i, k] if k < warm else np.array(raw)
+            env.mask = STEP_MASK if k < warm else box
+            script[obs.tobytes()] = (i, k, a)
+            r, o = env._robot, env._obstacle
+            state = (r.x, r.y, r.theta, r.v, o.x, o.y, o.theta, o.v)
+            try:
+                obs, reward_k, done, info = env.step_raw(a)
+            except ContainmentViolation:
+                end = k
+                break
+            steps.append((state, info["safe_control"], info["applied"], reward_k))
+        want.append((steps, end if end is not None else env._robot))
+
     lock = safe_env(cfg)
-    lock.mask = box
-    batch = SafeController(cfg, ControllerConfig()).batch
-    u, applied, rewards, done, modes, outside = lock._step_rows_raw(
-        warm, state, modes, np.array(raws), batch, _actuator_bounds(cfg)
-    )
-    obs = _observe_rows(state[:, 0], state[:, 1], cfg)
-    for i, (env, raw) in enumerate(zip(envs, raws)):
-        env.mask = box
-        try:
-            want_obs, want_reward, want_done, info = env.step_raw(raw)
-        except ContainmentViolation:
-            assert outside[i], i
+    calls, unknown = [], []
+
+    def act(obs):
+        keys = [script.get(row.tobytes()) for row in obs]
+        unknown.extend(j for j, key in enumerate(keys) if key is None)
+        keys = [key for key in keys if key is not None]
+        calls.extend(keys)
+        ks = {k for _, k, _ in keys}
+        assert len(ks) <= 1  # every block call is at one step
+        lock.mask = STEP_MASK if ks and ks.pop() < warm else box
+        return np.array([a for _, _, a in keys]).reshape(-1, 2)
+
+    source = EvasionSource(cfg, lock.controller_factory, agent=evasion._RawActions(lock, act))
+    got, error = {}, None
+    try:
+        for i, trace in source.rollout_batch([(o.x, o.y, o.theta, o.v) for o in obstacles]):
+            got[i] = trace
+    except ContainmentViolation as exc:
+        error = exc
+    # every lockstep observation is one of step_raw's
+    assert not unknown
+    last_call = {}
+    for i, k, _ in calls:
+        last_call[i] = max(k, last_call.get(i, k))
+    failed = [i for i, (_, end) in enumerate(want) if isinstance(end, int)]
+    for i, (steps, end) in enumerate(want):
+        if isinstance(end, int):
+            # it left the box at the same step: the agent's last call, no trace
+            assert i not in got and last_call[i] == end, i
             continue
-        assert not outside[i], i
-        assert np.array_equal(bits(u[i]), bits(info["safe_control"])), i
-        assert np.array_equal(bits(applied[i]), bits(info["applied"])), i
-        assert bits(rewards[i]) == bits(want_reward), i
-        assert np.array_equal(bits(obs[i]), bits(want_obs)), i
-        assert done[i] == want_done and modes[i] == env._controller.evading, i
+        trace = got[i]
+        assert trace.n_steps == len(steps), i
+        rows = trace.rows
+        assert np.array_equal(bits(rows[:, :8]), bits([s for s, _, _, _ in steps])), i
+        safe = rows[:, evasion.COL_SAFE_V : evasion.COL_SAFE_W + 1]
+        assert np.array_equal(bits(safe), bits([u for _, u, _, _ in steps])), i
+        applied = rows[:, evasion.COL_CMD_V : COL_CMD_W + 1]
+        assert np.array_equal(bits(applied), bits([a for _, _, a, _ in steps])), i
+        rewards = evasion._trace_rewards(trace, cfg)
+        assert np.array_equal(bits(rewards), bits([r for _, _, _, r in steps])), i
+        f = trace.final_robot
+        final = [f.x, f.y, f.theta, f.v]
+        assert np.array_equal(bits(final), bits([end.x, end.y, end.theta, end.v])), i
+        at_goal = math.hypot(end.x - cfg.goal[0], end.y - cfg.goal[1]) <= cfg.goal_radius
+        assert trace.termination == ("goal" if at_goal else "horizon"), i
+    if failed:
+        # the lowest row that left the box is the one raised, at its step
+        assert error is not None and error.row == failed[0]
+        assert str(error).startswith(f"step {want[failed[0]][1]}: ")
+    else:
+        assert error is None and len(got) == len(raws)

@@ -11,7 +11,7 @@ from saferl import ppo
 from saferl.boxes import IntervalBox
 from saferl.cli import main as cli_main
 from saferl.controller import SafeController
-from saferl.evasion import EvasionEnv, EvasionSource
+from saferl.evasion import LOCKSTEP_MIN_ROWS, EvasionEnv, EvasionSource
 from saferl.pipeline import _safe_factory, calibrate_reward_scale
 from saferl.pipeline import (
     ExpandConfig,
@@ -65,6 +65,20 @@ def test_config_dict_roundtrip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
     assert config_hash(cfg) == config_hash(config_from_dict(config_to_dict(cfg)))
     assert config_hash(cfg) != config_hash(default_config())
+    # the defaults' hash, which every default-config manifest records
+    assert config_hash(default_config()) == (
+        "e4cb0e1207e4cdfbef5ad6667c23d8955db92334cba95a754e31ddac495bfe3c"
+    )
+    # the edges of PpoConfig's rules are valid; a gradient norm of 0 or
+    # below means no clipping
+    for ppo in (
+        {"max_grad_norm": 0.0},
+        {"max_grad_norm": -1.0},
+        {"gamma": 0.0, "gae_lambda": 1.0},
+        {"gamma": 1.0, "gae_lambda": 0.0},
+        {"log_std_min": 0.5, "log_std_max": 0.5},
+    ):
+        assert config_from_dict({"training": {"ppo": ppo}}).training.ppo == PpoConfig(**ppo)
 
 
 def test_config_rejects_unknown_keys():
@@ -330,10 +344,25 @@ def test_cli_error_paths(tmp_path, capsys):
         assert cli_main(["print-config", "--config", str(bad)]) == 2
         assert f"PpoConfig.{key}" in capsys.readouterr().err
     # training settings the train stage cannot honour: no evaluation episode
-    # (a NaN mean return), no pilot episode, or a reward target that is not
-    # finite and positive (a reward paying for moves away from the goal)
+    # (a NaN mean return), no pilot episode, a reward target that is not
+    # finite and positive (a reward paying for moves away from the goal), or
+    # PPO settings that train garbage without an error
     for training, key in (
         ({"ppo": {"eval_episodes": 0}}, "PpoConfig.eval_episodes"),
+        ({"ppo": {"clip_range": -0.1}}, "PpoConfig.clip_range"),
+        ({"ppo": {"clip_range": 0.0}}, "PpoConfig.clip_range"),
+        ({"ppo": {"gamma": 1.5}}, "PpoConfig.gamma"),
+        ({"ppo": {"gamma": math.nan}}, "PpoConfig.gamma"),
+        ({"ppo": {"gae_lambda": -1}}, "PpoConfig.gae_lambda"),
+        ({"ppo": {"learning_rate": 0}}, "PpoConfig.learning_rate"),
+        ({"ppo": {"learning_rate": math.nan}}, "PpoConfig.learning_rate"),
+        ({"ppo": {"learning_rate": math.inf}}, "PpoConfig.learning_rate"),
+        ({"ppo": {"log_std_min": 2.0, "log_std_max": 1.0}}, "PpoConfig.log_std_min"),
+        ({"ppo": {"log_std_min": math.nan}}, "PpoConfig.log_std_min"),
+        ({"ppo": {"hidden": [0]}}, "PpoConfig.hidden"),
+        ({"ppo": {"hidden": [64, -1]}}, "PpoConfig.hidden"),
+        ({"ppo": {"adam_eps": -1}}, "PpoConfig.adam_eps"),
+        ({"ppo": {"adam_eps": 0.0}}, "PpoConfig.adam_eps"),
         ({"pilot_episodes": 0}, "TrainingConfig.pilot_episodes"),
         ({"pilot_episodes": -3}, "TrainingConfig.pilot_episodes"),
         ({"reward_target": -1}, "TrainingConfig.reward_target"),
@@ -582,13 +611,31 @@ def calibrate_reward_scale_ref(task, controller_factory, box, episodes, seed, ta
     return target / worst
 
 
-@pytest.mark.parametrize("episodes", [3, 16, 17])
+@pytest.mark.parametrize("episodes", [3, 15, 16, 17, 20])
 def test_calibrate_reward_scale_equals_the_sequential_loop(episodes):
-    # 3 pilots run one episode per corner one by one; 16 and 17 run 8 per
-    # corner in lockstep
+    # 3 pilots run one episode per corner and 15 run 7 per corner, one by
+    # one; 16 and 17 run 8 per corner and 20 run 10, in lockstep
     cfg = default_config()
     box = IntervalBox([-0.02, -0.3], [0.03, 0.4])
     for seed in (0, 7):
         got = calibrate_reward_scale(cfg.task, _safe_factory(cfg), box, episodes, seed, 5.0)
         want = calibrate_reward_scale_ref(cfg.task, _safe_factory(cfg), box, episodes, seed, 5.0)
         assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), seed
+
+
+def test_calibration_steps_pilots_together_from_the_crossover(monkeypatch):
+    calls = []
+    step_raw = EvasionEnv.step_raw
+
+    def spy(self, raw_action):
+        calls.append(1)
+        return step_raw(self, raw_action)
+
+    monkeypatch.setattr(EvasionEnv, "step_raw", spy)
+    cfg = default_config()
+    box = IntervalBox([-0.02, -0.3], [0.03, 0.4])
+    for episodes in (2 * LOCKSTEP_MIN_ROWS, 2 * LOCKSTEP_MIN_ROWS + 1, cfg.training.pilot_episodes):
+        calibrate_reward_scale(cfg.task, _safe_factory(cfg), box, episodes, 3, 5.0)
+        assert not calls, episodes
+    calibrate_reward_scale(cfg.task, _safe_factory(cfg), box, 2 * LOCKSTEP_MIN_ROWS - 1, 3, 5.0)
+    assert calls

@@ -346,7 +346,7 @@ def test_zero_advantages_leave_policy_net_untouched():
 
 
 def test_update_with_zero_learning_rate_is_identity():
-    cfg = PpoConfig(hidden=(4,), epochs=2, minibatch_size=8, learning_rate=0.0)
+    cfg = PpoConfig(hidden=(4,), epochs=2, minibatch_size=8)
     rng = np.random.default_rng(4)
     params = init_policy(3, 2, cfg, rng)
     before = [p.copy() for p in params.param_list()]
@@ -356,7 +356,7 @@ def test_update_with_zero_learning_rate_is_identity():
         _, buffer.z[i], buffer.logp[i] = policy_sample(params, obs, rng, cfg)
         buffer.reward[i] = rng.standard_normal()
     buffer.finalize(cfg.gamma, cfg.gae_lambda, 0.0)
-    adam = Adam(params.flat.size, cfg.learning_rate, eps=cfg.adam_eps)
+    adam = Adam(params.flat.size, 0.0, eps=cfg.adam_eps)
     ppo_update(params, buffer, cfg, adam, np.random.default_rng(0))
     for p, b in zip(params.param_list(), before):
         assert np.array_equal(p, b)
