@@ -772,8 +772,9 @@ class EvasionEnv:
         episode ``i``'s return is bit-equal to a :meth:`step_raw` loop on
         ``obstacles[i]``, and the lowest failing episode raises: a
         containment violation is counted and raises
-        :class:`ContainmentViolation` naming its step; a NaN raw action, a
-        non-finite control or a non-finite state raises ``ValueError``.
+        :class:`ContainmentViolation` naming its step; a NaN raw action
+        raises ``ValueError`` naming it and its step, and a non-finite
+        control or state raises ``ValueError`` naming its step.
         """
         if len(obstacles) < LOCKSTEP_MIN_ROWS:
             totals = []
@@ -802,7 +803,8 @@ class _RawActions:
     :class:`EvasionSource` agent: the safe controls ``safe`` of a block of
     rows go to ``safe + (lower + 0.5 * (clip(raw, -1, 1) + 1) * width)``,
     with ``raw = act(obs)`` and ``obs`` :func:`observe` of each row.  The
-    box is the env's at each call."""
+    box is the env's at each call.  A NaN raw action raises ``ValueError``
+    naming it, as :meth:`EvasionEnv.step_raw` does, before it is mapped."""
 
     def __init__(self, env: EvasionEnv, act: Callable):
         self.env, self.act = env, act
@@ -813,6 +815,9 @@ class _RawActions:
 
     def __call__(self, robot: np.ndarray, obstacle: np.ndarray, safe: np.ndarray) -> np.ndarray:
         raw = np.asarray(self.act(_observe_rows(robot, obstacle, self.env.cfg)), dtype=float)
+        nan = np.isnan(raw).any(axis=1)
+        if nan.any():
+            raise ValueError(f"raw action {raw[nan][0].tolist()} is not a number")
         box = self.mask
         return safe + (box.lower + 0.5 * (_clamp_rows(raw, -1.0, 1.0) + 1.0) * box.widths)
 
@@ -926,9 +931,10 @@ class EvasionSource:
         :func:`unicycle_step` (``rollout_ref`` in ``tests/reference.py``).
 
         A row fails, and leaves without a trace, at the step where its state
-        or control is non-finite (``ValueError``), its agent control leaves
-        ``agent.mask`` around its safe control by more than 1e-9
-        (:class:`ContainmentViolation`), or its controller raises, alone or
+        or control is non-finite (``ValueError``), its agent raises
+        ``ValueError`` (raised again as ``step k: <message>``), its agent
+        control leaves ``agent.mask`` around its safe control by more than
+        1e-9 (:class:`ContainmentViolation`), or its controller raises, alone or
         in a block call (:func:`_rows_alone`); a controller factory that
         raises fails every row at step 0.  After the last row the lowest
         failed row's error is raised, with that row as its ``row``.
@@ -973,7 +979,10 @@ class EvasionSource:
             _clamp_rows(us, lo, hi, out=us)
             executed = us
             if agent is not None:
-                executed = _clamp_rows(agent(state[s, 0], state[s, 1], us), lo, hi)
+                try:
+                    executed = _clamp_rows(agent(state[s, 0], state[s, 1], us), lo, hi)
+                except ValueError as exc:
+                    raise ValueError(f"step {k}: {exc}") from exc
             if chunk is None:
                 applied_s[...] = executed
             else:

@@ -41,6 +41,7 @@ from .verify import (
     derive_seed,
     find_expansion_set,
     probv,
+    probv_runs,
     write_report_json,
     write_samples_csv,
 )
@@ -600,37 +601,41 @@ def run_histogram(
     trained agent (when a policy file is given), with summary statistics.
 
     Run ``k`` of (safe, perturbed, agent) is seeded ``derive_seed(seed, k)``
-    whether or not the runs before it take place."""
+    whether or not the runs before it take place.  The safe and perturbed
+    runs share their source and go through one :func:`probv_runs` call, one
+    lockstep run; a failure of the safe run is raised before one of the
+    perturbed run.  The agent run has its own source and runs alone."""
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.histogram.seed if seed is None else seed
     used_n = cfg.histogram.n_samples if n is None else n
     safe_source = _safe_source(cfg)
     box = _persisted_expansion(out)
-    runs = [(0, "safe", safe_source, None)]
+    safe_runs = [(0, "safe", None)]
     if box is not None:
-        runs.append((1, "perturbed", safe_source, box))
+        safe_runs.append((1, "perturbed", box))
+    groups = [(safe_source, safe_runs)]
     if policy_path is not None:
-        runs.append((2, "agent", _agent_source(cfg, policy_path), None))
+        groups.append((_agent_source(cfg, policy_path), [(2, "agent", None)]))
 
     summary, paths = {}, {}
-    for k, name, source, perturbation in runs:
-        report = probv(
+    for source, runs in groups:
+        reports = probv_runs(
             source,
-            perturbation,
+            [(perturbation, derive_seed(used_seed, k)) for k, _, perturbation in runs],
             source.robustness,
             used_n,
             cfg.verification.epsilon,
-            derive_seed(used_seed, k),
         )
-        paths[name] = out / f"histogram_{name}.csv"
-        write_samples_csv(report, paths[name], EvasionSource.initial_labels)
-        values = np.asarray(report.robustnesses)
-        summary[name] = {
-            "n": report.n_samples,
-            "mean": float(values.mean()),
-            "std": float(values.std()),
-            "rho_star": report.rho_star,
-        }
+        for (_, name, _), report in zip(runs, reports):
+            paths[name] = out / f"histogram_{name}.csv"
+            write_samples_csv(report, paths[name], EvasionSource.initial_labels)
+            values = np.asarray(report.robustnesses)
+            summary[name] = {
+                "n": report.n_samples,
+                "mean": float(values.mean()),
+                "std": float(values.std()),
+                "rho_star": report.rho_star,
+            }
     summary["benchmark"] = config_to_dict(cfg.histogram.benchmark)
     paths["summary"] = out / "histogram_summary.json"
     write_json(paths["summary"], summary)

@@ -7,11 +7,15 @@ values of N independent rollouts.  The sample minimum ``rho_star`` bounds
 the (1 - epsilon) quantile of achievable robustness from below with
 confidence ``1 - (1 - epsilon)**N``; verification passes when
 ``rho_star >= 0``.  A source with ``rollout_batch`` runs all N rollouts in
-lockstep, at every N.
+lockstep, at every N.  :func:`probv_runs` verifies several independent
+``(box, seed)`` runs of one source in one such lockstep run, one report per
+run, each bit-equal to that run's own :func:`probv` call; :func:`probv` is
+its one-run call.
 
 :func:`find_expansion_set` searches for the largest verifiable perturbation
 box by growing an initial box axis-wise with fixed fractional increments and
-re-verifying until the first failure, returning the last verified box.
+re-verifying until the first failure, returning the last verified box.  It
+verifies the initial box and the first candidate in one lockstep run.
 
 Reproducibility contract: sample ``i`` of a run draws its initial condition
 and its perturbation stream from generators seeded by ``(base_seed, i, 0)``
@@ -27,7 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -44,6 +48,7 @@ __all__ = [
     "min_samples_for",
     "derive_seed",
     "probv",
+    "probv_runs",
     "find_expansion_set",
     "write_report_json",
     "read_report_json",
@@ -280,39 +285,98 @@ def _run_sample(
 
 def _run_lockstep(
     source: RolloutSource,
-    expansion: IntervalBox | None,
+    runs: Sequence[tuple[IntervalBox | None, int]],
     robustness_fn: Callable,
-    base_seed: int,
     n: int,
-):
-    """All ``n`` samples through one ``source.rollout_batch`` call, each
-    trace scored as its rollout ends; returns what :func:`_run_sample`
-    returns for each index.  Raises :class:`RolloutFailure` for the lowest
-    sample whose rollout failed (the ``row`` of the run's error) or whose
-    robustness raised or is not finite."""
-    initials, chunks = zip(*(_sample_inputs(source, expansion, base_seed, i) for i in range(n)))
-    rhos, errors = [math.nan] * n, {}
+) -> list:
+    """The ``n`` samples of every ``(expansion, base_seed)`` run of ``runs``
+    through one ``source.rollout_batch`` call, each trace scored as its
+    rollout ends.  Rows of an unperturbed run among perturbed ones add
+    ``-0.0`` at every step, which leaves every control bit for bit as it is.
+
+    Returns one entry per run, up to the first run that fails: the list of
+    what :func:`_run_sample` returns for each index, or, for that failing
+    run, the :class:`RolloutFailure` of its lowest sample whose rollout
+    failed (the ``row`` of the call's error) or whose robustness raised or
+    is not finite."""
+    inputs = [_sample_inputs(source, box, seed, i) for box, seed in runs for i in range(n)]
+    initials, chunks = zip(*inputs)
+    boxes = [box for box, _ in runs if box is not None]
+    perturbations = None
+    if boxes:
+        unperturbed = itertools.repeat(np.full((_PERTURB_CHUNK, boxes[0].dim), -0.0))
+        perturbations = [unperturbed if c is None else c for c in chunks]
+    rhos, errors = [math.nan] * len(inputs), {}
     try:
-        for i, trace in source.rollout_batch(
-            np.array(initials), None if expansion is None else list(chunks)
-        ):
+        for row, trace in source.rollout_batch(np.array(initials), perturbations):
             try:
-                rhos[i] = float(robustness_fn(trace))
+                rhos[row] = float(robustness_fn(trace))
             except Exception as exc:
-                errors[i] = exc
+                errors[row] = exc
     except Exception as exc:
         if not hasattr(exc, "row"):
             raise
         errors[exc.row] = exc
-    for i, rho in enumerate(rhos):  # a failed row's robustness stays NaN
-        if not math.isfinite(rho):
-            exc = errors.get(i)
-            message = f"non-finite robustness {rho}" if exc is None else str(exc)
-            raise RolloutFailure(i, derive_seed(base_seed, i), message) from exc
-    return [
-        (derive_seed(base_seed, i), tuple(float(v) for v in initial), rho)
-        for i, (initial, rho) in enumerate(zip(initials, rhos))
-    ]
+    outcomes = []
+    for r, (_, base_seed) in enumerate(runs):
+        results = []
+        for i in range(n):  # a failed row's robustness stays NaN
+            rho, exc = rhos[r * n + i], errors.get(r * n + i)
+            seed = derive_seed(base_seed, i)
+            if not math.isfinite(rho):
+                message = f"non-finite robustness {rho}" if exc is None else str(exc)
+                failure = RolloutFailure(i, seed, message)
+                failure.__cause__ = exc
+                return [*outcomes, failure]
+            results.append((seed, tuple(float(v) for v in initials[r * n + i]), rho))
+        outcomes.append(results)
+    return outcomes
+
+
+def probv_runs(
+    source: RolloutSource,
+    runs: Sequence[tuple[IntervalBox | None, int]],
+    robustness_fn: Callable,
+    n: int,
+    epsilon: float,
+) -> Iterator[VerificationReport]:
+    """Verify ``source`` on ``n`` independent rollouts for each
+    ``(expansion, base_seed)`` run of ``runs``, and yield one report per
+    run, in order; each equals, bit for bit, the report of
+    ``probv(source, expansion, robustness_fn, n, epsilon, base_seed)``.
+
+    A source with ``rollout_batch`` steps the samples of all runs together
+    in one call, made when the first report is asked for; any other source
+    runs each run one by one when its report is asked for, so a caller that
+    stops early runs no later run.  The first failing run raises
+    :class:`RolloutFailure` for its lowest failing sample when its report
+    is due, and the runs after it yield nothing.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    conf = confidence(epsilon, n)  # validates epsilon
+
+    if hasattr(source, "rollout_batch"):
+        outcomes = _run_lockstep(source, runs, robustness_fn, n)
+    else:
+        outcomes = (
+            [_run_sample(source, box, robustness_fn, seed, i) for i in range(n)]
+            for box, seed in runs
+        )
+    for (_, base_seed), results in zip(runs, outcomes):
+        if isinstance(results, RolloutFailure):
+            raise results
+        seeds, params, rhos = zip(*results)
+        yield VerificationReport(
+            robustnesses=rhos,
+            rho_star=min(rhos),
+            epsilon=epsilon,
+            n_samples=n,
+            confidence=conf,
+            base_seed=base_seed,
+            per_sample_params=params,
+            per_sample_seeds=seeds,
+        )
 
 
 def probv(
@@ -323,7 +387,8 @@ def probv(
     epsilon: float,
     base_seed: int,
 ) -> VerificationReport:
-    """Verify ``source`` on ``n`` independent rollouts.
+    """Verify ``source`` on ``n`` independent rollouts: the one-run call of
+    :func:`probv_runs`.
 
     With ``expansion`` present, every step of every rollout adds a fresh
     uniform draw from the box to the controller output; with ``expansion``
@@ -333,25 +398,8 @@ def probv(
     order.  A failing rollout, or a robustness that raises or is not
     finite, raises :class:`RolloutFailure` for the lowest failing index.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    conf = confidence(epsilon, n)  # validates epsilon
-
-    if hasattr(source, "rollout_batch"):
-        results = _run_lockstep(source, expansion, robustness_fn, base_seed, n)
-    else:
-        results = [_run_sample(source, expansion, robustness_fn, base_seed, i) for i in range(n)]
-    seeds, params, rhos = zip(*results)
-    return VerificationReport(
-        robustnesses=rhos,
-        rho_star=min(rhos),
-        epsilon=epsilon,
-        n_samples=n,
-        confidence=conf,
-        base_seed=base_seed,
-        per_sample_params=params,
-        per_sample_seeds=seeds,
-    )
+    (report,) = probv_runs(source, [(expansion, base_seed)], robustness_fn, n, epsilon)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +442,14 @@ def find_expansion_set(
     ``e_init`` itself raises :class:`InitialSetTooLarge`.  Each verification
     uses a fresh seed derived from ``(base_seed, iteration)`` so accept and
     reject decisions are uncorrelated across iterations.
+
+    ``e_init`` and candidate 1 are verified in one :func:`probv_runs` call,
+    as one lockstep run for a source with ``rollout_batch``; every later
+    candidate in its own :func:`probv` call.  Failures keep the order of
+    one verification after another: :class:`InitialSetTooLarge` for
+    ``e_init`` wins over a :class:`RolloutFailure` of candidate 1, and a
+    source without ``rollout_batch`` runs candidate 1 only once ``e_init``
+    has passed.
     """
     delta = np.atleast_1d(np.asarray(delta_f, dtype=float))
     if delta.shape != e_init.lower.shape:
@@ -403,25 +459,24 @@ def find_expansion_set(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    report = probv(source, e_init, robustness_fn, n, epsilon, derive_seed(base_seed, 0))
+    def candidate(i: int) -> IntervalBox:
+        return e_init.scale(1.0 + i * delta)
+
+    first = [(e_init, derive_seed(base_seed, 0)), (candidate(1), derive_seed(base_seed, 1))]
+    reports = itertools.chain(
+        probv_runs(source, first, robustness_fn, n, epsilon),
+        (
+            probv(source, candidate(i), robustness_fn, n, epsilon, derive_seed(base_seed, i))
+            for i in itertools.count(2)
+        ),
+    )
+    report = next(reports)
     if report.rho_star < 0:
         raise InitialSetTooLarge(report)
 
     current_box, current_report = e_init, report
-    i = 1
-    while True:
-        if i > max_iters:
-            return ExpansionSearchResult(
-                box=current_box,
-                converged=False,
-                growth_steps=i - 1,
-                verified_report=current_report,
-                failed_report=None,
-            )
-        candidate = e_init.scale(1.0 + i * delta)
-        report = probv(
-            source, candidate, robustness_fn, n, epsilon, derive_seed(base_seed, i)
-        )
+    for i in range(1, max_iters + 1):
+        report = next(reports)
         if report.rho_star < 0:
             return ExpansionSearchResult(
                 box=current_box,
@@ -430,5 +485,11 @@ def find_expansion_set(
                 verified_report=current_report,
                 failed_report=report,
             )
-        current_box, current_report = candidate, report
-        i += 1
+        current_box, current_report = candidate(i), report
+    return ExpansionSearchResult(
+        box=current_box,
+        converged=False,
+        growth_steps=max_iters,
+        verified_report=current_report,
+        failed_report=None,
+    )

@@ -1012,12 +1012,13 @@ def test_lockstep_nan_raw_action_raises(monkeypatch):
         raw[[row.tobytes() == target for row in obs]] = (math.nan, 0.5)
         return raw
 
-    # alone, episode 5 plays through step_raw, which names the raw action
-    with pytest.raises(ValueError, match=r"step 2: raw action \[nan, 0\.5\] is not a number"):
+    # alone, episode 5 plays through step_raw; in lockstep, _RawActions names
+    # the raw action and rollout_batch the step, as step_raw does
+    with pytest.raises(ValueError, match=r"^step 2: raw action \[nan, 0\.5\] is not a number$"):
         safe_env().returns(obstacles[5:6], act)
     no_step_raw(monkeypatch)
     env = safe_env()
-    with pytest.raises(ValueError, match=r"^step 2: non-finite control or state$") as exc:
+    with pytest.raises(ValueError, match=r"^step 2: raw action \[nan, 0\.5\] is not a number$") as exc:
         env.returns(obstacles, act)
     assert env.containment_violations == 0
     assert exc.value.row == 5

@@ -31,7 +31,7 @@ from saferl.pipeline import (
     run_verify_safe,
 )
 from saferl.ppo import MaskedPolicy, PpoConfig, init_policy, save_policy
-from saferl.verify import derive_seed
+from saferl.verify import RolloutFailure, _sample_inputs, derive_seed
 
 
 def tiny_config(**overrides) -> PipelineConfig:
@@ -589,6 +589,36 @@ def test_cli_histogram_without_policy(tmp_path, capsys):
     summary = json.loads((tmp_path / "h" / "histogram_summary.json").read_text())
     assert summary["safe"]["n"] == 2
     assert "agent" not in summary
+
+
+@pytest.mark.parametrize("failing", [("safe", "perturbed"), ("perturbed",)], ids=["both", "perturbed"])
+def test_histogram_names_the_safe_runs_failure_first(tmp_path, monkeypatch, failing):
+    # the safe and perturbed runs step together, yet fail as one after the
+    # other: with sample 3 of the safe run and sample 1 of the perturbed one
+    # failing, the safe one is named and no CSV is written; with only the
+    # perturbed one failing, the safe CSV is written first
+    cfg = tiny_config()
+    out = tmp_path / "h"
+    run_expand(cfg, out)
+    seeds = {"safe": derive_seed(404, 0), "perturbed": derive_seed(404, 1)}
+    samples = {"safe": 3, "perturbed": 1}
+    source = EvasionSource(cfg.task, _safe_factory(cfg))
+    bad = [float(_sample_inputs(source, None, seeds[k], samples[k])[0][3]) for k in failing]
+    real = SafeController.batch
+
+    def batch(self, robot, obstacle, evading, headings):
+        v, omega, evading = real(self, robot, obstacle, evading, headings)
+        v[np.isin(obstacle[:, 3], bad)] = math.nan
+        return v, omega, evading
+
+    monkeypatch.setattr(SafeController, "batch", batch)
+    with pytest.raises(RolloutFailure) as err:
+        run_histogram(cfg, None, out)
+    named = failing[0]
+    i = samples[named]
+    assert (err.value.sample_index, err.value.seed) == (i, derive_seed(seeds[named], i))
+    assert (out / "histogram_safe.csv").exists() == (named == "perturbed")
+    assert not (out / "histogram_perturbed.csv").exists()
 
 
 def calibrate_reward_scale_ref(task, controller_factory, box, episodes, seed, target):

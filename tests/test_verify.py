@@ -17,6 +17,7 @@ from saferl.boxes import IntervalBox
 from saferl.controller import SafeController
 from saferl.evasion import (
     COL_CMD_V,
+    COL_CMD_W,
     COL_SAFE_V,
     COL_VO,
     EpisodeTrace,
@@ -39,6 +40,7 @@ from saferl.verify import (
     derive_seed,
     min_samples_for,
     probv,
+    probv_runs,
     read_report_json,
     write_report_json,
     write_samples_csv,
@@ -351,7 +353,7 @@ def test_lockstep_probv_equals_sequential(box, seed):
     source = safe_source(Counting)
     want = [_run_sample(sequential(source), box, source.robustness, seed, i) for i in range(50)]
     # probv's path for a source with rollout_batch
-    got = _run_lockstep(source, box, source.robustness, seed, 50)
+    (got,) = _run_lockstep(source, [(box, seed)], source.robustness, 50)
     assert repr(got) == repr(want)
     assert sum(evading_rows) > 0
     lockstep = probv(source, box, source.robustness, 50, 0.05, seed)
@@ -364,7 +366,7 @@ def test_lockstep_probv_equals_sequential(box, seed):
 def test_lockstep_single_sample():
     source = safe_source()
     for box in (None, E_INIT):
-        got = _run_lockstep(source, box, source.robustness, 5, 1)
+        (got,) = _run_lockstep(source, [(box, 5)], source.robustness, 1)
         assert repr(got) == repr([_run_sample(sequential(source), box, source.robustness, 5, 0)])
 
 
@@ -791,3 +793,87 @@ def test_lockstep_failure_that_no_sample_repeats_raises():
     assert not isinstance(err.value, RolloutFailure)
     assert isinstance(err.value.__cause__, ValueError)
     assert "batch fault" in str(err.value.__cause__)
+
+
+# ---------------------------------------------------------------------------
+# Several runs in one lockstep run
+# ---------------------------------------------------------------------------
+
+
+class CountingBatches(EvasionSource):
+    """An EvasionSource that records the row count of each rollout_batch call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.batches = []
+
+    def rollout_batch(self, initials, perturbations=None):
+        self.batches.append(len(initials))
+        return super().rollout_batch(initials, perturbations)
+
+
+_RUN_BOXES = st.sampled_from([None, E_INIT, E_INIT.scale((11, 2)), E_INIT.scale((41, 5))])
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    runs=st.lists(st.tuples(_RUN_BOXES, st.integers(0, 2**32 - 1)), min_size=1, max_size=3),
+    n=st.integers(1, 12),
+)
+def test_probv_runs_equals_separate_probv_calls(runs, n):
+    source = CountingBatches(TASK, safe_source().controller_factory)
+    got = list(probv_runs(source, runs, source.robustness, n, 0.05))
+    assert source.batches == [n * len(runs)]
+    want = [probv(source, box, source.robustness, n, 0.05, seed) for box, seed in runs]
+    assert [report_text(r) for r in got] == [report_text(r) for r in want]
+
+
+def test_probv_runs_keeps_an_opaque_controllers_signed_zero_turn_rates():
+    # an opaque controller turning at -0.0 and +0.0 on alternate steps; the
+    # score counts the -0.0 turn rates executed, so a row of an unperturbed
+    # run that a mixed call stepped with a +0.0 perturbation would differ
+    def factory():
+        ctl, steps = SafeController(TASK), itertools.count()
+        return lambda robot, obstacle: (ctl(robot, obstacle)[0], -0.0 if next(steps) % 2 else 0.0)
+
+    def negative_zero_turns(trace):
+        w = trace.rows[:, COL_CMD_W]
+        return float(np.count_nonzero((w == 0.0) & np.signbit(w)))
+
+    source = CountingBatches(TASK, factory)
+    runs = [(None, 3), (E_INIT, 4), (None, 5)]
+    got = list(probv_runs(source, runs, negative_zero_turns, 6, 0.05))
+    assert source.batches == [18]
+    want = [probv(source, box, negative_zero_turns, 6, 0.05, seed) for box, seed in runs]
+    assert [report_text(r) for r in got] == [report_text(r) for r in want]
+    assert got[0].rho_star > 0 and got[2].rho_star > 0  # -0.0 turns were executed
+    assert got[1].rho_star == 0  # perturbed turn rates are never a zero
+
+
+def test_probv_runs_names_the_first_failing_run():
+    # sample 3 of run 1 and sample 1 of run 2 fail: the first failing run
+    # raises for its own lowest sample with its own seed, after run 0's report
+    bad_runs = {1: 3, 2: 1}
+    source = safe_source()
+    runs = [(None, 10), (E_INIT, 11), (E_INIT, 12)]
+    bad = {
+        float(saferl.verify._sample_inputs(source, None, runs[r][1], i)[0][3])
+        for r, i in bad_runs.items()
+    }
+
+    class NanForSome(SafeController):
+        def batch(self, robot, obstacle, evading, headings):
+            v, omega, evading = super().batch(robot, obstacle, evading, headings)
+            v[np.isin(obstacle[:, 3], list(bad))] = math.nan
+            return v, omega, evading
+
+    failing = safe_source(NanForSome)
+    reports = probv_runs(failing, runs, failing.robustness, 5, 0.05)
+    assert report_text(next(reports)) == report_text(
+        probv(source, None, source.robustness, 5, 0.05, 10)
+    )
+    with pytest.raises(RolloutFailure) as err:
+        next(reports)
+    assert (err.value.sample_index, err.value.seed) == (3, derive_seed(11, 3))
+    assert "non-finite" in str(err.value) and isinstance(err.value.__cause__, ValueError)
+    assert next(reports, None) is None
