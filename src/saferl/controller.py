@@ -23,7 +23,7 @@ the exact danger radius; the margin shapes control only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,6 +58,11 @@ class ControllerConfig:
     exit_margin: float = 0.05  # m, added to danger_radius for mode exit
     track_turn_cap: float = 2.0  # rad/s
     target_lookahead: float = 0.3  # m, advance along the path when tracking
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(value := getattr(self, f.name)):
+                raise ValueError(f"ControllerConfig.{f.name} must be finite, not {value!r}")
 
 
 class SafeController:

@@ -19,7 +19,7 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -119,6 +119,10 @@ class TaskConfig:
     obstacle_speed_range: tuple[float, float] = (0.05, 0.15)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, IntervalBox) and not np.isfinite(value).all():
+                raise ValueError(f"TaskConfig.{f.name} must be finite, not {value!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.k_max < 1:
@@ -370,14 +374,16 @@ def _references(theta_path: float) -> tuple[float, float]:
     return theta_path - 1 * 0.5 * math.pi, theta_path - -1 * 0.5 * math.pi
 
 
-def _encounters(rth: np.ndarray, cs: np.ndarray, rel: np.ndarray, theta_path: float):
-    """:func:`classify_encounter` and :func:`delta_theta` per row (arguments
-    as for :func:`_min_gaps`): the case, the turn sign and the orientation
-    gap, as float arrays."""
+def _encounters(block: np.ndarray, cs: np.ndarray, theta_path: float):
+    """:func:`classify_encounter` and :func:`delta_theta` per row of a block of
+    trace rows, ``cs`` the :func:`_cos_sin` of its (robot, obstacle) thetas:
+    the case, the turn sign and the orientation gap, as float arrays."""
+    rel = block[:, COL_XO : COL_YO + 1] - block[:, COL_XR : COL_YR + 1]
     (cos_r, cos_o), (sin_r, sin_o) = cs.transpose(0, 2, 1)
     plus = cos_r * rel[:, 1] - sin_r * rel[:, 0] >= 0.0
     case = 4.0 - plus - 2.0 * (cos_r * cos_o + sin_r * sin_o < 0.0)
     sign = np.where(plus, 1.0, -1.0)
+    rth = block[:, COL_THR]
     return case, sign, sign * _wrap_angles(np.where(plus, *_references(theta_path)) - rth)
 
 
@@ -410,14 +416,13 @@ def perform(final_pos, initial_pos, goal, k: int, k_max: int) -> float:
 # Episode traces and monitoring
 # ---------------------------------------------------------------------------
 
-# Row layout; the first 12 columns form the monitored signal.
+# Row layout; the first 10 columns form the monitored signal.
 COL_XR, COL_YR, COL_THR, COL_VR = 0, 1, 2, 3
 COL_XO, COL_YO, COL_THO, COL_VO = 4, 5, 6, 7
 COL_CMD_V, COL_CMD_W = 8, 9
-COL_SIGN, COL_DTHETA = 10, 11
-COL_SAFE_V, COL_SAFE_W, COL_CASE = 12, 13, 14
-_SIGNAL_WIDTH = 12
-_ROW_WIDTH = 15
+COL_SAFE_V, COL_SAFE_W = 10, 11
+_SIGNAL_WIDTH = 10
+_ROW_WIDTH = 12
 
 TRACE_COLUMNS = (
     "robot_x",
@@ -430,30 +435,18 @@ TRACE_COLUMNS = (
     "obstacle_v",
     "cmd_v",
     "cmd_omega",
-    "sign",
-    "delta_theta",
     "safe_v",
     "safe_omega",
-    "case",
 )
-
-
-def _complete_rows(rows: np.ndarray, cs: np.ndarray, theta_path: float) -> None:
-    """Fill a finished episode's case, sign and orientation-gap columns in
-    place (:func:`_encounters`); they never feed back into the episode."""
-    rel = rows[:, COL_XO : COL_YO + 1] - rows[:, COL_XR : COL_YR + 1]
-    rows[:, COL_CASE], rows[:, COL_SIGN], rows[:, COL_DTHETA] = _encounters(
-        rows[:, COL_THR], cs, rel, theta_path
-    )
 
 
 @dataclass(frozen=True)
 class EpisodeTrace:
     """One closed-loop episode: a row per executed step plus the final state.
 
-    Row ``k`` holds the joint state at step ``k``, the control applied there,
-    the turn sign and orientation gap, the safe control and the encounter
-    case; the monitor (:func:`safety_predicates`) reads the first 12 columns.
+    Row ``k`` holds what happened at step ``k`` (:data:`TRACE_COLUMNS`): the
+    robot and obstacle states, the control applied and the safe control.
+    The monitor (:func:`safety_predicates`) reads the first 10 columns.
     """
 
     rows: np.ndarray
@@ -461,8 +454,6 @@ class EpisodeTrace:
     final_obstacle: ObstacleState
     dt: float
     termination: str
-    start: tuple[float, float]
-    goal: tuple[float, float]
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -480,14 +471,20 @@ class EpisodeTrace:
         return Signal(self.rows[:, :_SIGNAL_WIDTH], self.dt)
 
     def to_csv(self, path, cfg: TaskConfig) -> None:
-        """One row per step: the trace columns, then the monitor's margins under
-        ``cfg``; the trigger holds where ``infront`` and ``near`` are both >= 0."""
-        table, states = safety_predicates(cfg), self.signal().states
+        """One row per step: the trace columns with each row's turn sign, gap
+        and case (:func:`_encounters`), then the monitor's margins under
+        ``cfg``; the trigger holds where ``infront`` and ``near`` are >= 0."""
+        table, states, rows = safety_predicates(cfg), self.signal().states, self.rows
         margins = {name: table.evaluate(name, states) for name in ("infront", "near", "evade")}
+        cs = _cos_sin(rows[:, COL_THR : COL_THO + 1 : 4])
+        case, sign, gap = _encounters(rows, cs, path_heading(cfg.start, cfg.goal))
+        cmd, safe = slice(None, COL_SAFE_V), slice(COL_SAFE_V, None)
+        header = ("k", *TRACE_COLUMNS[cmd], "sign", "delta_theta", *TRACE_COLUMNS[safe], "case")
+        columns = (rows[:, cmd], sign, gap, rows[:, safe], case, *margins.values())
         with atomic_open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(("k",) + TRACE_COLUMNS + tuple(margins))
-            for k, row in enumerate(np.column_stack([self.rows, *margins.values()])):
+            writer.writerow(header + tuple(margins))
+            for k, row in enumerate(np.column_stack(columns)):
                 writer.writerow([k] + [repr(float(v)) for v in row])
 
 
@@ -500,16 +497,19 @@ def safety_predicates(cfg: TaskConfig) -> PredicateTable:
     ``evade`` column defines the admissible avoidance command: +1 where the
     command turns in the required direction within the rate bound, or holds
     a near-zero turn rate once the perpendicular orientation has been
-    reached (within tolerance), else -1.
+    reached (within tolerance), else -1; its turn sign and orientation gap
+    are those of :func:`classify_encounter` and :func:`delta_theta`.
 
-    Every column is computed from the block's states alone, on every row of
-    the block.  ``infront`` and ``near`` share the cosines and sines of the
-    headings: the table keeps those of the last block it saw and reuses them
-    when the next block's heading columns are the same bytes (never on a
-    matching array address).  The obstacle's heading is taken once when it
-    is the same angle on every row, as the obstacle never turns.
+    Every column is computed from the block's states and control alone, on
+    every row of the block, never from anything the rollout engine derived.
+    The columns share the cosines and sines of the headings: the table
+    keeps those of the last block it saw and reuses them when the next
+    block's heading columns are the same bytes (never on a matching array
+    address).  The obstacle's heading is taken once when it is the same
+    angle on every row, as the obstacle never turns.
     """
     ts = _time_grid(cfg.dt, cfg.lookahead)
+    theta_path = path_heading(cfg.start, cfg.goal)
     last = [b"", None]  # the last block's heading bytes and their cos/sin
 
     def headings(block) -> np.ndarray:
@@ -540,12 +540,12 @@ def safety_predicates(cfg: TaskConfig) -> PredicateTable:
         return cfg.danger_radius - _min_gaps(rel, headings(block), speeds, ts)
 
     def h_evade(block) -> np.ndarray:
-        w, dth = block[:, COL_CMD_W], block[:, COL_DTHETA]
+        _, sign, dth = _encounters(block, headings(block), theta_path)
+        w = block[:, COL_CMD_W]
         rate = np.abs(w)
-        turning = (rate <= cfg.evade_rate_bound) & (np.sign(w) == np.trunc(block[:, COL_SIGN]))
-        holding = ((dth >= 0.0) | (np.abs(dth) <= cfg.evade_angle_tol)) & (
-            rate <= cfg.evade_rate_tol
-        )
+        turning = (rate <= cfg.evade_rate_bound) & (np.sign(w) == sign)
+        settled = (dth >= 0.0) | (np.abs(dth) <= cfg.evade_angle_tol)
+        holding = settled & (rate <= cfg.evade_rate_tol)
         return np.where(turning | holding, 1.0, -1.0)
 
     return PredicateTable({"infront": h_infront, "near": h_near, "evade": h_evade})
@@ -571,9 +571,7 @@ def episode_robustness(
         table = safety_predicates(cfg)
     if not satisfies(_SAFETY_FORMULA, trace.signal(), 0, table):
         return -1.0
-    return perform(
-        trace.final_robot.position(), trace.start, trace.goal, trace.n_steps, cfg.k_max
-    )
+    return perform(trace.final_robot.position(), cfg.start, cfg.goal, trace.n_steps, cfg.k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +607,13 @@ def require_zero_offset(mask: IntervalBox) -> None:
 # step of EvasionSource.rollout_batch costs about a hundred numpy calls
 # whatever the row count, for as many steps as the longest episode takes.
 # Measured (ms per call, lockstep against one by one through step_raw, the
-# min of 9 alternating calls averaged over 4 obstacle seeds, default task
-# and controller, 2-core host): evaluation (a default-size policy) n = 1:
-# 31.4 against 7.4, n = 4: 66.5 against 42.8, n = 6: 70.8 against 57.0,
-# n = 8: 73.5 against 83.3, n = 12: 119.4 against 168.8; calibration (one
-# corner) n = 8: 58.1 against 41.0, n = 10: 67.4 against 58.8, n = 12: 63.3
-# against 64.8, n = 16: 73.1 against 84.7.  Calibration's crossover lies
-# nearer 12 rows, but both paths are bit-equal and one threshold serves both.
+# min of 9 alternating calls averaged over 4 obstacle seeds, default task,
+# controller and verified box, 2-core host): evaluation (a default-size
+# policy) n = 6: 48.6 against 43.8, n = 8: 53.7 against 59.4, n = 10: 57.3
+# against 74.7, n = 12: 57.6 against 86.0; calibration (one corner) n = 6:
+# 41.7 against 26.2, n = 8: 42.5 against 35.0, n = 10: 44.1 against 43.0,
+# n = 12: 46.4 against 53.0.  Calibration's crossover lies between 10 and 12
+# rows, but both paths are bit-equal and one threshold serves both.
 LOCKSTEP_MIN_ROWS = 8
 
 
@@ -915,9 +913,9 @@ class EvasionSource:
         once per row and called on its states, and, as in
         :meth:`EvasionEnv._clamp`, only the first two entries of each control
         it returns count.  With an ``agent``, the step then maps the clamped
-        safe controls through it and clamps the result.  The trace's
-        ``safe_*`` columns record the clamped safe control, its ``cmd_*``
-        columns the control executed.
+        safe controls through it and clamps the result.  A trace row holds
+        the step's states, the control executed (``cmd_*``) and the clamped
+        safe control (``safe_*``).
 
         ``perturbations`` is None or a sequence of one iterator per row, each
         yielding blocks of per-step perturbation rows; a row's next block is
@@ -951,15 +949,13 @@ class EvasionSource:
         except Exception as exc:
             exc.row = 0
             raise
-        theta_path = path_heading(cfg.start, cfg.goal)
         # the actuator bounds of EvasionEnv._clamp
         lo, hi = np.array((cfg.v_min, -cfg.omega_max)), np.array((cfg.v_max, cfg.omega_max))
         block = np.empty((n, cfg.k_max, _ROW_WIDTH))
-        headings = np.empty((2, n, cfg.k_max, 2))  # _cos_sin of each step's thetas
         # The active samples' current trace rows; columns 0-7 hold the robot
         # and obstacle states, viewed as (row, robot|obstacle, x|y|theta|v).
         cur = np.empty((n, _ROW_WIDTH))
-        cur[:, :COL_XO] = (*cfg.start, theta_path, 0.0)
+        cur[:, :COL_XO] = (*cfg.start, path_heading(cfg.start, cfg.goal), 0.0)
         cur[:, COL_XO : COL_VO + 1] = initials
 
         def keep_rows(keep):
@@ -1028,7 +1024,6 @@ class EvasionSource:
                 evading, cs = mode, cs[:, passed]
                 active, cur, evading, chunk, state, u, applied = keep_rows(passed)
             block[active, k] = cur
-            headings[:, active, k] = cs
             _step_rows(state, applied, cs, dt)
             k += 1
             done = _at_goal(state[:, 0], cfg)
@@ -1038,16 +1033,12 @@ class EvasionSource:
             at_horizon = k >= cfg.k_max
             for j in np.flatnonzero(done | at_horizon).tolist():
                 i = int(active[j])
-                rows = block[i, :k]
-                _complete_rows(rows, headings[:, i, :k], theta_path)
                 yield i, EpisodeTrace(
-                    rows=rows,
+                    rows=block[i, :k],
                     final_robot=RobotState(*cur[j, :COL_XO].tolist()),
                     final_obstacle=ObstacleState(*cur[j, COL_XO : COL_VO + 1].tolist()),
                     dt=dt,
                     termination="goal" if done[j] else "horizon",
-                    start=cfg.start,
-                    goal=cfg.goal,
                 )
             if at_horizon or finished == len(active):
                 break

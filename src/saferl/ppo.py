@@ -94,6 +94,9 @@ class PpoConfig:
             rules.append((name, 0 < getattr(self, name) < math.inf, "finite and positive"))
         for name in ("gamma", "gae_lambda"):
             rules.append((name, 0 <= getattr(self, name) <= 1, "in [0, 1]"))
+        for name in ("vf_coef", "ent_coef", "log_std_init"):
+            rules.append((name, math.isfinite(getattr(self, name)), "finite"))
+        rules.append(("max_grad_norm", not math.isnan(self.max_grad_norm), "a number"))
         rules.append(("hidden", all(width >= 1 for width in self.hidden), "widths of at least 1"))
         rules.append(("log_std_min", self.log_std_min <= self.log_std_max, "at most log_std_max"))
         for name, valid, rule in rules:

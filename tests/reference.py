@@ -11,14 +11,10 @@ import math
 import numpy as np
 
 from saferl.evasion import (
-    COL_THO,
-    COL_THR,
     ContainmentViolation,
     EpisodeTrace,
     ObstacleState,
     RobotState,
-    _complete_rows,
-    _cos_sin,
     observe,
     path_heading,
     unicycle_step,
@@ -95,9 +91,8 @@ def rollout_ref(source, initial, perturb=None) -> EpisodeTrace:
     the safe one by more than 1e-9 raises ``ContainmentViolation``, each
     with the lockstep engine's message for one row.  The robot and the
     obstacle move by :func:`unicycle_step`, and the episode ends within
-    ``goal_radius`` of the goal or at ``k_max`` steps.  The encounter
-    columns are filled from the finished rows, as the lockstep engine fills
-    them.
+    ``goal_radius`` of the goal or at ``k_max`` steps.  Each row holds the
+    step's robot and obstacle states, applied control and safe control.
     """
     cfg = source.cfg
     controller, agent = source.controller_factory(), source.agent
@@ -128,16 +123,13 @@ def rollout_ref(source, initial, perturb=None) -> EpisodeTrace:
                 f"step {len(rows)}: applied offsets {[offset]} from the safe "
                 f"controls {[list(u_safe)]} leave the action box {agent.mask!r}"
             )
-        nan = math.nan
-        rows.append((*vars(robot).values(), *vars(obstacle).values(), *applied, nan, nan, *u_safe, nan))
+        rows.append((*vars(robot).values(), *vars(obstacle).values(), *applied, *u_safe))
         robot = unicycle_step(robot, applied, cfg.dt)
         obstacle = unicycle_step(obstacle, (obstacle.v, 0.0), cfg.dt)
         if math.hypot(robot.x - cfg.goal[0], robot.y - cfg.goal[1]) <= cfg.goal_radius:
             termination = "goal"
             break
-    rows = np.array(rows)
-    _complete_rows(rows, _cos_sin(rows[:, COL_THR : COL_THO + 1 : 4]), theta_path)
-    return EpisodeTrace(rows, robot, obstacle, cfg.dt, termination, cfg.start, cfg.goal)
+    return EpisodeTrace(np.array(rows), robot, obstacle, cfg.dt, termination)
 
 
 def agent_ref(agent, robot, obstacle, u_safe) -> np.ndarray:

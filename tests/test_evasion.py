@@ -15,10 +15,7 @@ from saferl import evasion, stl
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import (
-    COL_CASE,
     COL_CMD_W,
-    COL_DTHETA,
-    COL_SIGN,
     COL_THO,
     ContainmentViolation,
     EpisodeTrace,
@@ -54,7 +51,7 @@ CFG = TaskConfig()
 
 def make_safe_rows(n, robot_xy=(0.0, 0.0)):
     """Rows with the obstacle far behind the robot: trigger never active."""
-    rows = np.zeros((n, 15))
+    rows = np.zeros((n, 12))
     rows[:, 0] = robot_xy[0]
     rows[:, 1] = robot_xy[1]
     rows[:, 2] = 0.0  # heading +x
@@ -63,8 +60,6 @@ def make_safe_rows(n, robot_xy=(0.0, 0.0)):
     rows[:, 5] = robot_xy[1]
     rows[:, 6] = math.pi
     rows[:, 7] = 0.05
-    rows[:, 10] = 1.0
-    rows[:, 11] = -1.0
     return rows
 
 
@@ -75,8 +70,6 @@ def make_trace(rows, final_robot, termination="horizon"):
         final_obstacle=ObstacleState(-5.0, 0.0, math.pi, 0.05),
         dt=CFG.dt,
         termination=termination,
-        start=CFG.start,
-        goal=CFG.goal,
     )
 
 
@@ -288,16 +281,42 @@ def predicate_rows_ref(rows, cfg):
         o = ObstacleState(row[4], row[5], row[6], row[7])
         out["infront"].append(infront_margin_ref(r, o))
         out["near"].append(cfg.danger_radius - mindistance_ref(r, o, cfg.dt, cfg.lookahead))
-        ok = evade(row[COL_CMD_W], row[COL_DTHETA], int(row[COL_SIGN]), cfg)
-        out["evade"].append(1.0 if ok else -1.0)
+        out["evade"].append(1.0 if evade_ref(row, cfg) else -1.0)
     return {k: np.array(v) for k, v in out.items()}
+
+
+def headings_at_gap(gap, sign, theta_path):
+    """Robot headings whose :func:`delta_theta` under turn ``sign`` lies
+    nearest to ``gap``, from below and from above (the same heading twice
+    when one lands on it): the gap is a difference of angles near pi, so
+    most gaps, such as 0.01, are not any heading's exactly."""
+    theta = wrap_angle(theta_path - sign * 0.5 * math.pi - sign * gap)
+    thetas = [theta]
+    for toward in (-math.inf, math.inf):
+        t = theta
+        for _ in range(16):
+            thetas.append(t := math.nextafter(t, toward))
+    gaps = {t: delta_theta(t, sign, theta_path) for t in thetas}
+    below = max((t for t in thetas if gaps[t] <= gap), key=gaps.get)
+    above = min((t for t in thetas if gaps[t] >= gap), key=gaps.get)
+    return below, above
+
+
+# orientation gaps at and beside the evade thresholds, for either turn sign
+GAPS = (-0.02, -0.01, -0.0, 0.0, 0.01, 0.3)
+GAP_HEADINGS = {
+    sign: [t for gap in GAPS for t in headings_at_gap(gap, sign, path_heading(CFG.start, CFG.goal))]
+    for sign in (1, -1)
+}
+TURN_RATES = (-1.6, -1.5, -1.2, -0.01, -0.0, 0.0, 0.005, 0.01, 1.2, 1.5, 3.6)
 
 
 def random_signal_rows(rng, n):
     """Signal rows over the arena with exact zeros mixed in: speeds (v = 0),
-    turn rates and orientation gaps, and turn rates and gaps at the evade
-    thresholds."""
-    rows = np.zeros((n, 12))
+    turn rates, and turn rates and orientation gaps at the evade thresholds.
+    For a gap, the robot takes a heading of :data:`GAP_HEADINGS` and the
+    obstacle a bearing on that turn sign's side."""
+    rows = np.zeros((n, 10))
     rows[:, [0, 4]] = rng.uniform(-1.6, 1.6, size=(n, 2))
     rows[:, [1, 5]] = rng.uniform(-1.0, 1.0, size=(n, 2))
     rows[:, [2, 6]] = rng.uniform(-math.pi, math.pi, size=(n, 2))
@@ -305,13 +324,27 @@ def random_signal_rows(rng, n):
     rows[:, 7] = rng.uniform(0.0, 0.15, size=n)
     rows[rng.random(n) < 0.1, 3] = 0.0
     rows[rng.random(n) < 0.1, 7] = 0.0
-    rows[:, 9] = rng.choice([-1.6, -1.5, -1.2, -0.01, 0.0, 0.005, 0.01, 1.2, 1.5, 3.6], size=n)
-    rows[:, 10] = rng.choice([-1.0, 1.0], size=n)
-    rows[:, 11] = rng.choice([-0.02, -0.01, -0.0, 0.0, 0.3], size=n)
-    for col, bound in ((9, 3.6), (11, math.pi)):
-        redraw = rng.random(n) < 0.5
-        rows[redraw, col] = rng.uniform(-bound, bound, size=int(redraw.sum()))
+    rows[:, 9] = rng.choice(TURN_RATES, size=n)
+    redraw = rng.random(n) < 0.5
+    rows[redraw, 9] = rng.uniform(-3.6, 3.6, size=int(redraw.sum()))
+    for i in np.flatnonzero(rng.random(n) < 0.5).tolist():
+        sign = int(rng.choice([1, -1]))
+        theta = rows[i, 2] = rng.choice(GAP_HEADINGS[sign])
+        bearing = theta + sign * rng.uniform(0.1, math.pi - 0.1)
+        rows[i, 4:6] = rows[i, 0:2] + rng.uniform(0.05, 1.0) * heading_vector(bearing)
     return rows
+
+
+def test_gap_headings_reach_the_thresholds():
+    # the headings straddle each threshold gap, and land on the exact zeros
+    theta_path = path_heading(CFG.start, CFG.goal)
+    for sign in (1, -1):
+        for gap in GAPS:
+            headings = headings_at_gap(gap, sign, theta_path)
+            below, above = (delta_theta(t, sign, theta_path) for t in headings)
+            assert below <= gap <= above and above - below < 1e-15, (sign, gap)
+            if gap == 0.0:
+                assert below == above == 0.0
 
 
 def test_scalar_kernels_bit_equal_to_reference():
@@ -336,6 +369,43 @@ def test_predicate_columns_bit_equal_to_per_row_reference():
         # a block that starts part-way through gives the same rows
         assert np.array_equal(table.evaluate(name, rows[17:40]), got[17:40]), name
     assert set(want["evade"]) == {-1.0, 1.0}
+
+
+@st.composite
+def signal_blocks(draw):
+    """``(rows, 10)`` signal blocks drawn row by row, not engine traces: a
+    robot heading at a threshold gap (:data:`GAP_HEADINGS`) or anywhere, an
+    obstacle on the robot's position (cross product 0), straight ahead of a
+    robot heading along +x (cross product 0), on the side of the heading's
+    turn sign, or anywhere, and turn rates at the evade thresholds or
+    anywhere."""
+    coord, angle = st.floats(-1.6, 1.6), st.floats(-math.pi, math.pi)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        sign = draw(st.sampled_from([1, -1]))
+        x, y = draw(coord), draw(coord)
+        theta = draw(st.one_of(st.sampled_from(GAP_HEADINGS[sign]), st.just(0.0), angle))
+        place = draw(st.sampled_from(["on", "ahead", "side", "free"]))
+        if place == "on":
+            ox, oy = x, y
+        elif place == "ahead":
+            theta, ox, oy = 0.0, x + draw(st.floats(-1.0, 1.0)), y
+        elif place == "side":
+            bearing = theta + sign * draw(st.floats(0.1, math.pi - 0.1))
+            ox, oy = np.add((x, y), draw(st.floats(0.05, 1.0)) * heading_vector(bearing)).tolist()
+        else:
+            ox, oy = draw(coord), draw(coord)
+        speed = st.one_of(st.just(0.0), st.floats(0.0, 0.2))
+        w = draw(st.one_of(st.sampled_from(TURN_RATES), st.floats(-3.6, 3.6)))
+        rows.append((x, y, theta, draw(speed), ox, oy, draw(angle), draw(speed), draw(speed), w))
+    return np.array(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(signal_blocks())
+def test_evade_column_equals_the_scalar_oracle_on_random_blocks(block):
+    got = safety_predicates(CFG).evaluate("evade", block)
+    assert got.tolist() == [1.0 if evade_ref(row, CFG) else -1.0 for row in block.tolist()]
 
 
 def test_shared_headings_follow_the_block_contents_not_its_address():
@@ -363,8 +433,9 @@ def test_episode_robustness_violation_scores_minus_one():
     rows[4, 4] = rows[4, 0] + 0.1  # obstacle right in front
     rows[4, 5] = rows[4, 1]
     rows[4, 6] = math.pi
-    rows[4, COL_SIGN] = 1.0
-    rows[4, COL_DTHETA] = -1.0
+    # from those states: turn sign +1 (the tie on the heading line), a
+    # quarter turn still to go
+    assert encounter_ref(rows[4], CFG) == (1, 1, -0.5 * math.pi)
     rows[4, COL_CMD_W] = -1.0  # wrong turn direction
     trace = make_trace(rows, RobotState(*CFG.goal, 0.0, 0.1))
     assert episode_robustness(trace, CFG) == -1.0
@@ -385,7 +456,7 @@ def test_episode_robustness_no_progress():
 
 def test_episode_robustness_empty_trace():
     with pytest.raises(ValueError):
-        episode_robustness(make_trace(np.zeros((0, 15)), RobotState(0, 0, 0, 0)), CFG)
+        episode_robustness(make_trace(np.zeros((0, 12)), RobotState(0, 0, 0, 0)), CFG)
 
 
 def test_measure_sign_matches_formula(tmp_path):
@@ -563,7 +634,7 @@ def test_env_step_contract(tmp_path):
     trace = source.rollout([obstacle.x, obstacle.y, obstacle.theta, obstacle.v])
     assert trace.n_steps == total_steps
     assert np.array_equal(bits(trace.rows[:, 8:10]), bits(applied))
-    assert np.array_equal(bits(trace.rows[:, 12:14]), bits(safe))
+    assert np.array_equal(bits(trace.rows[:, 10:12]), bits(safe))
     path = tmp_path / "trace.csv"
     trace.to_csv(path, CFG)
     lines = path.read_text().strip().splitlines()
@@ -571,26 +642,37 @@ def test_env_step_contract(tmp_path):
     assert lines[0].endswith(",safe_v,safe_omega,case,infront,near,evade")
     assert len(lines) == total_steps + 1
     assert all(len(line.split(",")) == 19 for line in lines)
+    # the exported sign, gap and case are the scalar functions of each row
+    header = lines[0].split(",")
+    columns = [header.index(name) for name in ("case", "sign", "delta_theta")]
+    got = [[float(line.split(",")[c]) for c in columns] for line in lines[1:]]
+    want = [encounter_ref(row, CFG) for row in trace.rows.tolist()]
+    assert np.array_equal(bits(got), bits(want))
+    assert {case for case, _, _ in want} >= {1, 2}
+
+
+def encounter_ref(row, cfg):
+    """The case, turn sign and orientation gap of a row's states, by the
+    scalar functions."""
+    r, o = RobotState(*row[0:4]), ObstacleState(*row[4:8])
+    case, sign = classify_encounter(r, o)
+    return case, sign, delta_theta(r.theta, sign, path_heading(cfg.start, cfg.goal))
+
+
+def evade_ref(row, cfg):
+    """:func:`evade` of a row's executed turn rate, with the turn sign and
+    orientation gap of its states (:func:`encounter_ref`)."""
+    _, sign, gap = encounter_ref(row, cfg)
+    return evade(row[COL_CMD_W], gap, sign, cfg)
 
 
 def step_flags_ref(row, cfg):
     """The trigger and evade flags as the environment once computed them at
-    every step from the live state, before traces dropped their flag columns:
-    rows hold that state, the applied command, the turn sign and the
-    orientation gap exactly, so the flags are recomputed from the row."""
+    every step from the live state: rows hold that state and the applied
+    command exactly, so the flags are recomputed from the row."""
     r, o = RobotState(*row[0:4]), ObstacleState(*row[4:8])
     near = mindistance(r, o, cfg.dt, cfg.lookahead) <= cfg.danger_radius
-    trig = near and infront(r, o)
-    ok = evade(row[COL_CMD_W], row[COL_DTHETA], int(row[COL_SIGN]), cfg)
-    return trig, ok
-
-
-def encounter_ref(row, cfg):
-    """The case, turn sign and orientation gap the environment once computed
-    at every step from the live state."""
-    r, o = RobotState(*row[0:4]), ObstacleState(*row[4:8])
-    case, sign = classify_encounter(r, o)
-    return case, sign, delta_theta(r.theta, sign, path_heading(cfg.start, cfg.goal))
+    return near and infront(r, o), evade_ref(row, cfg)
 
 
 def flag_test_episodes(cfg, rng):
@@ -618,9 +700,10 @@ def test_trigger_and_evade_from_predicate_columns_equal_step_flags():
         want = [step_flags_ref(row, CFG) for row in trace.rows.tolist()]
         assert trigger.tolist() == [t for t, _ in want], i
         assert ok.tolist() == [e for _, e in want], i
-        # the encounter columns, filled once the episode ends, equal the
-        # scalar functions of each row's states
-        got = trace.rows[:, [COL_CASE, COL_SIGN, COL_DTHETA]]
+        # the monitor's encounter kernel equals the scalar functions of each
+        # row's states
+        cs, theta_path = _cos_sin(trace.rows[:, 2:7:4]), path_heading(CFG.start, CFG.goal)
+        got = np.column_stack(evasion._encounters(trace.rows, cs, theta_path))
         want = [encounter_ref(row, CFG) for row in trace.rows.tolist()]
         assert np.array_equal(bits(got), bits(want)), i
         seen.update(zip(trigger.tolist(), ok.tolist()))
@@ -912,9 +995,23 @@ def near_encounters(cfg, rng, n):
         yield robot, (close if rng.random() < 0.7 else obstacle)
 
 
+def past_checks(cfg, **changes):
+    """``cfg`` with ``changes`` set past :class:`TaskConfig`'s checks, which
+    reject a NaN: the row kernels must still agree with the scalar code."""
+    cfg = replace(cfg)
+    for name, value in changes.items():
+        object.__setattr__(cfg, name, value)
+    return cfg
+
+
 @pytest.mark.parametrize(
     "cfg",
-    [CFG, *TILTED, *(replace(CFG, evade_angle_tol=tol) for tol in (0.0, 0.3, -0.01, math.nan))],
+    [
+        CFG,
+        *TILTED,
+        *(replace(CFG, evade_angle_tol=tol) for tol in (0.0, 0.3, -0.01)),
+        past_checks(CFG, evade_angle_tol=math.nan),
+    ],
 )
 def test_safe_controller_batch_bit_equal_to_call(cfg):
     rng = np.random.default_rng(608)

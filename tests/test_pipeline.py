@@ -378,6 +378,38 @@ def test_cli_error_paths(tmp_path, capsys):
             assert cli_main([*args, "--config", str(bad)]) == 2
             assert key in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+    # a NaN or infinite float in the task, controller or PPO settings is an
+    # input error, never a verdict: a NaN evade bound or tolerance scored
+    # every sample -1 (exit 1), and a NaN max_grad_norm turned clipping off
+    for data, key in (
+        ({"task": {"evade_rate_bound": math.nan}}, "TaskConfig.evade_rate_bound"),
+        ({"task": {"evade_angle_tol": math.nan}}, "TaskConfig.evade_angle_tol"),
+        ({"task": {"evade_rate_tol": math.nan}}, "TaskConfig.evade_rate_tol"),
+        ({"task": {"start": [math.nan, 0.0]}}, "TaskConfig.start"),
+        ({"task": {"goal": [0.4, math.inf]}}, "TaskConfig.goal"),
+        ({"task": {"v_min": -math.inf}}, "TaskConfig.v_min"),
+        ({"task": {"v_max": math.nan}}, "TaskConfig.v_max"),
+        ({"task": {"omega_max": math.inf}}, "TaskConfig.omega_max"),
+        ({"task": {"r_diff": math.nan}}, "TaskConfig.r_diff"),
+        ({"task": {"dt": math.inf}}, "TaskConfig.dt"),
+        ({"controller": {"cruise_speed": math.nan}}, "ControllerConfig.cruise_speed"),
+        ({"controller": {"exit_margin": math.inf}}, "ControllerConfig.exit_margin"),
+        ({"training": {"ppo": {"max_grad_norm": math.nan}}}, "PpoConfig.max_grad_norm"),
+        ({"training": {"ppo": {"vf_coef": math.inf}}}, "PpoConfig.vf_coef"),
+        ({"training": {"ppo": {"ent_coef": math.nan}}}, "PpoConfig.ent_coef"),
+        ({"training": {"ppo": {"log_std_init": -math.inf}}}, "PpoConfig.log_std_init"),
+    ):
+        with pytest.raises(PipelineError, match=key):
+            config_from_dict(data)
+        bad.write_text(json.dumps({**data, "verification": {"n_samples": 5}}))
+        for args in (["print-config"], ["verify-safe", "--out", str(tmp_path / "n")]):
+            capsys.readouterr()
+            assert cli_main([*args, "--config", str(bad)]) == 2
+            assert key in capsys.readouterr().err
+    assert not (tmp_path / "n").exists()
+    # a max_grad_norm of 0 or below (clipping off) or of +inf stays valid
+    for norm in (0.0, -1.0, math.inf):
+        assert config_from_dict({"training": {"ppo": {"max_grad_norm": norm}}})
     # train before expand
     cfg_path = write_config(tmp_path, tiny_config())
     assert cli_main(["train", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 2

@@ -12,6 +12,10 @@ path, as ``sha256sum`` prints it.  The manifests record the policy path,
 so two checkouts compare byte for byte only when run into the same
 directory, emptied in between.  Exits 2 when a stage exits with an error
 (an unsafe verdict, exit 1, still writes its artifacts).
+
+Each stage's wall time and peak resident set size (``ru_maxrss`` from
+``os.wait4``), interpreter start included, go to stderr, so stdout stays
+the digests alone and two trees' outputs compare with ``cmp``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,11 +49,17 @@ def main(argv: list[str]) -> int:
     paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     for stage in stages:
-        code = subprocess.run(
+        started = time.perf_counter()
+        proc = subprocess.Popen(
             [sys.executable, "-m", "saferl.cli", *stage, "--out", str(out)],
             env=env,
             stdout=subprocess.DEVNULL,
-        ).returncode
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        wall = time.perf_counter() - started
+        peak = usage.ru_maxrss / 1024  # kB on Linux
+        print(f"{stage[0]}: {wall:.2f} s, peak RSS {peak:.1f} MB", file=sys.stderr)
         if code not in (0, 1):
             print(f"stage {stage[0]} exited {code}", file=sys.stderr)
             return 2
