@@ -29,30 +29,12 @@ from .boxes import IntervalBox
 from .stl import PredicateTable, Signal, parse_formula, satisfies
 
 __all__ = [
-    "RobotState",
-    "ObstacleState",
-    "TaskConfig",
-    "EpisodeTrace",
-    "EvasionEnv",
-    "EvasionSource",
-    "ContainmentViolation",
-    "wrap_angle",
-    "path_heading",
-    "unicycle_step",
-    "mindistance",
-    "infront",
-    "infront_margin",
-    "classify_encounter",
-    "delta_theta",
-    "perform",
-    "episode_robustness",
-    "observe",
-    "require_zero_offset",
-    "sample_obstacle",
-    "safety_formula",
-    "safety_predicates",
-    "TRACE_COLUMNS",
-    "LOCKSTEP_MIN_ROWS",
+    "RobotState", "ObstacleState", "TaskConfig", "EpisodeTrace", "EvasionEnv",
+    "EvasionSource", "ContainmentViolation", "wrap_angle", "path_heading",
+    "unicycle_step", "mindistance", "infront", "infront_margin", "classify_encounter",
+    "delta_theta", "perform", "episode_robustness", "observe", "require_zero_offset",
+    "sample_obstacle", "safety_formula", "safety_predicates", "TRACE_COLUMNS",
+    "LOCKSTEP_MIN_ROWS", "CONTAINMENT_TOL",
 ]
 
 
@@ -425,18 +407,9 @@ _SIGNAL_WIDTH = 10
 _ROW_WIDTH = 12
 
 TRACE_COLUMNS = (
-    "robot_x",
-    "robot_y",
-    "robot_theta",
-    "robot_v",
-    "obstacle_x",
-    "obstacle_y",
-    "obstacle_theta",
-    "obstacle_v",
-    "cmd_v",
-    "cmd_omega",
-    "safe_v",
-    "safe_omega",
+    "robot_x", "robot_y", "robot_theta", "robot_v",
+    "obstacle_x", "obstacle_y", "obstacle_theta", "obstacle_v",
+    "cmd_v", "cmd_omega", "safe_v", "safe_omega",
 )
 
 
@@ -596,6 +569,11 @@ class ContainmentViolation(RuntimeError):
     """An applied control left the verified action box around the safe control."""
 
 
+# How far an executed control may leave the action box around its safe
+# control before it counts as a containment violation.
+CONTAINMENT_TOL = 1e-9
+
+
 def require_zero_offset(mask: IntervalBox) -> None:
     """Raise ``ValueError`` unless the action box admits the zero offset, so
     the unmodified safe control is always available to a masked agent."""
@@ -659,7 +637,7 @@ class EvasionEnv:
     def mask(self, box: IntervalBox) -> None:
         """Install the action box and the per-axis floats that
         :meth:`step_raw` reads: lower bound, width, containment bounds with
-        the 1e-9 tolerance, center and half-width of the normalised
+        :data:`CONTAINMENT_TOL`, center and half-width of the normalised
         offset."""
         self._mask = box
         if box.dim != 2:
@@ -668,8 +646,8 @@ class EvasionEnv:
         self._mask_floats = (
             box.lower.tolist(),
             widths.tolist(),
-            (box.lower - 1e-9).tolist(),
-            (box.upper + 1e-9).tolist(),
+            (box.lower - CONTAINMENT_TOL).tolist(),
+            (box.upper + CONTAINMENT_TOL).tolist(),
             box.center.tolist(),
             np.maximum(0.5 * widths, 1e-12).tolist(),
             math.sqrt(box.dim),
@@ -683,9 +661,9 @@ class EvasionEnv:
     def _check_mask(self, applied, u_safe) -> None:
         """Count and raise a :class:`ContainmentViolation` at the episode's
         current step when ``applied - u_safe`` lies outside the action box
-        by more than 1e-9."""
+        by more than :data:`CONTAINMENT_TOL`."""
         offset = np.asarray(applied) - np.asarray(u_safe)
-        if not self.mask.contains(offset, tol=1e-9):
+        if not self.mask.contains(offset, tol=CONTAINMENT_TOL):
             self.containment_violations += 1
             raise ContainmentViolation(
                 f"step {self._k}: applied offset {offset.tolist()} from the safe "
@@ -846,6 +824,62 @@ def _trace_rewards(trace: EpisodeTrace, cfg: TaskConfig) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _actuator_bounds(cfg: TaskConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(v, omega)`` lower and upper actuator bounds of ``cfg``, the
+    ones :meth:`EvasionEnv._clamp` clamps a control to."""
+    return np.array((cfg.v_min, -cfg.omega_max)), np.array((cfg.v_max, cfg.omega_max))
+
+
+def _row_views(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(rows, 2, 4)`` robot and obstacle states and the ``(rows, 2)``
+    safe and executed controls of a block of trace rows, as views."""
+    state = rows[:, :COL_CMD_V].reshape(-1, 2, 4)
+    return state, rows[:, COL_SAFE_V:], rows[:, COL_CMD_V:COL_SAFE_V]
+
+
+def _controls(k, rows, state, evading, mode, cs, noise, batch, agent, bounds) -> None:
+    """Step ``k``'s controls of a block of trace rows, in place: ``safe_*``
+    columns get the safe controls (``batch``'s when given) clamped to
+    ``bounds`` (:func:`_actuator_bounds`), ``mode`` the evade modes after
+    the step (with ``batch``), ``cmd_*`` columns the executed controls: the
+    safe ones, mapped through ``agent`` and clamped, plus the perturbation
+    rows ``noise`` and clamped again, each when given.  ``evading`` holds
+    the modes before the step, ``state`` the rows' states as
+    :func:`_row_views` views them (made once per cut of the rows, not per
+    step) and ``cs`` the :func:`_cos_sin` of their headings, ``(2, rows, 2)``.
+
+    Raises ``ValueError`` on a non-finite state or executed control or on
+    an agent's ``ValueError`` (as ``step k: <message>``), and
+    :class:`ContainmentViolation` on an agent control more than
+    :data:`CONTAINMENT_TOL` off ``agent.mask`` around its safe control.  A
+    row slice of every argument (``cs`` along axis 1) gives that slice's
+    result, which :func:`_rows_alone` relies on.
+    """
+    safe, cmd = rows[:, COL_SAFE_V:], rows[:, COL_CMD_V:COL_SAFE_V]
+    if batch is not None:
+        safe[:, 0], safe[:, 1], mode[...] = batch(state[:, 0], state[:, 1], evading, cs)
+    lo, hi = bounds
+    _clamp_rows(safe, lo, hi, out=safe)
+    executed = safe
+    if agent is not None:
+        try:
+            executed = _clamp_rows(agent(state[:, 0], state[:, 1], safe), lo, hi)
+        except ValueError as exc:
+            raise ValueError(f"step {k}: {exc}") from exc
+    if noise is None:
+        cmd[...] = executed
+    else:
+        np.add(executed, noise, out=cmd)
+        _clamp_rows(cmd, lo, hi, out=cmd)
+    if not np.isfinite(rows[:, :COL_SAFE_V]).all():
+        raise ValueError(f"step {k}: non-finite control or state")
+    if agent is not None and not agent.mask.contains(executed - safe, tol=CONTAINMENT_TOL):
+        raise ContainmentViolation(
+            f"step {k}: applied offsets {(executed - safe).tolist()} from the safe "
+            f"controls {safe.tolist()} leave the action box {agent.mask!r}"
+        )
+
+
 def _rows_alone(exc, k: int, rows, failed: dict, call) -> np.ndarray:
     """Make ``call``, which raised ``exc`` at step ``k``, again on each row
     alone; ``failed`` gets the error of each sample in ``rows`` that raises
@@ -906,39 +940,33 @@ class EvasionSource:
         together; yield ``(row, trace)`` as each row finishes, so that a
         caller can score and drop a trace before the others end.
 
-        Each step first clamps every active row's safe control to the
-        actuator limits.  A controller with an array method ``batch``, such
-        as :meth:`saferl.controller.SafeController.batch`, gives all rows'
+        A controller with an array method ``batch``, such as
+        :meth:`saferl.controller.SafeController.batch`, gives all rows' safe
         controls in one call.  Any other controller is opaque: it is created
         once per row and called on its states, and, as in
         :meth:`EvasionEnv._clamp`, only the first two entries of each control
-        it returns count.  With an ``agent``, the step then maps the clamped
-        safe controls through it and clamps the result.  A trace row holds
-        the step's states, the control executed (``cmd_*``) and the clamped
-        safe control (``safe_*``).
+        it returns count.  :func:`_controls`, the one lockstep control step,
+        then clamps the safe controls, maps them through ``agent`` when
+        given, adds the step's perturbations and checks the result, in the
+        ``safe_*`` and ``cmd_*`` columns of the step's trace rows.
 
         ``perturbations`` is None or a sequence of one iterator per row, each
         yielding blocks of per-step perturbation rows; a row's next block is
         taken when its step count reaches the end of the current one.  A
-        step adds the row's perturbation to its control, the agent's when
-        given, and clamps the sum again, and a finished row leaves the
-        active set, so row ``i``'s trace depends on ``initials[i]`` and its
-        own blocks alone.  The tests pin every row, bit for bit, to a float
-        oracle that steps one episode at a time through the controller's
-        per-row call, the agent's per-row arithmetic and
-        :func:`unicycle_step` (``rollout_ref`` in ``tests/reference.py``).
+        finished row leaves the active set, so row ``i``'s trace depends on
+        ``initials[i]`` and its own blocks alone.  The tests pin every row,
+        bit for bit, to a float oracle that steps one episode at a time
+        through the controller's per-row call, the agent's per-row
+        arithmetic and :func:`unicycle_step` (``rollout_ref`` in
+        ``tests/reference.py``).
 
-        A row fails, and leaves without a trace, at the step where its state
-        or control is non-finite (``ValueError``), its agent raises
-        ``ValueError`` (raised again as ``step k: <message>``), its agent
-        control leaves ``agent.mask`` around its safe control by more than
-        1e-9 (:class:`ContainmentViolation`), or its controller raises, alone or
+        A row fails, and leaves without a trace, at the step where
+        :func:`_controls` raises for it or its controller raises, alone or
         in a block call (:func:`_rows_alone`); a controller factory that
         raises fails every row at step 0.  After the last row the lowest
         failed row's error is raised, with that row as its ``row``.
         """
-        cfg, dt = self.cfg, self.cfg.dt
-        agent = self.agent
+        cfg, dt, agent = self.cfg, self.cfg.dt, self.agent
         initials = np.asarray(initials, dtype=float)
         n = initials.shape[0]
         try:
@@ -949,53 +977,22 @@ class EvasionSource:
         except Exception as exc:
             exc.row = 0
             raise
-        # the actuator bounds of EvasionEnv._clamp
-        lo, hi = np.array((cfg.v_min, -cfg.omega_max)), np.array((cfg.v_max, cfg.omega_max))
+        bounds = _actuator_bounds(cfg)
         block = np.empty((n, cfg.k_max, _ROW_WIDTH))
-        # The active samples' current trace rows; columns 0-7 hold the robot
-        # and obstacle states, viewed as (row, robot|obstacle, x|y|theta|v).
+        # The active rows' current trace rows, evade modes and perturbation
+        # rows (step, row, axis) drawn at step `drawn`, cut together as rows leave.
         cur = np.empty((n, _ROW_WIDTH))
         cur[:, :COL_XO] = (*cfg.start, path_heading(cfg.start, cfg.goal), 0.0)
         cur[:, COL_XO : COL_VO + 1] = initials
+        active, evading, chunk, drawn = np.arange(n), np.zeros(n, dtype=bool), None, 0
+        state, safe, cmd = _row_views(cur)
 
-        def keep_rows(keep):
-            """The active rows' arrays and views, cut to the rows ``keep``."""
-            kept = cur[keep]
-            safe = kept[:, COL_SAFE_V : COL_SAFE_W + 1]
-            kept_chunk = None if chunk is None else chunk[:, keep]
-            state, cmd = kept[:, :COL_CMD_V].reshape(-1, 2, 4), kept[:, COL_CMD_V : COL_CMD_W + 1]
-            return active[keep], kept, evading[keep], kept_chunk, state, safe, cmd
+        def controls(s):
+            noise = None if chunk is None else chunk[k - drawn, s]
+            _controls(
+                k, cur[s], state[s], evading[s], mode[s], cs[:, s], noise, batch, agent, bounds
+            )
 
-        def control(s):
-            """Step ``k``'s safe, executed and applied controls of the active
-            rows ``s``; raises on a non-finite row or a control off the box."""
-            us, applied_s = u[s], applied[s]
-            if batch is not None:
-                us[:, 0], us[:, 1], mode[s] = batch(state[s, 0], state[s, 1], evading[s], cs[:, s])
-            _clamp_rows(us, lo, hi, out=us)
-            executed = us
-            if agent is not None:
-                try:
-                    executed = _clamp_rows(agent(state[s, 0], state[s, 1], us), lo, hi)
-                except ValueError as exc:
-                    raise ValueError(f"step {k}: {exc}") from exc
-            if chunk is None:
-                applied_s[...] = executed
-            else:
-                np.add(executed, chunk[k - drawn, s], out=applied_s)
-                _clamp_rows(applied_s, lo, hi, out=applied_s)
-            if not np.isfinite(cur[s, : COL_CMD_W + 1]).all():
-                raise ValueError(f"step {k}: non-finite control or state")
-            if agent is not None and not agent.mask.contains(executed - us, tol=1e-9):
-                raise ContainmentViolation(
-                    f"step {k}: applied offsets {(executed - us).tolist()} from the safe "
-                    f"controls {us.tolist()} leave the action box {agent.mask!r}"
-                )
-
-        active = np.arange(n)
-        evading = np.zeros(n, dtype=bool)
-        chunk, drawn = None, 0  # perturbation rows (step, row, axis), drawn at step `drawn`
-        active, cur, evading, chunk, state, u, applied = keep_rows(slice(None))
         failed = {}  # sample index -> the error it failed with
         k = 0
         while True:
@@ -1012,19 +1009,20 @@ class EvasionSource:
                     except Exception as exc:
                         failed[i] = exc
                         calls.append((math.nan, math.nan))
-                u[...] = calls
+                safe[...] = calls
             mode = evading.copy()  # each row's evade mode after this step
             try:
-                control(slice(None))
+                controls(slice(None))
                 evading = mode
             except Exception as exc:
-                passed = _rows_alone(exc, k, active, failed, control)
-                if not passed.any():
+                keep = _rows_alone(exc, k, active, failed, controls)
+                if not keep.any():
                     break
-                evading, cs = mode, cs[:, passed]
-                active, cur, evading, chunk, state, u, applied = keep_rows(passed)
+                active, cur, evading, cs = active[keep], cur[keep], mode[keep], cs[:, keep]
+                chunk = None if chunk is None else chunk[:, keep]
+                state, safe, cmd = _row_views(cur)
             block[active, k] = cur
-            _step_rows(state, applied, cs, dt)
+            _step_rows(state, cmd, cs, dt)
             k += 1
             done = _at_goal(state[:, 0], cfg)
             finished = np.count_nonzero(done)
@@ -1042,7 +1040,9 @@ class EvasionSource:
                 )
             if at_horizon or finished == len(active):
                 break
-            active, cur, evading, chunk, state, u, applied = keep_rows(~done)
+            active, cur, evading = active[~done], cur[~done], evading[~done]
+            chunk = None if chunk is None else chunk[:, ~done]
+            state, safe, cmd = _row_views(cur)
         if failed:
             i = int(min(failed))
             failed[i].row = i

@@ -76,6 +76,13 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _at_least_one(cfg, name: str) -> None:
+    """Raise ``ValueError`` naming ``cfg``'s field ``name`` unless it is at least 1."""
+    value = getattr(cfg, name)
+    if value < 1:
+        raise ValueError(f"{type(cfg).__name__}.{name} must be at least 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     n_samples: int = 50
@@ -86,6 +93,9 @@ class VerifyConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        _at_least_one(self, "n_samples")
+        if not 0 <= self.epsilon <= 1:
+            raise ValueError(f"VerifyConfig.epsilon must be in [0, 1], not {self.epsilon!r}")
         if self.jobs != 1:
             raise ValueError(
                 f"VerifyConfig.jobs must be 1, not {self.jobs!r}: rollouts run "
@@ -104,6 +114,13 @@ class ExpandConfig:
     max_iters: int = 100
     seed: int = 2024
 
+    def __post_init__(self):
+        if not all(math.isfinite(d) and d >= 0 for d in self.delta_f):
+            raise ValueError(
+                f"ExpandConfig.delta_f must be finite and nonnegative, not {self.delta_f!r}"
+            )
+        _at_least_one(self, "max_iters")
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -114,10 +131,7 @@ class TrainingConfig:
     pilot_episodes: int = 20
 
     def __post_init__(self):
-        if self.pilot_episodes < 1:
-            raise ValueError(
-                f"TrainingConfig.pilot_episodes must be at least 1, not {self.pilot_episodes!r}"
-            )
+        _at_least_one(self, "pilot_episodes")
         if not (math.isfinite(self.reward_target) and self.reward_target > 0):
             raise ValueError(
                 "TrainingConfig.reward_target must be finite and positive, "
@@ -134,12 +148,21 @@ class HistogramBenchmark:
     safe_mean: float = 0.76
     safe_std: float = 0.35
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"HistogramBenchmark.{f.name} must be finite, not {value!r}")
+
 
 @dataclass(frozen=True)
 class HistogramConfig:
     n_samples: int = 200
     seed: int = 31
     benchmark: HistogramBenchmark = field(default_factory=HistogramBenchmark)
+
+    def __post_init__(self):
+        _at_least_one(self, "n_samples")
 
 
 @dataclass(frozen=True)

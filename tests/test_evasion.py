@@ -42,6 +42,7 @@ from saferl.evasion import (
 from saferl.evasion import LOCKSTEP_MIN_ROWS, _clamp_rows, _cos_sin, _observe_rows, _wrap_angles
 from saferl.evasion import _min_gaps, _time_grid
 from saferl.pipeline import config_from_dict, config_to_dict
+from saferl.ppo import MaskedPolicy, PpoConfig, init_policy
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
 from saferl.verify import _perturbation_chunks, probv
@@ -1220,3 +1221,88 @@ def test_lockstep_step_equals_step_raw_row_by_row(seed, raws, warm, horizon, low
         assert str(error).startswith(f"step {want[failed[0]][1]}: ")
     else:
         assert error is None and len(got) == len(raws)
+
+
+# ---------------------------------------------------------------------------
+# The lockstep control step
+# ---------------------------------------------------------------------------
+
+CONTROLS_MASK = IntervalBox([-0.05, -0.8], [0.05, 0.6])
+
+
+def control_rows(rng, n):
+    """``n`` trace rows with the robot near the path, heading anywhere, and
+    an obstacle drawn by :func:`sample_obstacle` (so some rows are near it),
+    their controls NaN until :func:`evasion._controls` writes them."""
+    rows = np.full((n, 12), math.nan)
+    rows[:, 0] = rng.uniform(-0.45, 0.45, n)
+    rows[:, 1] = rng.uniform(-0.3, 0.3, n)
+    rows[:, 2] = rng.uniform(-math.pi, math.pi, n)
+    rows[:, 3] = rng.uniform(0.0, 0.2, n)
+    rows[:, 4:8] = [tuple(vars(sample_obstacle(CFG, rng)).values()) for _ in range(n)]
+    return rows
+
+
+def call_controls(rows, evading, noise, agent):
+    """:func:`evasion._controls` at step 0 under ``SafeController.batch``,
+    in place on ``rows``; returns the mode after the step."""
+    state = evasion._row_views(rows)[0]
+    mode = evading.copy()
+    cs = _cos_sin(state[:, :, 2])
+    batch = SafeController(CFG, ControllerConfig()).batch
+    bounds = evasion._actuator_bounds(CFG)
+    evasion._controls(0, rows, state, evading, mode, cs, noise, batch, agent, bounds)
+    return mode
+
+
+# a non-finite state entry: NaN anywhere, or an obstacle infinitely far off
+# (an infinite heading fails in _cos_sin, before the step; an infinite speed
+# makes numpy warn before the step's check raises)
+_NON_FINITE = st.one_of(
+    st.tuples(st.integers(0, 7), st.just(math.nan)),
+    st.tuples(st.sampled_from([4, 5]), st.sampled_from([math.inf, -math.inf])),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    with_agent=st.booleans(),
+    with_noise=st.booleans(),
+    bad=st.one_of(st.none(), st.tuples(st.integers(0, 11), _NON_FINITE)),
+)
+def test_controls_of_each_row_alone_equal_the_block_call(seed, n, with_agent, with_noise, bad):
+    # the contract rollout_batch's retry of a failed block call relies on: a
+    # row slice of every argument gives that slice's result, and a row with a
+    # non-finite state fails in the block and alone, while every other row
+    # passes alone
+    rng = np.random.default_rng(seed)
+    rows = control_rows(rng, n)
+    evading = rng.random(n) < 0.5
+    noise = rng.uniform(-0.05, 0.05, (n, 2)) if with_noise else None
+    agent = None
+    if with_agent:
+        params = init_policy(7, 2, PpoConfig(hidden=(16, 16)), rng)
+        params.policy.weights[-1][...] *= 300.0  # raw actions across (-1, 1)
+        agent = MaskedPolicy(params, CONTROLS_MASK, CFG)
+    block = rows.copy()
+    mode = call_controls(block, evading, noise, agent)
+    assert np.isfinite(block).all()
+    failing = None
+    if bad is not None:
+        failing, (column, value) = bad[0] % n, bad[1]
+        rows[failing, column] = value
+        with pytest.raises(ValueError, match=r"^step 0: non-finite control or state$"):
+            call_controls(rows.copy(), evading, noise, agent)
+    for j in range(n):
+        s = slice(j, j + 1)
+        row = rows[s].copy()
+        alone = evading[s], None if noise is None else noise[s], agent
+        if j == failing:
+            with pytest.raises(ValueError, match=r"^step 0: non-finite control or state$"):
+                call_controls(row, *alone)
+            continue
+        # states untouched; safe, applied and mode bits as in the block
+        assert call_controls(row, *alone)[0] == mode[j], j
+        assert np.array_equal(bits(row), bits(block[s])), j

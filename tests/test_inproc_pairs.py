@@ -29,3 +29,10 @@ def test_summary_of_one_round():
     summary = inproc_pairs.summarize([([0.5, 0.4], [0.3])])
     assert summary["ratio_quartiles"] == pytest.approx((0.75, 0.75, 0.75))
     assert (summary["change_wins"], summary["parent_wins"]) == (1, 0)
+
+
+def test_stages_include_the_whole_workloads():
+    # perfbench's verify_safe and verify_agent iterations, each timed as
+    # one call per side
+    assert {"verify_safe_workload", "verify_agent_workload"} <= set(inproc_pairs.STAGES)
+    assert len(set(inproc_pairs.STAGES)) == len(inproc_pairs.STAGES)

@@ -460,6 +460,54 @@ def trained_out(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
+    "section, values, key, stage",
+    [
+        ("histogram", {"benchmark": {"agent_mean": math.nan}}, "HistogramBenchmark.agent_mean", "histogram"),
+        ("histogram", {"benchmark": {"safe_std": math.inf}}, "HistogramBenchmark.safe_std", "histogram"),
+        ("histogram", {"benchmark": {"agent_std": -math.inf}}, "HistogramBenchmark.agent_std", "histogram"),
+        ("histogram", {"n_samples": 0}, "HistogramConfig.n_samples", "histogram"),
+        ("expansion", {"delta_f": [math.nan, 1.0]}, "ExpandConfig.delta_f", "expand"),
+        ("expansion", {"delta_f": [10.0, math.inf]}, "ExpandConfig.delta_f", "expand"),
+        ("expansion", {"delta_f": [10.0, -1.0]}, "ExpandConfig.delta_f", "expand"),
+        ("expansion", {"max_iters": 0}, "ExpandConfig.max_iters", "expand"),
+        ("verification", {"n_samples": 0}, "VerifyConfig.n_samples", "verify-safe"),
+        ("verification", {"n_samples": -5}, "VerifyConfig.n_samples", "verify-safe"),
+        ("verification", {"epsilon": -0.01}, "VerifyConfig.epsilon", "verify-safe"),
+        ("verification", {"epsilon": 1.5}, "VerifyConfig.epsilon", "verify-safe"),
+        ("verification", {"epsilon": math.nan}, "VerifyConfig.epsilon", "verify-safe"),
+    ],
+)
+def test_config_sections_are_checked_on_load(tmp_path, capsys, section, values, key, stage):
+    # each failed only after stage work had run, or not at all: a NaN
+    # benchmark statistic was written as bare NaN into histogram_summary.json
+    # and manifest_histogram.json (exit 0), and a NaN delta_f entry failed
+    # after e_init was verified, as "bounds must be finite"
+    data = {section: values}
+    with pytest.raises(PipelineError, match=re.escape(key)):
+        config_from_dict(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    for args in (["print-config"], [stage, "--out", str(out)]):
+        capsys.readouterr()
+        assert cli_main([*args, "--config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_section_bounds_are_valid():
+    # the edges of each new check load, and the default is unchanged
+    data = {
+        "verification": {"n_samples": 1, "epsilon": 0.0},
+        "expansion": {"delta_f": [0.0, 0.0], "max_iters": 1},
+        "histogram": {"n_samples": 1, "benchmark": {"agent_mean": -1e300}},
+    }
+    assert config_from_dict(data).verification.n_samples == 1
+    assert config_from_dict({"verification": {"epsilon": 1.0}}).verification.epsilon == 1.0
+    assert config_from_dict(config_to_dict(default_config())) == default_config()
+
+
+@pytest.mark.parametrize(
     "name, command, torn",
     [
         ("expansion.json", "verify-safe", "whole"),

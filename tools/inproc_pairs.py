@@ -20,7 +20,13 @@ an 8192-step training budget.  Stage ``S`` is then called with seed 1:
   runs) on the box persisted during set-up;
 - ``train``: ``run_train`` from a box verified during set-up at N = 10;
 - ``verify_agent``: ``run_verify_agent`` on a policy trained for 512 steps
-  during set-up.
+  during set-up;
+- ``verify_safe_workload``: ``run_expand``, then ``run_verify_safe``, then
+  ``run_histogram`` without a policy, as one iteration of perfbench's
+  ``verify_safe`` workload runs them;
+- ``verify_agent_workload``: ``run_verify_agent``, then ``run_histogram``
+  with that policy, as one iteration of perfbench's ``verify_agent``
+  workload runs them.
 
 A round makes four calls per side, the two sides taking turns call by call;
 which side goes first alternates from round to round.  A call is timed with
@@ -59,7 +65,15 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-STAGES = ("verify_safe", "expand", "histogram", "train", "verify_agent")
+STAGES = (
+    "verify_safe",
+    "expand",
+    "histogram",
+    "train",
+    "verify_agent",
+    "verify_safe_workload",
+    "verify_agent_workload",
+)
 SIDES = ("parent", "change")
 CALLS = 4  # per side per round
 SEED = 1
@@ -134,9 +148,20 @@ def _stage_call(pipeline, stage: str, work: Path, seed: int):
     if stage == "train":
         pipeline.run_expand(small, out, seed=seed)
         return lambda: pipeline.run_train(cfg, out, seed=seed)
+    if stage == "verify_safe_workload":
+        return lambda: (
+            pipeline.run_expand(cfg, out, seed=seed),
+            pipeline.run_verify_safe(cfg, out, seed=seed),
+            pipeline.run_histogram(cfg, None, out, seed=seed),
+        )
     inputs = work / "inputs"
     pipeline.run_expand(small, inputs, seed=seed)
     policy = pipeline.run_train(small, inputs, seed=seed)[1]["policy"]
+    if stage == "verify_agent_workload":
+        return lambda: (
+            pipeline.run_verify_agent(cfg, policy, out, seed=seed),
+            pipeline.run_histogram(cfg, policy, out, seed=seed),
+        )
     return lambda: pipeline.run_verify_agent(cfg, policy, out, seed=seed)
 
 
