@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
@@ -927,12 +926,14 @@ class EvasionSource:
 
     def rollout(self, initial, perturb=None) -> EpisodeTrace:
         """One episode from ``initial``: :meth:`rollout_batch` of that one
-        row.  ``perturb()`` is called once per step for that step's
-        perturbation; without it the episode runs unperturbed."""
-        blocks = None
+        row.  ``perturb()`` gives one step's perturbation; it is called
+        ``cfg.k_max`` times before the first step, and the calls past the
+        episode's last step go unused.  Without it the episode runs
+        unperturbed."""
+        draws = None
         if perturb is not None:
-            blocks = [(np.asarray(perturb(), dtype=float)[None] for _ in itertools.count())]
-        ((_, trace),) = self.rollout_batch([initial], blocks)
+            draws = [lambda m: np.array([perturb() for _ in range(m)])]
+        ((_, trace),) = self.rollout_batch([initial], draws)
         return trace
 
     def rollout_batch(self, initials, perturbations=None) -> Iterator[tuple[int, EpisodeTrace]]:
@@ -950,21 +951,24 @@ class EvasionSource:
         given, adds the step's perturbations and checks the result, in the
         ``safe_*`` and ``cmd_*`` columns of the step's trace rows.
 
-        ``perturbations`` is None or a sequence of one iterator per row, each
-        yielding blocks of per-step perturbation rows; a row's next block is
-        taken when its step count reaches the end of the current one.  A
-        finished row leaves the active set, so row ``i``'s trace depends on
-        ``initials[i]`` and its own blocks alone.  The tests pin every row,
-        bit for bit, to a float oracle that steps one episode at a time
-        through the controller's per-row call, the agent's per-row
-        arithmetic and :func:`unicycle_step` (``rollout_ref`` in
-        ``tests/reference.py``).
+        ``perturbations`` is None or a sequence of one draw callable per row,
+        such as ``functools.partial(box.sample, rng)``: ``draw(m)`` returns
+        the row's ``(v, omega)`` perturbations of steps ``0 .. m - 1``.  Each
+        is called once, with ``cfg.k_max``, before the first step; the rows
+        past the row's last step are never read.  A finished row leaves the
+        active set, so row ``i``'s trace depends on ``initials[i]`` and its
+        own draws alone.  The tests pin every row, bit for bit, to a float
+        oracle that steps one episode at a time through the controller's
+        per-row call, the agent's per-row arithmetic and
+        :func:`unicycle_step` (``rollout_ref`` in ``tests/reference.py``).
 
         A row fails, and leaves without a trace, at the step where
         :func:`_controls` raises for it or its controller raises, alone or
-        in a block call (:func:`_rows_alone`); a controller factory that
-        raises fails every row at step 0.  After the last row the lowest
-        failed row's error is raised, with that row as its ``row``.
+        in a block call (:func:`_rows_alone`); a row whose initial condition
+        is not finite fails at step 0 before any call, and a controller
+        factory that raises fails every row at step 0.  After the last row
+        the lowest failed row's error is raised, with that row as its
+        ``row``.
         """
         cfg, dt, agent = self.cfg, self.cfg.dt, self.agent
         initials = np.asarray(initials, dtype=float)
@@ -979,26 +983,27 @@ class EvasionSource:
             raise
         bounds = _actuator_bounds(cfg)
         block = np.empty((n, cfg.k_max, _ROW_WIDTH))
-        # The active rows' current trace rows, evade modes and perturbation
-        # rows (step, row, axis) drawn at step `drawn`, cut together as rows leave.
-        cur = np.empty((n, _ROW_WIDTH))
+        noise = None if perturbations is None else np.empty((n, cfg.k_max, 2))  # (row, step, axis)
+        for i, draw in enumerate(perturbations or ()):
+            noise[i] = draw(cfg.k_max)
+        finite = np.isfinite(initials).all(axis=1)
+        failed = {  # sample index -> the error it failed with
+            i: ValueError(f"step 0: non-finite initial state {initials[i].tolist()}")
+            for i in np.flatnonzero(~finite).tolist()
+        }
+        # The active rows' current trace rows and evade modes, cut together as rows leave.
+        active = np.flatnonzero(finite)
+        cur, evading = np.empty((len(active), _ROW_WIDTH)), np.zeros(len(active), dtype=bool)
         cur[:, :COL_XO] = (*cfg.start, path_heading(cfg.start, cfg.goal), 0.0)
-        cur[:, COL_XO : COL_VO + 1] = initials
-        active, evading, chunk, drawn = np.arange(n), np.zeros(n, dtype=bool), None, 0
+        cur[:, COL_XO : COL_VO + 1] = initials[active]
         state, safe, cmd = _row_views(cur)
 
         def controls(s):
-            noise = None if chunk is None else chunk[k - drawn, s]
-            _controls(
-                k, cur[s], state[s], evading[s], mode[s], cs[:, s], noise, batch, agent, bounds
-            )
+            xi = None if noise is None else noise[active[s], k]
+            _controls(k, cur[s], state[s], evading[s], mode[s], cs[:, s], xi, batch, agent, bounds)
 
-        failed = {}  # sample index -> the error it failed with
         k = 0
-        while True:
-            if perturbations is not None and (chunk is None or k - drawn == chunk.shape[0]):
-                chunk = np.stack([next(perturbations[i]) for i in active.tolist()], axis=1)
-                drawn = k
+        while len(active):
             cs = _cos_sin(state[:, :, 2])
             if batch is None:
                 calls = []
@@ -1019,7 +1024,6 @@ class EvasionSource:
                 if not keep.any():
                     break
                 active, cur, evading, cs = active[keep], cur[keep], mode[keep], cs[:, keep]
-                chunk = None if chunk is None else chunk[:, keep]
                 state, safe, cmd = _row_views(cur)
             block[active, k] = cur
             _step_rows(state, cmd, cs, dt)
@@ -1041,7 +1045,6 @@ class EvasionSource:
             if at_horizon or finished == len(active):
                 break
             active, cur, evading = active[~done], cur[~done], evading[~done]
-            chunk = None if chunk is None else chunk[:, ~done]
             state, safe, cmd = _row_views(cur)
         if failed:
             i = int(min(failed))

@@ -69,10 +69,12 @@ class RolloutSource(Protocol):
 
     A source may also step many samples together: when it has a
     ``rollout_batch`` method, :func:`probv` calls ``rollout_batch(initials,
-    perturbations)`` with one row per sample and, when perturbed, one
-    iterator of per-step perturbation blocks per sample, and scores each
-    ``(row, trajectory)`` pair it yields (see
-    :meth:`saferl.evasion.EvasionSource.rollout_batch`).  A failing row
+    perturbations)`` with one row per sample and, when perturbed, one draw
+    callable per sample, and scores each ``(row, trajectory)`` pair it
+    yields (see :meth:`saferl.evasion.EvasionSource.rollout_batch`).
+    ``draw(m)`` returns the sample's perturbations of steps ``0 .. m - 1``,
+    the stream that ``perturb`` gives ``rollout`` one step at a time; the
+    rows past the rollout's last step must go unused.  A failing row
     lets the others run on; after them the run raises an error whose
     ``row`` attribute names the lowest failed row.
     """
@@ -238,27 +240,18 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-_PERTURB_CHUNK = 64
-
-
-def _perturbation_chunks(box: IntervalBox, rng: np.random.Generator):
-    """Endless blocks of per-step draws from ``box``; their rows equal one
-    ``box.sample(rng)`` per step bit for bit, and rows drawn past the
-    episode's end are never used by anything else."""
-    while True:
-        yield box.sample(rng, _PERTURB_CHUNK)
-
-
 def _sample_inputs(source: RolloutSource, expansion: IntervalBox | None, base_seed: int, i: int):
     """Sample ``i``'s initial condition, from its ``(base_seed, i, 0)``
-    generator, and its perturbation blocks, from its ``(base_seed, i, 1)``
-    generator (None without ``expansion``)."""
+    generator, and its perturbation draw ``partial(expansion.sample, rng)``
+    on its ``(base_seed, i, 1)`` generator (None without ``expansion``):
+    ``draw()`` gives one step's row and ``draw(m)`` the next ``m`` rows of
+    the same stream, bit for bit."""
     init_rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, 0]))
     initial = np.asarray(source.sample_initial(init_rng), dtype=float)
     if expansion is None:
         return initial, None
     perturb_rng = np.random.default_rng(np.random.SeedSequence([base_seed, i, 1]))
-    return initial, _perturbation_chunks(expansion, perturb_rng)
+    return initial, functools.partial(expansion.sample, perturb_rng)
 
 
 def _run_sample(
@@ -269,10 +262,9 @@ def _run_sample(
     i: int,
 ):
     seed = derive_seed(base_seed, i)
-    initial, chunks = _sample_inputs(source, expansion, base_seed, i)
-    perturb = None if chunks is None else functools.partial(next, itertools.chain.from_iterable(chunks))
+    initial, draw = _sample_inputs(source, expansion, base_seed, i)
     try:
-        trajectory = source.rollout(initial, perturb)
+        trajectory = source.rollout(initial, draw)
         rho = float(robustness_fn(trajectory))
     except RolloutFailure:
         raise
@@ -291,8 +283,10 @@ def _run_lockstep(
 ) -> list:
     """The ``n`` samples of every ``(expansion, base_seed)`` run of ``runs``
     through one ``source.rollout_batch`` call, each trace scored as its
-    rollout ends.  Rows of an unperturbed run among perturbed ones add
-    ``-0.0`` at every step, which leaves every control bit for bit as it is.
+    rollout ends.  Each perturbed row gets its sample's draw
+    (:func:`_sample_inputs`); rows of an unperturbed run among perturbed
+    ones get a draw of ``-0.0`` rows, which leaves every control bit for
+    bit as it is.
 
     Returns one entry per run, up to the first run that fails: the list of
     what :func:`_run_sample` returns for each index, or, for that failing
@@ -300,12 +294,12 @@ def _run_lockstep(
     failed (the ``row`` of the call's error) or whose robustness raised or
     is not finite."""
     inputs = [_sample_inputs(source, box, seed, i) for box, seed in runs for i in range(n)]
-    initials, chunks = zip(*inputs)
+    initials, draws = zip(*inputs)
     boxes = [box for box, _ in runs if box is not None]
     perturbations = None
     if boxes:
-        unperturbed = itertools.repeat(np.full((_PERTURB_CHUNK, boxes[0].dim), -0.0))
-        perturbations = [unperturbed if c is None else c for c in chunks]
+        dim = boxes[0].dim
+        perturbations = [(lambda m: np.full((m, dim), -0.0)) if d is None else d for d in draws]
     rhos, errors = [math.nan] * len(inputs), {}
     try:
         for row, trace in source.rollout_batch(np.array(initials), perturbations):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -45,7 +46,7 @@ from saferl.pipeline import config_from_dict, config_to_dict
 from saferl.ppo import MaskedPolicy, PpoConfig, init_policy
 from saferl.stl import robustness as stl_robustness
 from saferl.stl import satisfies
-from saferl.verify import _perturbation_chunks, probv
+from saferl.verify import probv
 
 CFG = TaskConfig()
 
@@ -470,7 +471,7 @@ def test_measure_sign_matches_formula(tmp_path):
     formula = safety_formula()
     seen = set()
     ics = [source.sample_initial(rng) for _ in range(30)]
-    streams = [_perturbation_chunks(big, np.random.default_rng(i)) for i in range(1, 30, 2)]
+    streams = [functools.partial(big.sample, np.random.default_rng(i)) for i in range(1, 30, 2)]
     traces = [*source.rollout_batch(ics[0::2]), *source.rollout_batch(ics[1::2], streams)]
     for _, trace in traces:
         rho = episode_robustness(trace, cfg)
@@ -686,7 +687,7 @@ def flag_test_episodes(cfg, rng):
     for _, trace in source.rollout_batch(ics[0:48:2]):
         yield trace
     seeds, boxes = [*range(1, 48, 2), *range(48, 64)], [box] * 24 + [STEP_MASK] * 16
-    streams = [_perturbation_chunks(b, np.random.default_rng(seed)) for seed, b in zip(seeds, boxes)]
+    streams = [functools.partial(b.sample, np.random.default_rng(seed)) for seed, b in zip(seeds, boxes)]
     for _, trace in source.rollout_batch(ics[1:48:2] + ics[48:], streams):
         yield trace
 

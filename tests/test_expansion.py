@@ -39,8 +39,8 @@ class WidthThresholdSource:
 
 
 class WidthThresholdBatchSource(WidthThresholdSource):
-    """:class:`WidthThresholdSource` with ``rollout_batch``: each row reads
-    its first 64 perturbation draws, as ``rollout`` does.  As in
+    """:class:`WidthThresholdSource` with ``rollout_batch``: each row draws
+    its first 64 perturbation rows, as ``rollout`` does.  As in
     ``EvasionSource.rollout_batch``, a failed row lets the others run on and
     the lowest failed row's error is raised last, with that row as its
     ``row``.  Records the row count of each call."""
@@ -54,7 +54,7 @@ class WidthThresholdBatchSource(WidthThresholdSource):
         failed = {}
         for row in range(len(initials)):
             try:
-                draws = None if perturbations is None else next(perturbations[row])[:64]
+                draws = None if perturbations is None else perturbations[row](64)
                 score = self._score(draws)
             except ValueError as exc:
                 failed.setdefault(row, exc)

@@ -33,7 +33,6 @@ import saferl.verify
 from saferl.verify import (
     RolloutFailure,
     VerificationReport,
-    _perturbation_chunks,
     _run_lockstep,
     _run_sample,
     confidence,
@@ -383,24 +382,25 @@ def test_rollout_batch_retires_rows_that_finish_first():
             [0.2, 0.36, -2.36, 0.1],
         ]
     )
-    chunks = [[E_INIT.sample(rng, 64) for _ in range(5)] for _ in initials]
-    finished = list(source.rollout_batch(initials, [iter(c) for c in chunks]))
+    draws = [E_INIT.sample(rng, 320) for _ in initials]  # k_max rows and more
+    finished = list(source.rollout_batch(initials, [lambda m, a=a: a[:m] for a in draws]))
     assert [i for i, _ in finished] == [1, 3, 0, 2]  # in the order the rows end
     traces = [trace for _, trace in sorted(finished, key=lambda f: f[0])]
     lengths = [t.n_steps for t in traces]
     assert traces[1].termination == "goal" and traces[2].termination == "horizon"
     assert lengths[1] < min(lengths[:1] + lengths[2:])
     assert len(set(lengths)) == 4
-    for initial, chunk, trace in zip(initials, chunks, traces):
-        stream = functools.partial(next, itertools.chain.from_iterable(chunk))
+    for initial, a, trace in zip(initials, draws, traces):
+        stream = functools.partial(next, iter(a))
         assert trace_bits(trace) == trace_bits(rollout_ref(source, initial, stream))
 
 
 def test_rollout_is_one_row_of_rollout_batch():
-    # rollout calls perturb() once per step and equals rollout_batch on its
-    # one row and the float engine, bit for bit, for the safe controller
-    # alone and under an agent; the widest box pushes the perturbed controls
-    # past both actuator limits, and so does the agent's wide mask alone
+    # rollout calls perturb() k_max times before the first step and equals
+    # rollout_batch on its one row and the float engine, bit for bit, for the
+    # safe controller alone and under an agent; the widest box pushes the
+    # perturbed controls past both actuator limits, and so does the agent's
+    # wide mask alone
     params = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(20))
     params.policy.weights[-1][...] *= 300.0  # raw actions across (-1, 1)
     wide = IntervalBox([-0.15, -4.0], [0.15, 4.0])
@@ -417,18 +417,69 @@ def test_rollout_is_one_row_of_rollout_batch():
             return draws[-1]
 
         trace = source.rollout(initial, None if box is None else perturb)
-        assert len(draws) == (0 if box is None else trace.n_steps)
-        replay, blocks = None, None
+        assert len(draws) == (0 if box is None else TASK.k_max)
+        replay, batch_draws = None, None
         if box is not None:
-            replay, blocks = functools.partial(next, iter(draws)), [iter(np.array(draws)[:, None])]
+            replay = functools.partial(next, iter(draws))
+            batch_draws = [lambda m: np.array(draws[:m])]
         assert trace_bits(trace) == trace_bits(rollout_ref(source, initial, replay))
-        ((row, batched),) = source.rollout_batch([initial], blocks)
+        ((row, batched),) = source.rollout_batch([initial], batch_draws)
         assert row == 0 and trace_bits(batched) == trace_bits(trace)
         if source.agent is not None and box is None:
             cmd = trace.rows[:, COL_CMD_V : COL_CMD_V + 2]
             limits.update(np.flatnonzero((cmd == (TASK.v_min, -TASK.omega_max)).any(axis=0)))
             limits.update(2 + np.flatnonzero((cmd == (TASK.v_max, TASK.omega_max)).any(axis=0)))
     assert limits == {0, 1, 2, 3}
+
+
+def test_rollout_batch_reads_no_perturbation_past_a_rows_end():
+    # each row's draw returns k_max rows up front; poisoning every row from
+    # the row's own step count on with NaN changes no trace and fails no row
+    source = safe_source()
+    initials = [source.sample_initial(np.random.default_rng([9, i])) for i in range(16)]
+    rows = [E_INIT.sample(np.random.default_rng([9, i, 1]), TASK.k_max) for i in range(16)]
+    first = dict(source.rollout_batch(initials, [lambda m, a=a: a[:m] for a in rows]))
+    lengths = [first[i].n_steps for i in range(16)]
+    assert min(lengths) < TASK.k_max and len(set(lengths)) > 2
+    steps = np.arange(TASK.k_max)[:, None]
+    poisoned = [np.where(steps < n, a, np.nan) for a, n in zip(rows, lengths)]
+    again = dict(source.rollout_batch(initials, [lambda m, a=a: a[:m] for a in poisoned]))
+    assert sorted(again) == list(range(16))
+    for i in range(16):
+        assert trace_bits(again[i]) == trace_bits(first[i]), i
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(2, math.inf), (3, math.inf), (0, math.nan)],
+    ids=["theta-inf", "v-inf", "x-nan"],
+)
+def test_non_finite_initial_state_fails_its_row_at_step_0(column, value):
+    # the row fails before any call on it, naming its initial state, and the
+    # good row beside it runs on, bit-equal to running alone; a lockstep
+    # probv names the sample
+    source, good = safe_source(), (0.3, -0.2, 0.5, 0.1)
+    bad = np.array((0.3, 0.1, 0.5, 0.1))
+    bad[column] = value
+    finished = []
+    with pytest.raises(ValueError, match=r"^step 0: non-finite initial state \[") as err:
+        finished.extend(source.rollout_batch([bad, good]))
+    assert err.value.row == 0 and [row for row, _ in finished] == [1]
+    ((_, alone),) = source.rollout_batch([good])
+    assert trace_bits(finished[0][1]) == trace_bits(alone)
+
+    j, calls = 5, itertools.count()
+
+    class BadSample(EvasionSource):
+        def sample_initial(self, rng):
+            initial = super().sample_initial(rng)
+            if next(calls) == j:
+                initial[column] = value
+            return initial
+
+    with pytest.raises(RolloutFailure, match="non-finite initial state") as err:
+        probv(BadSample(TASK, source.controller_factory), E_INIT, source.robustness, 12, 0.05, 4)
+    assert err.value.sample_index == j and err.value.seed == derive_seed(4, j)
 
 
 def test_lockstep_nan_control_names_the_lowest_failing_sample():
@@ -514,10 +565,10 @@ def test_agent_trace_records_the_safe_control_and_the_executed_one(box):
     mask = IntervalBox([-0.02, -0.3], [0.03, 0.4])
     source = EvasionSource(TASK, safe_source().controller_factory, MaskedPolicy(params, mask, TASK))
     initials = [source.sample_initial(np.random.default_rng([8, i])) for i in range(12)]
-    blocks = None
+    draws = None
     if box is not None:
-        blocks = [_perturbation_chunks(box, np.random.default_rng(i)) for i in range(12)]
-    for _, trace in source.rollout_batch(initials, blocks):
+        draws = [functools.partial(box.sample, np.random.default_rng(i)) for i in range(12)]
+    for _, trace in source.rollout_batch(initials, draws):
         ctl = SafeController(TASK)
         want = [ctl(RobotState(*r[:4]), ObstacleState(*r[4:8])) for r in trace.rows.tolist()]
         safe = trace.rows[:, COL_SAFE_V : COL_SAFE_V + 2]
