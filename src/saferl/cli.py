@@ -31,6 +31,13 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: a non-negative integer, as numpy's seeding needs."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saferl",
@@ -44,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="JSON configuration file")
         p.add_argument("--out", metavar="DIR", help="output directory override")
-        p.add_argument("--seed", type=int, help="stage seed override")
+        p.add_argument("--seed", type=_seed, help="stage seed override (at least 0)")
 
     p = sub.add_parser("verify-safe", help="verify the perturbed safe controller")
     common(p)

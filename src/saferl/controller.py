@@ -36,9 +36,6 @@ from .evasion import (
     _references,
     _time_grid,
     _wrap_angles,
-    classify_encounter,
-    delta_theta,
-    infront,
     mindistance,
     path_heading,
     wrap_angle,
@@ -88,26 +85,33 @@ class SafeController:
         return self._evading
 
     def __call__(self, robot, obstacle) -> tuple[float, float]:
-        """The control for one step.  The projected gap (:func:`mindistance`)
-        decides the mode only while the obstacle is ahead, so it is
-        computed only then; an obstacle behind ends any evasion."""
+        """The control for one step, formed as :meth:`batch` forms a row's,
+        on floats.  The projected gap (:func:`mindistance`) decides the mode
+        only while the obstacle is ahead (its offset along the heading is
+        >= 0), so it is computed only then; an obstacle behind ends any
+        evasion."""
         task, cfg = self.task, self.cfg
-        if infront(robot, obstacle):
+        cos_r, sin_r = math.cos(robot.theta), math.sin(robot.theta)
+        rel_x, rel_y = obstacle.x - robot.x, obstacle.y - robot.y
+        if rel_x * cos_r + rel_y * sin_r >= 0.0:
             gap = mindistance(robot, obstacle, task.dt, task.lookahead)
-            if gap <= task.danger_radius:
-                self._evading = True
-            elif self._evading and not gap <= task.danger_radius + cfg.exit_margin:
-                self._evading = False
+            self._evading = gap <= task.danger_radius or (
+                self._evading and gap <= task.danger_radius + cfg.exit_margin
+            )
         else:
             self._evading = False
 
         if self._evading:
-            _, sign = classify_encounter(robot, obstacle)
-            dth = delta_theta(robot.theta, sign, self.theta_path)
-            if dth >= 0.0 or abs(dth) <= task.evade_angle_tol:
+            # turn toward the side the obstacle lies on (on the heading line
+            # counts as the plus side) until the heading is within tol of, or
+            # past, that side's reference perpendicular to the path
+            plus = cos_r * rel_y - sin_r * rel_x >= 0.0
+            err = wrap_angle(self._references[0 if plus else 1] - robot.theta)
+            tol = task.evade_angle_tol
+            if (err if plus else -err) >= (-tol if tol >= 0.0 else 0.0):
                 omega = 0.0
             else:
-                omega = sign * cfg.evade_turn_rate
+                omega = cfg.evade_turn_rate if plus else -cfg.evade_turn_rate
             v = cfg.cruise_speed
         else:
             tx, ty = self._track_target(robot)
@@ -164,17 +168,18 @@ class SafeController:
             far |= (np.abs(to_aim) > 1e-9).any(axis=1)
             theta_des[~far] = self.theta_path
         # One wrap serves both modes: tracking rows wrap the heading error,
-        # evading rows the gap to delta_theta's reference heading.
+        # evading rows the gap to their turn side's reference heading.
         evade_rows = np.count_nonzero(evading)
         if evade_rows:
-            # classify_encounter's turn side, as in _encounters
+            # the turn side, as in __call__ and _encounters
             plus = headings[0, :, 0] * rel[:, 1] - headings[1, :, 0] * rel[:, 0] >= 0.0
             theta_des = np.where(evading, np.where(plus, *self._references), theta_des)
         err = _wrap_angles(theta_des - rth)
         omega = _clamp_rows(cfg.heading_gain * err, -cfg.track_turn_cap, cfg.track_turn_cap)
         if evade_rows:
-            # hold: delta_theta >= 0 or |delta_theta| <= tol, that is
-            # delta_theta >= -tol, or >= 0 where no |delta_theta| <= tol
+            # hold where the gap signed by the turn side, dth, has
+            # dth >= 0 or |dth| <= tol: that is dth >= -tol, or dth >= 0
+            # where no |dth| <= tol (tol < 0 or NaN)
             tol = task.evade_angle_tol
             dth = np.where(plus, err, -err)
             hold = dth >= (-tol if tol >= 0.0 else 0.0)

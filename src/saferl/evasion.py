@@ -30,10 +30,9 @@ from .stl import PredicateTable, Signal, parse_formula, satisfies
 __all__ = [
     "RobotState", "ObstacleState", "TaskConfig", "EpisodeTrace", "EvasionEnv",
     "EvasionSource", "ContainmentViolation", "wrap_angle", "path_heading",
-    "unicycle_step", "mindistance", "infront", "infront_margin", "classify_encounter",
-    "delta_theta", "perform", "episode_robustness", "observe", "require_zero_offset",
-    "sample_obstacle", "safety_formula", "safety_predicates", "TRACE_COLUMNS",
-    "LOCKSTEP_MIN_ROWS", "CONTAINMENT_TOL",
+    "unicycle_step", "mindistance", "perform", "episode_robustness", "observe",
+    "require_zero_offset", "sample_obstacle", "safety_formula", "safety_predicates",
+    "TRACE_COLUMNS", "LOCKSTEP_MIN_ROWS", "CONTAINMENT_TOL",
 ]
 
 
@@ -191,45 +190,6 @@ def mindistance(r: RobotState, o: ObstacleState, dt: float, lookahead: float) ->
     return float(np.minimum.reduce(np.hypot((r.x - o.x) + ts * vx, (r.y - o.y) + ts * vy)))
 
 
-def infront_margin(r: RobotState, o: ObstacleState) -> float:
-    """Signed distance of the obstacle past the line through the robot
-    perpendicular to its heading (>= 0 means ahead, boundary inclusive)."""
-    return float((o.x - r.x) * math.cos(r.theta) + (o.y - r.y) * math.sin(r.theta))
-
-
-def infront(r: RobotState, o: ObstacleState) -> bool:
-    return infront_margin(r, o) >= 0.0
-
-
-def classify_encounter(r: RobotState, o: ObstacleState) -> tuple[int, int]:
-    """Classify the encounter geometry into cases 1-4 and a turn direction.
-
-    The obstacle's bearing side comes from the cross product of the robot
-    heading with the relative position (zero ties count as the +1 side);
-    opposing versus aligned motion comes from the heading dot product.
-    Cases 1 and 3 return sign +1, cases 2 and 4 return -1, and mirroring
-    the scene flips the sign.
-    """
-    hx, hy = math.cos(r.theta), math.sin(r.theta)
-    rel_x, rel_y = o.x - r.x, o.y - r.y
-    cross = hx * rel_y - hy * rel_x
-    dot = hx * math.cos(o.theta) + hy * math.sin(o.theta)
-    plus_side = cross >= 0.0
-    opposing = dot < 0.0
-    if opposing:
-        case = 1 if plus_side else 2
-    else:
-        case = 3 if plus_side else 4
-    return case, (1 if case in (1, 3) else -1)
-
-
-def delta_theta(theta_r: float, sign: int, theta_path: float) -> float:
-    """Orientation gap to the reference perpendicular to the start-goal path,
-    measured in the turn direction; >= 0 once the turn has been completed."""
-    reference = theta_path - sign * 0.5 * math.pi
-    return sign * wrap_angle(reference - theta_r)
-
-
 @functools.lru_cache(maxsize=8)
 def _segment(start: tuple[float, float], goal: tuple[float, float]):
     """Constants of the start-goal segment: its direction vector as floats
@@ -351,14 +311,22 @@ def _at_goal(robot: np.ndarray, cfg: TaskConfig) -> np.ndarray:
 
 
 def _references(theta_path: float) -> tuple[float, float]:
-    """:func:`delta_theta`'s reference headings for turn signs +1 and -1."""
+    """The reference headings ``theta_path - sign * pi / 2`` perpendicular to
+    the start-goal path, for turn signs +1 and -1."""
     return theta_path - 1 * 0.5 * math.pi, theta_path - -1 * 0.5 * math.pi
 
 
 def _encounters(block: np.ndarray, cs: np.ndarray, theta_path: float):
-    """:func:`classify_encounter` and :func:`delta_theta` per row of a block of
-    trace rows, ``cs`` the :func:`_cos_sin` of its (robot, obstacle) thetas:
-    the case, the turn sign and the orientation gap, as float arrays."""
+    """The encounter case, turn sign and orientation gap per row of a block
+    of trace rows, as float arrays; ``cs`` is the :func:`_cos_sin` of its
+    (robot, obstacle) thetas.
+
+    The sign is +1 where the cross product of the robot's heading with the
+    obstacle's offset is >= 0 (a tie counts as +1), else -1.  The case is 1
+    or 2 for opposing headings (their dot product < 0), 3 or 4 otherwise,
+    the odd case on the +1 side.  The gap is ``sign * wrap_angle(reference
+    - theta)`` to the sign's reference heading (:func:`_references`), >= 0
+    once the turn is completed."""
     rel = block[:, COL_XO : COL_YO + 1] - block[:, COL_XR : COL_YR + 1]
     (cos_r, cos_o), (sin_r, sin_o) = cs.transpose(0, 2, 1)
     plus = cos_r * rel[:, 1] - sin_r * rel[:, 0] >= 0.0
@@ -463,14 +431,15 @@ class EpisodeTrace:
 def safety_predicates(cfg: TaskConfig) -> PredicateTable:
     """Monitor predicates over blocks of trace rows (see the module docstring).
 
-    The ``infront`` and ``near`` columns repeat, row by row, the IEEE
-    operations of :func:`infront_margin` and :func:`mindistance`, so the
-    values are bit-equal to those scalar functions on one row.  The
+    The ``infront`` column is the obstacle's offset along the robot's
+    heading, ``(xo - xr) * cos(thr) + (yo - yr) * sin(thr)``, >= 0 where the
+    obstacle is ahead.  The ``near`` column is ``danger_radius`` minus the
+    projected gap, bit-equal to :func:`mindistance` on one row.  The
     ``evade`` column defines the admissible avoidance command: +1 where the
     command turns in the required direction within the rate bound, or holds
     a near-zero turn rate once the perpendicular orientation has been
     reached (within tolerance), else -1; its turn sign and orientation gap
-    are those of :func:`classify_encounter` and :func:`delta_theta`.
+    are those of :func:`_encounters`.
 
     Every column is computed from the block's states and control alone, on
     every row of the block, never from anything the rollout engine derived.

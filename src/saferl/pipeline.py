@@ -76,11 +76,12 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _at_least_one(cfg, name: str) -> None:
-    """Raise ``ValueError`` naming ``cfg``'s field ``name`` unless it is at least 1."""
+def _at_least(cfg, name: str, least: int) -> None:
+    """Raise ``ValueError`` naming ``cfg``'s field ``name`` unless it is at
+    least ``least``."""
     value = getattr(cfg, name)
-    if value < 1:
-        raise ValueError(f"{type(cfg).__name__}.{name} must be at least 1, not {value!r}")
+    if value < least:
+        raise ValueError(f"{type(cfg).__name__}.{name} must be at least {least}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ class VerifyConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _at_least_one(self, "n_samples")
+        _at_least(self, "n_samples", 1)
+        _at_least(self, "seed", 0)
         if not 0 <= self.epsilon <= 1:
             raise ValueError(f"VerifyConfig.epsilon must be in [0, 1], not {self.epsilon!r}")
         if self.jobs != 1:
@@ -119,7 +121,8 @@ class ExpandConfig:
             raise ValueError(
                 f"ExpandConfig.delta_f must be finite and nonnegative, not {self.delta_f!r}"
             )
-        _at_least_one(self, "max_iters")
+        _at_least(self, "max_iters", 1)
+        _at_least(self, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,8 @@ class TrainingConfig:
     pilot_episodes: int = 20
 
     def __post_init__(self):
-        _at_least_one(self, "pilot_episodes")
+        _at_least(self, "pilot_episodes", 1)
+        _at_least(self, "seed", 0)
         if not (math.isfinite(self.reward_target) and self.reward_target > 0):
             raise ValueError(
                 "TrainingConfig.reward_target must be finite and positive, "
@@ -162,7 +166,8 @@ class HistogramConfig:
     benchmark: HistogramBenchmark = field(default_factory=HistogramBenchmark)
 
     def __post_init__(self):
-        _at_least_one(self, "n_samples")
+        _at_least(self, "n_samples", 1)
+        _at_least(self, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ __all__ = [
     "PolicyLoadError",
     "init_policy",
     "mask_action",
-    "value_estimate",
     "gae_advantages",
     "ppo_loss",
     "ppo_loss_and_grads",
@@ -220,15 +219,11 @@ def _squashed_log_prob(zn2, log_std, correction) -> np.ndarray:
     return gauss - correction
 
 
-def value_estimate(params: PolicyParams, obs) -> float:
-    return float(net_forward(params.value, obs)[0][0, 0])
-
-
 def _row_forward(net: DenseNet, obs: np.ndarray) -> np.ndarray:
     """``net``'s output for each row of the ``(rows, obs_dim)`` array
     ``obs``.  The forward runs on the stacked ``(rows, 1, obs_dim)`` input,
-    which rounds as one batch-1 forward per row (as :func:`value_estimate`
-    runs one); a plain ``(rows, obs_dim)`` product does not."""
+    which rounds as one batch-1 forward per row; a plain ``(rows, obs_dim)``
+    product does not."""
     return net_forward(net, obs[:, None])[0][:, 0]
 
 
@@ -239,8 +234,8 @@ _VALUE_CHUNK = 256
 
 
 def _window_values(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
-    """:func:`value_estimate` of each row of ``obs``, in stacked chunks of
-    ``_VALUE_CHUNK`` rows."""
+    """The value net's estimate for each row of ``obs``, bit-equal to one
+    batch-1 forward per row, in stacked chunks of ``_VALUE_CHUNK`` rows."""
     return np.concatenate(
         [
             _row_forward(params.value, obs[lo : lo + _VALUE_CHUNK])[:, 0]
@@ -551,11 +546,13 @@ def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
     action mask installed.  The policy does not change inside an update
     window, so :func:`_collect_window` draws the window's noise and fixes
     its log stds up front and computes its log probs and values after its
-    last step; each equals the per-step sample, log prob and
-    :func:`value_estimate` of its row.  :func:`ppo_update` then runs the
-    epochs of minibatch steps.  Returns the trained parameters and one log
-    row per update: global step, mean/std of episode returns finished in the
-    window, mean normalized action difference, and loss statistics.
+    last step; each equals the per-step sample, log prob and batch-1 value
+    forward of its row.  The bootstrap value of the observation after the
+    window is :func:`_window_values` of that one row.  :func:`ppo_update`
+    then runs the epochs of minibatch steps.  Returns the trained parameters
+    and one log row per update: global step, mean/std of episode returns
+    finished in the window, mean normalized action difference, and loss
+    statistics.
     """
     ss = np.random.SeedSequence(seed)
     init_ss, env_ss, sample_ss, shuffle_ss = ss.spawn(4)
@@ -579,7 +576,7 @@ def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
         obs, episode_return, window_returns = _collect_window(
             params, env, buffer, obs, episode_return, cfg, sample_rng, env_rng
         )
-        bootstrap = value_estimate(params, obs)
+        bootstrap = float(_window_values(params, obs[None])[0])
         buffer.finalize(cfg.gamma, cfg.gae_lambda, bootstrap)
         stats = ppo_update(params, buffer, cfg, adam, shuffle_rng)
         row = {

@@ -18,9 +18,10 @@ from saferl.evasion import (
     observe,
     path_heading,
     unicycle_step,
+    wrap_angle,
 )
 from saferl.mlp import net_forward
-from saferl.ppo import _LOG_2PI, _SQUASH_EPS, _clipped_log_std, mask_action
+from saferl.ppo import _LOG_2PI, _SQUASH_EPS, PolicyParams, _clipped_log_std, mask_action
 
 
 def heading_vector(theta: float) -> np.ndarray:
@@ -53,6 +54,52 @@ def unflatten_arrays(flat: np.ndarray, templates: list[np.ndarray]) -> list[np.n
     if offset != flat.size:
         raise ValueError("flat vector size does not match templates")
     return out
+
+
+# ---------------------------------------------------------------------------
+# One robot and obstacle state at a time: the encounter geometry that
+# SafeController and the monitor's columns compute inline, the evade
+# predicate, the reward and a float episode engine
+# ---------------------------------------------------------------------------
+
+
+def infront_margin(r: RobotState, o: ObstacleState) -> float:
+    """Signed distance of the obstacle past the line through the robot
+    perpendicular to its heading (>= 0 means ahead, boundary inclusive)."""
+    return float((o.x - r.x) * math.cos(r.theta) + (o.y - r.y) * math.sin(r.theta))
+
+
+def infront(r: RobotState, o: ObstacleState) -> bool:
+    return infront_margin(r, o) >= 0.0
+
+
+def classify_encounter(r: RobotState, o: ObstacleState) -> tuple[int, int]:
+    """Classify the encounter geometry into cases 1-4 and a turn direction.
+
+    The obstacle's bearing side comes from the cross product of the robot
+    heading with the relative position (zero ties count as the +1 side);
+    opposing versus aligned motion comes from the heading dot product.
+    Cases 1 and 3 return sign +1, cases 2 and 4 return -1, and mirroring
+    the scene flips the sign.
+    """
+    hx, hy = math.cos(r.theta), math.sin(r.theta)
+    rel_x, rel_y = o.x - r.x, o.y - r.y
+    cross = hx * rel_y - hy * rel_x
+    dot = hx * math.cos(o.theta) + hy * math.sin(o.theta)
+    plus_side = cross >= 0.0
+    opposing = dot < 0.0
+    if opposing:
+        case = 1 if plus_side else 2
+    else:
+        case = 3 if plus_side else 4
+    return case, (1 if case in (1, 3) else -1)
+
+
+def delta_theta(theta_r: float, sign: int, theta_path: float) -> float:
+    """Orientation gap to the reference perpendicular to the start-goal path,
+    measured in the turn direction; >= 0 once the turn has been completed."""
+    reference = theta_path - sign * 0.5 * math.pi
+    return sign * wrap_angle(reference - theta_r)
 
 
 def evade(theta_dot: float, dtheta: float, sign: int, cfg) -> bool:
@@ -157,6 +204,10 @@ def policy_mean(params, obs) -> np.ndarray:
     """Deterministic raw action: the squashed network mean of one batch-1
     forward."""
     return np.tanh(net_forward(params.policy, obs)[0][0])
+
+
+def value_estimate(params: PolicyParams, obs) -> float:
+    return float(net_forward(params.value, obs)[0][0, 0])
 
 
 def gae_advantages_ref(rewards, values, dones, gamma, lam, bootstrap_value):

@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from reference import classify_encounter, delta_theta, infront, infront_margin
 from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import (
     EvasionSource,
     ObstacleState,
     RobotState,
     TaskConfig,
-    classify_encounter,
-    delta_theta,
     episode_robustness,
-    infront,
-    infront_margin,
     mindistance,
     safety_predicates,
 )

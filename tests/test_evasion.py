@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import closest_point_on_segment, evade, heading_vector, reward
+from reference import (
+    classify_encounter,
+    closest_point_on_segment,
+    delta_theta,
+    evade,
+    heading_vector,
+    infront,
+    infront_margin,
+    reward,
+)
 from saferl import evasion, stl
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
@@ -25,11 +34,7 @@ from saferl.evasion import (
     ObstacleState,
     RobotState,
     TaskConfig,
-    classify_encounter,
-    delta_theta,
     episode_robustness,
-    infront,
-    infront_margin,
     mindistance,
     observe,
     path_heading,
@@ -878,7 +883,50 @@ def test_step_raw_bit_equal_to_array_reference(cfg, n):
         assert np.array_equal(bits(joint_state(env)), bits(joint_state(ref))), i
 
 
-@pytest.mark.parametrize("cfg", [CFG, *TILTED])
+def past_checks(cfg, **changes):
+    """``cfg`` with ``changes`` set past :class:`TaskConfig`'s checks, which
+    reject a NaN: the row kernels must still agree with the scalar code."""
+    cfg = replace(cfg)
+    for name, value in changes.items():
+        object.__setattr__(cfg, name, value)
+    return cfg
+
+
+# the evade angle tolerances the controller tests run at: the default, zero,
+# a wide one, a negative one (no gap within it) and NaN
+TOLERANCES = (
+    *(replace(CFG, evade_angle_tol=tol) for tol in (0.0, 0.3, -0.01)),
+    past_checks(CFG, evade_angle_tol=math.nan),
+)
+
+
+def tie_states():
+    """Robots at the origin heading 0.0 or -0.0 with the obstacle exactly on
+    the robot's perpendicular (infront margin +-0.0) or exactly on its
+    heading line (side cross product +-0.0), near and far.  The obstacle
+    coordinate the tie needs is 0.0 or -0.0, so both zeros occur."""
+    for theta in (0.0, -0.0):
+        robot = RobotState(0.0, 0.0, theta, 0.12)
+        for zero in (0.0, -0.0):
+            for offset in (-0.3, -0.1, 0.1, 0.3, 0.6):
+                for heading in (math.pi, 0.5 * math.pi, -0.5 * math.pi):
+                    yield robot, ObstacleState(zero, offset, heading, 0.1)
+                    yield robot, ObstacleState(offset, zero, heading, 0.1)
+
+
+def threshold_states(cfg):
+    """Robots whose orientation gap lies at and beside each hold threshold,
+    for either turn sign, with the obstacle close ahead on that sign's side."""
+    tol = cfg.evade_angle_tol
+    gaps = sorted({*GAPS, *([-tol] if math.isfinite(tol) else [])})
+    for sign in (1, -1):
+        for gap in gaps:
+            for theta in headings_at_gap(gap, sign, path_heading(cfg.start, cfg.goal)):
+                x, y = (0.1 * heading_vector(theta + sign * 0.6)).tolist()
+                yield RobotState(0.0, 0.0, theta, 0.12), ObstacleState(x, y, math.pi, 0.1)
+
+
+@pytest.mark.parametrize("cfg", [CFG, *TILTED, *TOLERANCES])
 def test_safe_controller_bit_equal_to_array_reference(cfg):
     ctl, ref = SafeController(cfg), SafeController(cfg)
     rng = np.random.default_rng(607)
@@ -904,6 +952,23 @@ def test_safe_controller_bit_equal_to_array_reference(cfg):
     goal = RobotState(cfg.goal[0], cfg.goal[1], 0.3, 0.1)
     far = ObstacleState(cfg.goal[0] + 5.0, cfg.goal[1], 0.0, 0.0)
     assert ctl(goal, far) == safe_call_ref(ref, goal, far)
+    # the ties and the hold thresholds, from either mode
+    zeros, turns = set(), set()
+    for robot, obstacle in [*tie_states(), *threshold_states(cfg)]:
+        rel_x, rel_y = obstacle.x - robot.x, obstacle.y - robot.y
+        cross = math.cos(robot.theta) * rel_y - math.sin(robot.theta) * rel_x
+        for name, value in (("margin", infront_margin(robot, obstacle)), ("cross", cross)):
+            if value == 0.0:
+                zeros.add((name, math.copysign(1.0, value)))
+        for mode in (False, True):
+            ctl._evading = ref._evading = mode
+            got, want = ctl(robot, obstacle), safe_call_ref(ref, robot, obstacle)
+            assert np.array_equal(bits(got), bits(want)), (robot, obstacle, mode)
+            assert ctl.evading == ref.evading
+            if ctl.evading:
+                turns.add(0.0 if got[1] == 0.0 else math.copysign(1.0, got[1]))
+    assert zeros == {(name, s) for name in ("margin", "cross") for s in (1.0, -1.0)}
+    assert turns == {0.0, 1.0, -1.0}  # evading rows hold, turn left and turn right
 
 
 def test_sample_obstacle_respects_constraints():
@@ -997,24 +1062,7 @@ def near_encounters(cfg, rng, n):
         yield robot, (close if rng.random() < 0.7 else obstacle)
 
 
-def past_checks(cfg, **changes):
-    """``cfg`` with ``changes`` set past :class:`TaskConfig`'s checks, which
-    reject a NaN: the row kernels must still agree with the scalar code."""
-    cfg = replace(cfg)
-    for name, value in changes.items():
-        object.__setattr__(cfg, name, value)
-    return cfg
-
-
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        CFG,
-        *TILTED,
-        *(replace(CFG, evade_angle_tol=tol) for tol in (0.0, 0.3, -0.01)),
-        past_checks(CFG, evade_angle_tol=math.nan),
-    ],
-)
+@pytest.mark.parametrize("cfg", [CFG, *TILTED, *TOLERANCES])
 def test_safe_controller_batch_bit_equal_to_call(cfg):
     rng = np.random.default_rng(608)
     states = list(near_encounters(cfg, rng, 20_000))

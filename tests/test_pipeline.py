@@ -9,6 +9,7 @@ import pytest
 
 from saferl import ppo
 from saferl.boxes import IntervalBox
+from saferl.cli import _build_parser
 from saferl.cli import main as cli_main
 from saferl.controller import SafeController
 from saferl.evasion import LOCKSTEP_MIN_ROWS, EvasionEnv, EvasionSource
@@ -492,6 +493,37 @@ def test_config_sections_are_checked_on_load(tmp_path, capsys, section, values, 
         capsys.readouterr()
         assert cli_main([*args, "--config", str(bad)]) == 2
         assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, stage, key",
+    [
+        ("verification", "verify-safe", "VerifyConfig.seed"),
+        ("expansion", "expand", "ExpandConfig.seed"),
+        ("training", "train", "TrainingConfig.seed"),
+        ("histogram", "histogram", "HistogramConfig.seed"),
+        *((None, stage, "--seed") for stage in ("verify-safe", "expand", "train", "histogram")),
+    ],
+)
+def test_negative_seeds_exit_2_naming_the_field(tmp_path, capsys, section, stage, key):
+    # numpy's seeding rejected them once the stage ran, as a bare "expected
+    # non-negative integer" that named no field
+    out = tmp_path / "out"
+    if section is None:
+        with pytest.raises(SystemExit) as exc:
+            cli_main([stage, "--seed", "-1", "--out", str(out)])
+        code = exc.value.code
+        assert _build_parser().parse_args([stage, "--seed", "0"]).seed == 0
+    else:
+        with pytest.raises(PipelineError, match=re.escape(key)):
+            config_from_dict({section: {"seed": -1}})
+        assert getattr(config_from_dict({section: {"seed": 0}}), section).seed == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {"seed": -1}}))
+        code = cli_main([stage, "--config", str(bad), "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

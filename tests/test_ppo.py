@@ -14,11 +14,13 @@ from reference import (
     clip_by_global_norm,
     flatten_arrays,
     gae_advantages_ref,
+    infront,
     log_prob_of_z_ref,
     policy_mean,
     policy_sample,
     ppo_update_ref,
     unflatten_arrays,
+    value_estimate,
 )
 from saferl.boxes import IntervalBox
 from saferl.controller import ControllerConfig, SafeController
@@ -39,7 +41,6 @@ from saferl.ppo import (
     ppo_update,
     save_policy,
     train,
-    value_estimate,
 )
 from saferl.ppo import _clipped_log_std, _log_prob_of_z
 from saferl.evasion import LOCKSTEP_MIN_ROWS, sample_obstacle
@@ -834,29 +835,29 @@ def test_window_rollout_computes_the_gap_only_with_the_obstacle_ahead(monkeypatc
     from saferl import controller
 
     events = []
-    infront, mindistance = controller.infront, controller.mindistance
+    call, mindistance = SafeController.__call__, controller.mindistance
 
-    def infront_spy(robot, obstacle):
-        ahead = infront(robot, obstacle)
-        events.append(("infront", robot, obstacle, ahead))
-        return ahead
+    def call_spy(self, robot, obstacle):
+        # whether the obstacle is ahead, by the oracle's scalar form
+        events.append(("call", robot, obstacle, infront(robot, obstacle)))
+        return call(self, robot, obstacle)
 
     def mindistance_spy(robot, obstacle, dt, lookahead):
         events.append(("mindistance", robot, obstacle))
         return mindistance(robot, obstacle, dt, lookahead)
 
-    monkeypatch.setattr(controller, "infront", infront_spy)
+    monkeypatch.setattr(SafeController, "__call__", call_spy)
     monkeypatch.setattr(controller, "mindistance", mindistance_spy)
     params = init_policy(7, 2, PpoConfig(hidden=(8,)), np.random.default_rng(0))
     env = make_env_factory()()
     rng = np.random.default_rng(5)
     buffer = RolloutBuffer(1024, 7, 2)
     _collect_window(params, env, buffer, env.reset_random(rng), 0.0, PpoConfig(), rng, rng)
-    steps = [e for e in events if e[0] == "infront"]  # one safe-controller call per step
+    steps = [e for e in events if e[0] == "call"]  # one safe-controller call per step
     assert len(steps) == buffer.n_steps
     want = []
     for _, robot, obstacle, ahead in steps:
-        want.append(("infront", robot, obstacle, ahead))
+        want.append(("call", robot, obstacle, ahead))
         if ahead:
             want.append(("mindistance", robot, obstacle))
     assert events == want

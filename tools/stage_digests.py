@@ -16,6 +16,10 @@ directory, emptied in between.  Exits 2 when a stage exits with an error
 Each stage's wall time and peak resident set size (``ru_maxrss`` from
 ``os.wait4``), interpreter start included, go to stderr, so stdout stays
 the digests alone and two trees' outputs compare with ``cmp``.
+
+The tier-1 test ``tests/test_digests.py`` pins the sha256 of the same 18
+files on every test run, written by the same five stages at a reduced
+scale (``tests/stage_digests.json``); this tool checks the default scale.
 """
 
 from __future__ import annotations
