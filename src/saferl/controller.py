@@ -23,15 +23,17 @@ the exact danger radius; the margin shapes control only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .evasion import (
     TaskConfig,
+    _check_fields,
     _clamp_rows,
     _closest_on_path,
     _closest_rows,
+    _finite,
     _min_gaps,
     _references,
     _time_grid,
@@ -57,9 +59,7 @@ class ControllerConfig:
     target_lookahead: float = 0.3  # m, advance along the path when tracking
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(value := getattr(self, f.name)):
-                raise ValueError(f"ControllerConfig.{f.name} must be finite, not {value!r}")
+        _check_fields(self, _finite(self))
 
 
 class SafeController:

@@ -73,6 +73,25 @@ def _default_obstacle_region() -> IntervalBox:
     return IntervalBox([-0.3, -0.4], [0.3, 0.4])
 
 
+def _check_fields(cfg, rules) -> None:
+    """Raise ``ValueError("<Class>.<field> must be <rule>, not <value>")``
+    for the first ``(field, holds, rule)`` triple in ``rules`` whose
+    ``holds`` is false; every config dataclass checks its fields here."""
+    for name, holds, rule in rules:
+        if not holds:
+            value = getattr(cfg, name)
+            raise ValueError(f"{type(cfg).__name__}.{name} must be {rule}, not {value!r}")
+
+
+def _finite(cfg) -> list:
+    """The rules that every field of ``cfg`` but a box holds finite values."""
+    return [
+        (f.name, np.isfinite(value).all(), "finite")
+        for f in fields(cfg)
+        if not isinstance(value := getattr(cfg, f.name), IntervalBox)
+    ]
+
+
 @dataclass(frozen=True)
 class TaskConfig:
     """Episode geometry, actuation limits and monitor thresholds.
@@ -99,41 +118,32 @@ class TaskConfig:
     obstacle_speed_range: tuple[float, float] = (0.05, 0.15)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, IntervalBox) and not np.isfinite(value).all():
-                raise ValueError(f"TaskConfig.{f.name} must be finite, not {value!r}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        for name in ("danger_radius", "lookahead", "goal_radius"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.v_min > self.v_max or self.omega_max <= 0:
-            raise ValueError("inconsistent actuator limits")
+        _check_fields(self, _finite(self))
         start = np.asarray(self.start, dtype=float)
         goal = np.asarray(self.goal, dtype=float)
-        if float(np.hypot(*(goal - start))) <= self.goal_radius:
-            raise ValueError("start and goal coincide within goal_radius")
+        lo, hi = self.obstacle_speed_range
+        _check_fields(self, [
+            ("dt", self.dt > 0, "positive"),
+            ("k_max", self.k_max >= 1, "at least 1"),
+            *((name, getattr(self, name) > 0, "positive")
+              for name in ("danger_radius", "lookahead", "goal_radius")),
+            ("v_min", self.v_min <= self.v_max, f"at most v_max {self.v_max}"),
+            ("omega_max", self.omega_max > 0, "positive"),
+            ("goal", float(np.hypot(*(goal - start))) > self.goal_radius,
+             f"farther than goal_radius {self.goal_radius} from start {self.start}"),
+            ("obstacle_speed_range", 0 <= lo <= hi, "a range with 0 <= lo <= hi"),
+            ("obstacle_region", self.obstacle_region.dim == 2, "2-D (x, y)"),
+        ])
         object.__setattr__(self, "start", (float(start[0]), float(start[1])))
         object.__setattr__(self, "goal", (float(goal[0]), float(goal[1])))
-        lo, hi = self.obstacle_speed_range
-        if not 0 <= lo <= hi:
-            raise ValueError("invalid obstacle speed range")
         object.__setattr__(self, "obstacle_speed_range", (float(lo), float(hi)))
         # sample_obstacle rejects draws within danger_radius of start; the
         # farthest point of the region from start is one of its corners
         region = self.obstacle_region
-        if region.dim != 2:
-            raise ValueError(f"obstacle_region must be 2-D (x, y), got {region!r}")
         (x0, y0), (x1, y1) = region.lower.tolist(), region.upper.tolist()
         reach = max(math.hypot(x - start[0], y - start[1]) for x in (x0, x1) for y in (y0, y1))
-        if not reach > self.danger_radius:
-            raise ValueError(
-                f"obstacle_region {region!r} lies within danger_radius {self.danger_radius} "
-                f"of start {self.start}: no obstacle can be drawn"
-            )
+        rule = f"partly farther than danger_radius {self.danger_radius} from start {self.start}"
+        _check_fields(self, [("obstacle_region", reach > self.danger_radius, rule)])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from . import __version__
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
 from .controller import ControllerConfig, SafeController
-from .evasion import EvasionEnv, EvasionSource, TaskConfig, sample_obstacle
+from .evasion import EvasionEnv, EvasionSource, TaskConfig, _check_fields, _finite, sample_obstacle
 from .ppo import (
     MaskedPolicy,
     PpoConfig,
@@ -76,14 +76,6 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _at_least(cfg, name: str, least: int) -> None:
-    """Raise ``ValueError`` naming ``cfg``'s field ``name`` unless it is at
-    least ``least``."""
-    value = getattr(cfg, name)
-    if value < least:
-        raise ValueError(f"{type(cfg).__name__}.{name} must be at least {least}, not {value!r}")
-
-
 @dataclass(frozen=True)
 class VerifyConfig:
     n_samples: int = 50
@@ -94,15 +86,12 @@ class VerifyConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _at_least(self, "n_samples", 1)
-        _at_least(self, "seed", 0)
-        if not 0 <= self.epsilon <= 1:
-            raise ValueError(f"VerifyConfig.epsilon must be in [0, 1], not {self.epsilon!r}")
-        if self.jobs != 1:
-            raise ValueError(
-                f"VerifyConfig.jobs must be 1, not {self.jobs!r}: rollouts run "
-                "sequentially and the field is kept only because manifests record it"
-            )
+        _check_fields(self, [
+            ("n_samples", self.n_samples >= 1, "at least 1"),
+            ("seed", self.seed >= 0, "at least 0"),
+            ("epsilon", 0 <= self.epsilon <= 1, "in [0, 1]"),
+            ("jobs", self.jobs == 1, "1 (rollouts run sequentially; manifests record the field)"),
+        ])
 
 
 def _default_e_init() -> IntervalBox:
@@ -117,12 +106,12 @@ class ExpandConfig:
     seed: int = 2024
 
     def __post_init__(self):
-        if not all(math.isfinite(d) and d >= 0 for d in self.delta_f):
-            raise ValueError(
-                f"ExpandConfig.delta_f must be finite and nonnegative, not {self.delta_f!r}"
-            )
-        _at_least(self, "max_iters", 1)
-        _at_least(self, "seed", 0)
+        _check_fields(self, [
+            ("delta_f", all(math.isfinite(d) and d >= 0 for d in self.delta_f),
+             "finite and nonnegative"),
+            ("max_iters", self.max_iters >= 1, "at least 1"),
+            ("seed", self.seed >= 0, "at least 0"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -134,13 +123,11 @@ class TrainingConfig:
     pilot_episodes: int = 20
 
     def __post_init__(self):
-        _at_least(self, "pilot_episodes", 1)
-        _at_least(self, "seed", 0)
-        if not (math.isfinite(self.reward_target) and self.reward_target > 0):
-            raise ValueError(
-                "TrainingConfig.reward_target must be finite and positive, "
-                f"not {self.reward_target!r}"
-            )
+        _check_fields(self, [
+            ("pilot_episodes", self.pilot_episodes >= 1, "at least 1"),
+            ("seed", self.seed >= 0, "at least 0"),
+            ("reward_target", 0 < self.reward_target < math.inf, "finite and positive"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -153,10 +140,7 @@ class HistogramBenchmark:
     safe_std: float = 0.35
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"HistogramBenchmark.{f.name} must be finite, not {value!r}")
+        _check_fields(self, _finite(self))
 
 
 @dataclass(frozen=True)
@@ -166,8 +150,10 @@ class HistogramConfig:
     benchmark: HistogramBenchmark = field(default_factory=HistogramBenchmark)
 
     def __post_init__(self):
-        _at_least(self, "n_samples", 1)
-        _at_least(self, "seed", 0)
+        _check_fields(self, [
+            ("n_samples", self.n_samples >= 1, "at least 1"),
+            ("seed", self.seed >= 0, "at least 0"),
+        ])
 
 
 @dataclass(frozen=True)

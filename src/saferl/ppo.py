@@ -33,7 +33,7 @@ import numpy as np
 
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
-from .evasion import _clamp_rows, _observe_rows, require_zero_offset, sample_obstacle
+from .evasion import _check_fields, _clamp_rows, _observe_rows, require_zero_offset, sample_obstacle
 from .mlp import (
     Adam,
     DenseNet,
@@ -98,9 +98,7 @@ class PpoConfig:
         rules.append(("max_grad_norm", not math.isnan(self.max_grad_norm), "a number"))
         rules.append(("hidden", all(width >= 1 for width in self.hidden), "widths of at least 1"))
         rules.append(("log_std_min", self.log_std_min <= self.log_std_max, "at most log_std_max"))
-        for name, valid, rule in rules:
-            if not valid:
-                raise ValueError(f"PpoConfig.{name} must be {rule}, not {getattr(self, name)!r}")
+        _check_fields(self, rules)
 
 
 @dataclass

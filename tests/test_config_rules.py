@@ -3,9 +3,11 @@
 Each case is built twice: directly, where the dataclass raises
 ``ValueError``, and through :func:`config_from_dict` from the JSON form of
 the whole pipeline configuration, where it surfaces as ``PipelineError``.
+Both messages start ``<Class>.<field> must be``.
 """
 
 import math
+import re
 
 import pytest
 
@@ -128,7 +130,8 @@ def _loaded(cls, name, value) -> dict:
     "cls, name, value", RULES, ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in RULES]
 )
 def test_every_config_rule_rejects_a_bad_value(cls, name, value):
-    with pytest.raises(ValueError):
+    named = "^" + re.escape(f"{cls.__name__}.{name} must be ")
+    with pytest.raises(ValueError, match=named):
         cls(**{name: value})
-    with pytest.raises(PipelineError):
+    with pytest.raises(PipelineError, match=named):
         config_from_dict(_loaded(cls, name, value))
