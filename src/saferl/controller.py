@@ -62,6 +62,14 @@ class ControllerConfig:
         _check_fields(self, _finite(self))
 
 
+def _check_turn_rate(task: TaskConfig, cfg: ControllerConfig) -> None:
+    """Raise ``ValueError`` naming ``ControllerConfig.evade_turn_rate`` when
+    it exceeds the task's admissible ``evade_rate_bound``."""
+    bound = task.evade_rate_bound
+    rule = f"at most TaskConfig.evade_rate_bound {bound}"
+    _check_fields(cfg, [("evade_turn_rate", cfg.evade_turn_rate <= bound, rule)])
+
+
 class SafeController:
     """Stateful evade/track controller; call with (robot, obstacle)."""
 
@@ -77,8 +85,7 @@ class SafeController:
         self._goal = np.array(task.goal)
         self._references = _references(self.theta_path)
         self._evading = False
-        if self.cfg.evade_turn_rate > task.evade_rate_bound:
-            raise ValueError("evade turn rate exceeds the admissible bound")
+        _check_turn_rate(task, self.cfg)
 
     @property
     def evading(self) -> bool:

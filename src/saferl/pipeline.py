@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
-from .controller import ControllerConfig, SafeController
+from .controller import ControllerConfig, SafeController, _check_turn_rate
 from .evasion import EvasionEnv, EvasionSource, TaskConfig, _check_fields, _finite, sample_obstacle
 from .ppo import (
     MaskedPolicy,
@@ -107,8 +107,10 @@ class ExpandConfig:
 
     def __post_init__(self):
         _check_fields(self, [
+            ("e_init", self.e_init.dim == 2, "2-D (speed, turn rate)"),
             ("delta_f", all(math.isfinite(d) and d >= 0 for d in self.delta_f),
              "finite and nonnegative"),
+            ("delta_f", len(self.delta_f) == 2, "2 entries, one per e_init axis"),
             ("max_iters", self.max_iters >= 1, "at least 1"),
             ("seed", self.seed >= 0, "at least 0"),
         ])
@@ -165,6 +167,9 @@ class PipelineConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
     output_dir: str = "out"
+
+    def __post_init__(self):
+        _check_turn_rate(self.task, self.controller)
 
 
 def default_config() -> PipelineConfig:
@@ -234,7 +239,10 @@ def config_from_dict(data, cls=PipelineConfig):
         hint = hints[key]
         where = f"{cls.__name__}.{key}"
         if is_dataclass(hint):
-            value = config_from_dict(value, hint)
+            try:
+                value = config_from_dict(value, hint)
+            except ValueError as exc:  # a box's own check, which names no field
+                raise PipelineError(f"{where}: {exc}") from exc
         elif get_origin(hint) is tuple:
             args = get_args(hint)
             length = None if args[-1] is Ellipsis else len(args)
@@ -393,8 +401,10 @@ def run_verify_safe(
 
     The perturbation box defaults to the persisted expansion set when one
     exists, otherwise to the configured initial box.  Passing an explicit
-    ``expansion`` (possibly degenerate) overrides both.
+    ``expansion`` (possibly degenerate, but 2-D) overrides both.
     """
+    if expansion is not None and expansion.dim != 2:
+        raise PipelineError(f"expansion must be 2-D (speed, turn rate), not {expansion!r}")
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.verification.seed if seed is None else seed
     if expansion is None:
@@ -502,11 +512,11 @@ def run_train(
     to whole update windows of ``n_steps``, with at least one: the run trains
     ``max(1, steps // n_steps) * n_steps`` steps, reported as the summary's
     ``trained_steps``, while the manifest's ``overrides.steps`` records the
-    requested budget."""
+    requested budget, checked as ``PpoConfig.steps`` before ``out`` is made."""
+    ppo_cfg = cfg.training.ppo if steps is None else replace(cfg.training.ppo, steps=steps)
     out = _prepare_out(cfg, out_dir)
     box = _load_verified_expansion(out)
     used_seed = cfg.training.seed if seed is None else seed
-    ppo_cfg = cfg.training.ppo if steps is None else replace(cfg.training.ppo, steps=steps)
 
     safe_factory = _safe_factory(cfg)
     task = cfg.task
@@ -618,10 +628,12 @@ def run_histogram(
     whether or not the runs before it take place.  The safe and perturbed
     runs share their source and go through one :func:`probv_runs` call, one
     lockstep run; a failure of the safe run is raised before one of the
-    perturbed run.  The agent run has its own source and runs alone."""
+    perturbed run.  The agent run has its own source and runs alone.  ``n``
+    is checked as ``HistogramConfig.n_samples`` before ``out`` is made."""
+    histogram = cfg.histogram if n is None else replace(cfg.histogram, n_samples=n)
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.histogram.seed if seed is None else seed
-    used_n = cfg.histogram.n_samples if n is None else n
+    used_n = histogram.n_samples
     safe_source = _safe_source(cfg)
     box = _persisted_expansion(out)
     safe_runs = [(0, "safe", None)]

@@ -6,22 +6,26 @@ the whole pipeline configuration, where it surfaces as ``PipelineError``.
 Both messages start ``<Class>.<field> must be``.
 """
 
+import json
 import math
 import re
 
 import pytest
 
 from saferl.boxes import IntervalBox
-from saferl.controller import ControllerConfig
+from saferl.cli import main as cli_main
+from saferl.controller import ControllerConfig, SafeController
 from saferl.evasion import TaskConfig
 from saferl.pipeline import (
     ExpandConfig,
     HistogramBenchmark,
     HistogramConfig,
+    PipelineConfig,
     PipelineError,
     TrainingConfig,
     VerifyConfig,
     config_from_dict,
+    run_verify_safe,
 )
 from saferl.ppo import PpoConfig
 
@@ -84,7 +88,10 @@ RULES = [
     (HistogramBenchmark, "safe_mean", math.inf),
     (HistogramBenchmark, "safe_std", math.nan),
     # PpoConfig's sixteen rules
-    *((PpoConfig, name, 0) for name in ("steps", "n_steps", "minibatch_size", "epochs", "eval_episodes")),
+    *(
+        (PpoConfig, name, 0)
+        for name in ("steps", "n_steps", "minibatch_size", "epochs", "eval_episodes")
+    ),
     *((PpoConfig, name, 0.0) for name in ("learning_rate", "clip_range", "adam_eps")),
     (PpoConfig, "gamma", 1.5),
     (PpoConfig, "gae_lambda", -0.1),
@@ -98,6 +105,8 @@ RULES = [
     (VerifyConfig, "epsilon", 1.5),
     (VerifyConfig, "jobs", 2),
     # ExpandConfig
+    (ExpandConfig, "e_init", IntervalBox([0.0, 0.0, 0.0], [0.1, 0.1, 0.1])),
+    (ExpandConfig, "delta_f", (1.0, 1.0, 1.0)),
     (ExpandConfig, "delta_f", (math.nan, 1.0)),
     (ExpandConfig, "delta_f", (10.0, -1.0)),
     (ExpandConfig, "max_iters", 0),
@@ -135,3 +144,63 @@ def test_every_config_rule_rejects_a_bad_value(cls, name, value):
         cls(**{name: value})
     with pytest.raises(PipelineError, match=named):
         config_from_dict(_loaded(cls, name, value))
+
+
+def test_controller_turn_rate_is_checked_with_the_task():
+    # it was checked only inside the first rollout, after --out existed,
+    # and failed that rollout without naming the field
+    named = "^" + re.escape("ControllerConfig.evade_turn_rate must be at most ")
+    fast = ControllerConfig(evade_turn_rate=2.0)
+    with pytest.raises(ValueError, match=named):
+        PipelineConfig(controller=fast)
+    with pytest.raises(ValueError, match=named):
+        SafeController(TaskConfig(), fast)
+    with pytest.raises(PipelineError, match=named):
+        config_from_dict({"controller": {"evade_turn_rate": 2.0}})
+    with pytest.raises(PipelineError, match=named):
+        config_from_dict({"task": {"evade_rate_bound": 1.0}})
+    edge = {"controller": {"evade_turn_rate": 1.0}, "task": {"evade_rate_bound": 1.0}}
+    assert config_from_dict(edge).controller.evade_turn_rate == 1.0
+
+
+def test_explicit_expansion_must_be_2d(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(PipelineError, match="expansion must be 2-D"):
+        run_verify_safe(PipelineConfig(), out, expansion=IntervalBox([0.0], [0.1]))
+    assert not out.exists()
+
+
+_FAST = {"controller": {"evade_turn_rate": 2.0}}
+_E_INIT_3D = {"expansion": {"e_init": {"lower": [0, 0, 0], "upper": [0.1, 0.1, 0.1]}}}
+_BAD_BOX = {"lower": [1, 0], "upper": [0, 0]}
+
+
+CLI_CASES = [
+    (_FAST, ["verify-safe"], "ControllerConfig.evade_turn_rate must be "),
+    (_FAST, ["expand"], "ControllerConfig.evade_turn_rate must be "),
+    (_E_INIT_3D, ["verify-safe"], "ExpandConfig.e_init must be 2-D"),
+    (_E_INIT_3D, ["expand"], "ExpandConfig.e_init must be 2-D"),
+    ({"expansion": {"e_init": _BAD_BOX}}, ["print-config"], "ExpandConfig.e_init: lower bound"),
+    ({"expansion": {"e_init": _BAD_BOX}}, ["expand"], "ExpandConfig.e_init: lower bound"),
+    ({"task": {"obstacle_region": _BAD_BOX}}, ["print-config"], "TaskConfig.obstacle_region: "),
+    ({"task": {"obstacle_region": _BAD_BOX}}, ["verify-safe"], "TaskConfig.obstacle_region: "),
+    # stage overrides are checked as the fields they override
+    ({}, ["histogram", "--n", "0"], "HistogramConfig.n_samples must be at least 1, not 0"),
+    ({}, ["histogram", "--n", "-5"], "HistogramConfig.n_samples must be at least 1, not -5"),
+    ({}, ["train", "--steps", "0"], "PpoConfig.steps must be at least 1, not 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, command, key", CLI_CASES, ids=[f"{' '.join(c)}:{k.split()[0]}" for _, c, k in CLI_CASES]
+)
+def test_cli_names_the_field_and_writes_nothing(tmp_path, capsys, data, command, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    args = [*command, "--config", str(config)]
+    if command[0] != "print-config":
+        args += ["--out", str(out)]
+    assert cli_main(args) == 2
+    assert f"error: {key}" in capsys.readouterr().err
+    assert not out.exists()
