@@ -238,11 +238,13 @@ def config_from_dict(data, cls=PipelineConfig):
     for key, value in data.items():
         hint = hints[key]
         where = f"{cls.__name__}.{key}"
-        if is_dataclass(hint):
+        if hint is IntervalBox:
             try:
                 value = config_from_dict(value, hint)
-            except ValueError as exc:  # a box's own check, which names no field
+            except (PipelineError, ValueError) as exc:  # the box's message names no field
                 raise PipelineError(f"{where}: {exc}") from exc
+        elif is_dataclass(hint):
+            value = config_from_dict(value, hint)
         elif get_origin(hint) is tuple:
             args = get_args(hint)
             length = None if args[-1] is Ellipsis else len(args)

@@ -184,6 +184,10 @@ CLI_CASES = [
     ({"expansion": {"e_init": _BAD_BOX}}, ["expand"], "ExpandConfig.e_init: lower bound"),
     ({"task": {"obstacle_region": _BAD_BOX}}, ["print-config"], "TaskConfig.obstacle_region: "),
     ({"task": {"obstacle_region": _BAD_BOX}}, ["verify-safe"], "TaskConfig.obstacle_region: "),
+    ({"task": {"obstacle_region": {"lower": ["a", 0], "upper": [0, 0]}}}, ["print-config"],
+     "TaskConfig.obstacle_region: IntervalBox.lower must be"),
+    ({"expansion": {"e_init": {"lower": [0, 0]}}}, ["expand"],
+     "ExpandConfig.e_init: IntervalBox keys must be"),
     # stage overrides are checked as the fields they override
     ({}, ["histogram", "--n", "0"], "HistogramConfig.n_samples must be at least 1, not 0"),
     ({}, ["histogram", "--n", "-5"], "HistogramConfig.n_samples must be at least 1, not -5"),
@@ -192,7 +196,7 @@ CLI_CASES = [
 
 
 @pytest.mark.parametrize(
-    "data, command, key", CLI_CASES, ids=[f"{' '.join(c)}:{k.split()[0]}" for _, c, k in CLI_CASES]
+    "data, command, key", CLI_CASES, ids=[f"{' '.join(c)}: {k.strip()}" for _, c, k in CLI_CASES]
 )
 def test_cli_names_the_field_and_writes_nothing(tmp_path, capsys, data, command, key):
     config = tmp_path / "config.json"
