@@ -83,10 +83,19 @@ def _check_fields(cfg, rules) -> None:
             raise ValueError(f"{type(cfg).__name__}.{name} must be {rule}, not {value!r}")
 
 
+def _is_finite(value) -> bool:
+    """Whether every entry of the number or sequence ``value`` is a finite
+    float; an integer too large for a float is not."""
+    try:
+        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+    except OverflowError:
+        return False
+
+
 def _finite(cfg) -> list:
     """The rules that every field of ``cfg`` but a box holds finite values."""
     return [
-        (f.name, np.isfinite(value).all(), "finite")
+        (f.name, _is_finite(value), "finite")
         for f in fields(cfg)
         if not isinstance(value := getattr(cfg, f.name), IntervalBox)
     ]
@@ -815,16 +824,19 @@ def _row_views(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return state, rows[:, COL_SAFE_V:], rows[:, COL_CMD_V:COL_SAFE_V]
 
 
-def _controls(k, rows, state, evading, mode, cs, noise, batch, agent, bounds) -> None:
+def _controls(k, rows, state, evading, mode, cs, noise, batch, agent, bounds, marked=None) -> None:
     """Step ``k``'s controls of a block of trace rows, in place: ``safe_*``
     columns get the safe controls (``batch``'s when given) clamped to
     ``bounds`` (:func:`_actuator_bounds`), ``mode`` the evade modes after
     the step (with ``batch``), ``cmd_*`` columns the executed controls: the
     safe ones, mapped through ``agent`` and clamped, plus the perturbation
-    rows ``noise`` and clamped again, each when given.  ``evading`` holds
-    the modes before the step, ``state`` the rows' states as
-    :func:`_row_views` views them (made once per cut of the rows, not per
-    step) and ``cs`` the :func:`_cos_sin` of their headings, ``(2, rows, 2)``.
+    rows ``noise`` and clamped again, each when given.  ``marked``, one
+    bool per row, names the rows ``agent`` maps, in one call on those rows
+    alone; every other row executes its clamped safe control, as without
+    ``agent``.  None marks every row.  ``evading`` holds the modes before
+    the step, ``state`` the rows' states as :func:`_row_views` views them
+    (made once per cut of the rows, not per step) and ``cs`` the
+    :func:`_cos_sin` of their headings, ``(2, rows, 2)``.
 
     Raises ``ValueError`` on a non-finite state or executed control or on
     an agent's ``ValueError`` (as ``step k: <message>``), and
@@ -839,11 +851,18 @@ def _controls(k, rows, state, evading, mode, cs, noise, batch, agent, bounds) ->
     lo, hi = bounds
     _clamp_rows(safe, lo, hi, out=safe)
     executed = safe
-    if agent is not None:
+    if agent is not None and (marked is None or marked.any()):
+        on = slice(None) if marked is None or marked.all() else marked
+        states = state[on]
         try:
-            executed = _clamp_rows(agent(state[:, 0], state[:, 1], safe), lo, hi)
+            mapped = _clamp_rows(agent(states[:, 0], states[:, 1], safe[on]), lo, hi)
         except ValueError as exc:
             raise ValueError(f"step {k}: {exc}") from exc
+        if isinstance(on, slice):
+            executed = mapped
+        else:
+            executed = safe.copy()
+            executed[on] = mapped
     if noise is None:
         cmd[...] = executed
     else:
@@ -915,7 +934,9 @@ class EvasionSource:
         ((_, trace),) = self.rollout_batch([initial], draws)
         return trace
 
-    def rollout_batch(self, initials, perturbations=None) -> Iterator[tuple[int, EpisodeTrace]]:
+    def rollout_batch(
+        self, initials, perturbations=None, agent_rows=None
+    ) -> Iterator[tuple[int, EpisodeTrace]]:
         """Roll one episode per row of ``initials`` with all rows stepped
         together; yield ``(row, trace)`` as each row finishes, so that a
         caller can score and drop a trace before the others end.
@@ -929,6 +950,9 @@ class EvasionSource:
         then clamps the safe controls, maps them through ``agent`` when
         given, adds the step's perturbations and checks the result, in the
         ``safe_*`` and ``cmd_*`` columns of the step's trace rows.
+        ``agent_rows``, None or one bool per row, names the rows that
+        ``agent`` acts on (None: every row); the others execute their
+        clamped safe controls, bit for bit as without ``agent``.
 
         ``perturbations`` is None or a sequence of one draw callable per row,
         such as ``functools.partial(box.sample, rng)``: ``draw(m)`` returns
@@ -952,6 +976,12 @@ class EvasionSource:
         cfg, dt, agent = self.cfg, self.cfg.dt, self.agent
         initials = np.asarray(initials, dtype=float)
         n = initials.shape[0]
+        if agent_rows is not None:
+            agent_rows = np.asarray(agent_rows, dtype=bool)
+            if agent_rows.shape != (n,):
+                raise ValueError(f"agent_rows must hold one bool per row, not {agent_rows.shape}")
+            if agent is None:
+                agent_rows = None
         try:
             controller = self.controller_factory()
             batch = getattr(controller, "batch", None)
@@ -979,7 +1009,10 @@ class EvasionSource:
 
         def controls(s):
             xi = None if noise is None else noise[active[s], k]
-            _controls(k, cur[s], state[s], evading[s], mode[s], cs[:, s], xi, batch, agent, bounds)
+            marks = None if agent_rows is None else agent_rows[active[s]]
+            _controls(
+                k, cur[s], state[s], evading[s], mode[s], cs[:, s], xi, batch, agent, bounds, marks
+            )
 
         k = 0
         while len(active):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -26,7 +25,15 @@ from . import __version__
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
 from .controller import ControllerConfig, SafeController, _check_turn_rate
-from .evasion import EvasionEnv, EvasionSource, TaskConfig, _check_fields, _finite, sample_obstacle
+from .evasion import (
+    EvasionEnv,
+    EvasionSource,
+    TaskConfig,
+    _check_fields,
+    _finite,
+    _is_finite,
+    sample_obstacle,
+)
 from .ppo import (
     MaskedPolicy,
     PpoConfig,
@@ -108,7 +115,7 @@ class ExpandConfig:
     def __post_init__(self):
         _check_fields(self, [
             ("e_init", self.e_init.dim == 2, "2-D (speed, turn rate)"),
-            ("delta_f", all(math.isfinite(d) and d >= 0 for d in self.delta_f),
+            ("delta_f", _is_finite(self.delta_f) and all(d >= 0 for d in self.delta_f),
              "finite and nonnegative"),
             ("delta_f", len(self.delta_f) == 2, "2 entries, one per e_init axis"),
             ("max_iters", self.max_iters >= 1, "at least 1"),
@@ -128,7 +135,8 @@ class TrainingConfig:
         _check_fields(self, [
             ("pilot_episodes", self.pilot_episodes >= 1, "at least 1"),
             ("seed", self.seed >= 0, "at least 0"),
-            ("reward_target", 0 < self.reward_target < math.inf, "finite and positive"),
+            ("reward_target", _is_finite(self.reward_target) and self.reward_target > 0,
+             "finite and positive"),
         ])
 
 
@@ -606,10 +614,11 @@ def run_verify_agent(
     out_dir=None,
     seed: int | None = None,
 ) -> tuple[VerificationReport, dict]:
-    """Verify the trained deterministic policy (no input perturbation)."""
+    """Verify the trained deterministic policy (no input perturbation).  The
+    policy is loaded before ``out`` is made."""
+    source = _agent_source(cfg, policy_path)
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.verification.seed if seed is None else seed
-    source = _agent_source(cfg, policy_path)
     report, paths = _verify(cfg, out, "verify_agent", source, None, used_seed)
     overrides = {"seed": used_seed, "jobs": cfg.verification.jobs, "policy": str(policy_path)}
     return report, _write_manifest(out, "verify_agent", cfg, overrides, paths)
@@ -627,43 +636,45 @@ def run_histogram(
     trained agent (when a policy file is given), with summary statistics.
 
     Run ``k`` of (safe, perturbed, agent) is seeded ``derive_seed(seed, k)``
-    whether or not the runs before it take place.  The safe and perturbed
-    runs share their source and go through one :func:`probv_runs` call, one
-    lockstep run; a failure of the safe run is raised before one of the
-    perturbed run.  The agent run has its own source and runs alone.  ``n``
-    is checked as ``HistogramConfig.n_samples`` before ``out`` is made."""
+    whether or not the runs before it take place.  All runs go through one
+    :func:`probv_runs` call, one lockstep run, on the agent's source when a
+    policy is given: the agent acts on the agent run's rows alone, and the
+    safe and perturbed rows execute the safe controller's controls, bit for
+    bit as on a source without the agent.  Agent rows among perturbed rows
+    draw ``-0.0``, as safe rows do.  Failures keep run order: a failure of
+    the safe run is raised before one of the perturbed run, and that before
+    one of the agent run.  ``n`` is checked as ``HistogramConfig.n_samples``
+    and the policy is loaded before ``out`` is made."""
     histogram = cfg.histogram if n is None else replace(cfg.histogram, n_samples=n)
+    source = _safe_source(cfg) if policy_path is None else _agent_source(cfg, policy_path)
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.histogram.seed if seed is None else seed
     used_n = histogram.n_samples
-    safe_source = _safe_source(cfg)
     box = _persisted_expansion(out)
-    safe_runs = [(0, "safe", None)]
+    runs = [(0, "safe", None, False)]
     if box is not None:
-        safe_runs.append((1, "perturbed", box))
-    groups = [(safe_source, safe_runs)]
+        runs.append((1, "perturbed", box, False))
     if policy_path is not None:
-        groups.append((_agent_source(cfg, policy_path), [(2, "agent", None)]))
+        runs.append((2, "agent", None, True))
 
+    reports = probv_runs(
+        source,
+        [(perturbation, derive_seed(used_seed, k), agent) for k, _, perturbation, agent in runs],
+        source.robustness,
+        used_n,
+        cfg.verification.epsilon,
+    )
     summary, paths = {}, {}
-    for source, runs in groups:
-        reports = probv_runs(
-            source,
-            [(perturbation, derive_seed(used_seed, k)) for k, _, perturbation in runs],
-            source.robustness,
-            used_n,
-            cfg.verification.epsilon,
-        )
-        for (_, name, _), report in zip(runs, reports):
-            paths[name] = out / f"histogram_{name}.csv"
-            write_samples_csv(report, paths[name], EvasionSource.initial_labels)
-            values = np.asarray(report.robustnesses)
-            summary[name] = {
-                "n": report.n_samples,
-                "mean": float(values.mean()),
-                "std": float(values.std()),
-                "rho_star": report.rho_star,
-            }
+    for (_, name, _, _), report in zip(runs, reports):
+        paths[name] = out / f"histogram_{name}.csv"
+        write_samples_csv(report, paths[name], EvasionSource.initial_labels)
+        values = np.asarray(report.robustnesses)
+        summary[name] = {
+            "n": report.n_samples,
+            "mean": float(values.mean()),
+            "std": float(values.std()),
+            "rho_star": report.rho_star,
+        }
     summary["benchmark"] = config_to_dict(cfg.histogram.benchmark)
     paths["summary"] = out / "histogram_summary.json"
     write_json(paths["summary"], summary)

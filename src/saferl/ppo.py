@@ -33,7 +33,14 @@ import numpy as np
 
 from .atomic import atomic_open, write_json
 from .boxes import IntervalBox
-from .evasion import _check_fields, _clamp_rows, _observe_rows, require_zero_offset, sample_obstacle
+from .evasion import (
+    _check_fields,
+    _clamp_rows,
+    _is_finite,
+    _observe_rows,
+    require_zero_offset,
+    sample_obstacle,
+)
 from .mlp import (
     Adam,
     DenseNet,
@@ -90,12 +97,14 @@ class PpoConfig:
         counts = ("steps", "n_steps", "minibatch_size", "epochs", "eval_episodes")
         rules = [(name, getattr(self, name) >= 1, "at least 1") for name in counts]
         for name in ("learning_rate", "clip_range", "adam_eps"):
-            rules.append((name, 0 < getattr(self, name) < math.inf, "finite and positive"))
+            value = getattr(self, name)
+            rules.append((name, _is_finite(value) and value > 0, "finite and positive"))
         for name in ("gamma", "gae_lambda"):
             rules.append((name, 0 <= getattr(self, name) <= 1, "in [0, 1]"))
         for name in ("vf_coef", "ent_coef", "log_std_init"):
-            rules.append((name, math.isfinite(getattr(self, name)), "finite"))
-        rules.append(("max_grad_norm", not math.isnan(self.max_grad_norm), "a number"))
+            rules.append((name, _is_finite(getattr(self, name)), "finite"))
+        number = _is_finite(self.max_grad_norm) or self.max_grad_norm in (math.inf, -math.inf)
+        rules.append(("max_grad_norm", number, "a number"))
         rules.append(("hidden", all(width >= 1 for width in self.hidden), "widths of at least 1"))
         rules.append(("log_std_min", self.log_std_min <= self.log_std_max, "at most log_std_max"))
         _check_fields(self, rules)
@@ -249,7 +258,8 @@ class MaskedPolicy:
     ``obs`` is :func:`~saferl.evasion.observe` of each row's states.
 
     :class:`~saferl.evasion.EvasionSource` applies it, when given, to the
-    clamped safe control of every active row at every step.  The policy
+    clamped safe control of every active row at every step, or of the rows
+    its ``rollout_batch`` call marks as ``agent_rows``.  The policy
     forward is :func:`_row_forward`, bit-equal to one batch-1 forward per
     row, and :func:`mask_action` maps each row of its ``(rows, 2)`` arrays
     as it maps one row alone.  Raises ``ValueError`` when ``mask`` lacks

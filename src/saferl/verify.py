@@ -10,7 +10,8 @@ confidence ``1 - (1 - epsilon)**N``; verification passes when
 lockstep, at every N.  :func:`probv_runs` verifies several independent
 ``(box, seed)`` runs of one source in one such lockstep run, one report per
 run, each bit-equal to that run's own :func:`probv` call; :func:`probv` is
-its one-run call.
+its one-run call.  A run may also say whether the source's agent acts on
+it, so that the agent and the safe controller beneath it verify together.
 
 :func:`find_expansion_set` searches for the largest verifiable perturbation
 box by growing an initial box axis-wise with fixed fractional increments and
@@ -74,9 +75,11 @@ class RolloutSource(Protocol):
     yields (see :meth:`saferl.evasion.EvasionSource.rollout_batch`).
     ``draw(m)`` returns the sample's perturbations of steps ``0 .. m - 1``,
     the stream that ``perturb`` gives ``rollout`` one step at a time; the
-    rows past the rollout's last step must go unused.  A failing row
-    lets the others run on; after them the run raises an error whose
-    ``row`` attribute names the lowest failed row.
+    rows past the rollout's last step must go unused.  When some run of
+    :func:`probv_runs` leaves the source's agent out, the call also gets
+    ``agent_rows``, one bool per row, true where the agent acts.  A
+    failing row lets the others run on; after them the run raises an error
+    whose ``row`` attribute names the lowest failed row.
     """
 
     def sample_initial(self, rng: np.random.Generator): ...
@@ -277,32 +280,36 @@ def _run_sample(
 
 def _run_lockstep(
     source: RolloutSource,
-    runs: Sequence[tuple[IntervalBox | None, int]],
+    runs: Sequence[tuple[IntervalBox | None, int, bool]],
     robustness_fn: Callable,
     n: int,
 ) -> list:
-    """The ``n`` samples of every ``(expansion, base_seed)`` run of ``runs``
-    through one ``source.rollout_batch`` call, each trace scored as its
-    rollout ends.  Each perturbed row gets its sample's draw
+    """The ``n`` samples of every ``(expansion, base_seed, agent)`` run of
+    ``runs`` through one ``source.rollout_batch`` call, each trace scored as
+    its rollout ends.  Each perturbed row gets its sample's draw
     (:func:`_sample_inputs`); rows of an unperturbed run among perturbed
-    ones get a draw of ``-0.0`` rows, which leaves every control bit for
-    bit as it is.
+    ones, with or without the agent, get a draw of ``-0.0`` rows, which
+    leaves every control bit for bit as it is.  When a run's ``agent`` is
+    false, the call marks the rows of the runs whose ``agent`` is true as
+    its ``agent_rows``, the only rows the source's agent acts on.
 
     Returns one entry per run, up to the first run that fails: the list of
     what :func:`_run_sample` returns for each index, or, for that failing
     run, the :class:`RolloutFailure` of its lowest sample whose rollout
     failed (the ``row`` of the call's error) or whose robustness raised or
     is not finite."""
-    inputs = [_sample_inputs(source, box, seed, i) for box, seed in runs for i in range(n)]
+    inputs = [_sample_inputs(source, box, seed, i) for box, seed, _ in runs for i in range(n)]
     initials, draws = zip(*inputs)
-    boxes = [box for box, _ in runs if box is not None]
+    boxes = [box for box, _, _ in runs if box is not None]
     perturbations = None
     if boxes:
         dim = boxes[0].dim
         perturbations = [(lambda m: np.full((m, dim), -0.0)) if d is None else d for d in draws]
+    marks = [agent for _, _, agent in runs]
+    agent_rows = {} if all(marks) else {"agent_rows": np.repeat(marks, n)}
     rhos, errors = [math.nan] * len(inputs), {}
     try:
-        for row, trace in source.rollout_batch(np.array(initials), perturbations):
+        for row, trace in source.rollout_batch(np.array(initials), perturbations, **agent_rows):
             try:
                 rhos[row] = float(robustness_fn(trace))
             except Exception as exc:
@@ -312,7 +319,7 @@ def _run_lockstep(
             raise
         errors[exc.row] = exc
     outcomes = []
-    for r, (_, base_seed) in enumerate(runs):
+    for r, (_, base_seed, _) in enumerate(runs):
         results = []
         for i in range(n):  # a failed row's robustness stays NaN
             rho, exc = rhos[r * n + i], errors.get(r * n + i)
@@ -329,7 +336,7 @@ def _run_lockstep(
 
 def probv_runs(
     source: RolloutSource,
-    runs: Sequence[tuple[IntervalBox | None, int]],
+    runs: Sequence[tuple[IntervalBox | None, int] | tuple[IntervalBox | None, int, bool]],
     robustness_fn: Callable,
     n: int,
     epsilon: float,
@@ -338,6 +345,13 @@ def probv_runs(
     ``(expansion, base_seed)`` run of ``runs``, and yield one report per
     run, in order; each equals, bit for bit, the report of
     ``probv(source, expansion, robustness_fn, n, epsilon, base_seed)``.
+
+    A run ``(expansion, base_seed, agent)`` with ``agent`` false runs
+    without the source's agent: its report equals, bit for bit, that of
+    the same source without an agent (for an
+    :class:`~saferl.evasion.EvasionSource`, with ``agent=None``).  Only a
+    source with ``rollout_batch`` takes such a run (``ValueError``
+    otherwise); a run of two entries has the agent act.
 
     A source with ``rollout_batch`` steps the samples of all runs together
     in one call, made when the first report is asked for; any other source
@@ -349,15 +363,18 @@ def probv_runs(
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     conf = confidence(epsilon, n)  # validates epsilon
+    runs = [run if len(run) == 3 else (*run, True) for run in runs]
 
     if hasattr(source, "rollout_batch"):
         outcomes = _run_lockstep(source, runs, robustness_fn, n)
+    elif not all(agent for _, _, agent in runs):
+        raise ValueError("a run without the source's agent needs a source with rollout_batch")
     else:
         outcomes = (
             [_run_sample(source, box, robustness_fn, seed, i) for i in range(n)]
-            for box, seed in runs
+            for box, seed, _ in runs
         )
-    for (_, base_seed), results in zip(runs, outcomes):
+    for (_, base_seed, _), results in zip(runs, outcomes):
         if isinstance(results, RolloutFailure):
             raise results
         seeds, params, rhos = zip(*results)

@@ -146,6 +146,34 @@ def test_every_config_rule_rejects_a_bad_value(cls, name, value):
         config_from_dict(_loaded(cls, name, value))
 
 
+# a JSON integer too large for a float, in a field that must be finite
+_HUGE = 10**400
+HUGE_RULES = [
+    (TaskConfig, "dt", _HUGE),
+    (TaskConfig, "start", (-_HUGE, 0)),
+    (ControllerConfig, "cruise_speed", _HUGE),
+    (HistogramBenchmark, "agent_mean", -_HUGE),
+    (PpoConfig, "learning_rate", _HUGE),
+    (PpoConfig, "vf_coef", _HUGE),
+    (PpoConfig, "max_grad_norm", _HUGE),
+    (ExpandConfig, "delta_f", (1, _HUGE)),
+    (TrainingConfig, "reward_target", _HUGE),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", HUGE_RULES, ids=[f"{c.__name__}.{n}" for c, n, _ in HUGE_RULES]
+)
+def test_an_integer_too_large_for_a_float_is_not_finite(cls, name, value):
+    # it ended in numpy's "ufunc 'isfinite' not supported" TypeError or an
+    # OverflowError, or passed a "finite and positive" rule
+    named = "^" + re.escape(f"{cls.__name__}.{name} must be ") + r"(finite|a number)"
+    with pytest.raises(ValueError, match=named):
+        cls(**{name: value})
+    with pytest.raises(PipelineError, match=named):
+        config_from_dict(_loaded(cls, name, value))
+
+
 def test_controller_turn_rate_is_checked_with_the_task():
     # it was checked only inside the first rollout, after --out existed,
     # and failed that rollout without naming the field
@@ -188,6 +216,9 @@ CLI_CASES = [
      "TaskConfig.obstacle_region: IntervalBox.lower must be"),
     ({"expansion": {"e_init": {"lower": [0, 0]}}}, ["expand"],
      "ExpandConfig.e_init: IntervalBox keys must be"),
+    ({"controller": {"cruise_speed": _HUGE}}, ["print-config"],
+     "ControllerConfig.cruise_speed must be finite, not 1000"),
+    ({"task": {"dt": _HUGE}}, ["verify-safe"], "TaskConfig.dt must be finite, not 1000"),
     # stage overrides are checked as the fields they override
     ({}, ["histogram", "--n", "0"], "HistogramConfig.n_samples must be at least 1, not 0"),
     ({}, ["histogram", "--n", "-5"], "HistogramConfig.n_samples must be at least 1, not -5"),

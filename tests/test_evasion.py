@@ -1292,7 +1292,7 @@ def control_rows(rng, n):
     return rows
 
 
-def call_controls(rows, evading, noise, agent):
+def call_controls(rows, evading, noise, agent, marked=None):
     """:func:`evasion._controls` at step 0 under ``SafeController.batch``,
     in place on ``rows``; returns the mode after the step."""
     state = evasion._row_views(rows)[0]
@@ -1300,7 +1300,7 @@ def call_controls(rows, evading, noise, agent):
     cs = _cos_sin(state[:, :, 2])
     batch = SafeController(CFG, ControllerConfig()).batch
     bounds = evasion._actuator_bounds(CFG)
-    evasion._controls(0, rows, state, evading, mode, cs, noise, batch, agent, bounds)
+    evasion._controls(0, rows, state, evading, mode, cs, noise, batch, agent, bounds, marked)
     return mode
 
 
@@ -1318,36 +1318,48 @@ _NON_FINITE = st.one_of(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 12),
     with_agent=st.booleans(),
+    mixed=st.booleans(),
     with_noise=st.booleans(),
     bad=st.one_of(st.none(), st.tuples(st.integers(0, 11), _NON_FINITE)),
 )
-def test_controls_of_each_row_alone_equal_the_block_call(seed, n, with_agent, with_noise, bad):
+def test_controls_of_each_row_alone_equal_the_block_call(
+    seed, n, with_agent, mixed, with_noise, bad
+):
     # the contract rollout_batch's retry of a failed block call relies on: a
     # row slice of every argument gives that slice's result, and a row with a
     # non-finite state fails in the block and alone, while every other row
-    # passes alone
+    # passes alone.  In a block that mixes rows the agent acts on with rows
+    # it does not, each unmarked row is bit for bit as without the agent
     rng = np.random.default_rng(seed)
     rows = control_rows(rng, n)
     evading = rng.random(n) < 0.5
     noise = rng.uniform(-0.05, 0.05, (n, 2)) if with_noise else None
+    marked = rng.random(n) < 0.5 if mixed else None
     agent = None
     if with_agent:
         params = init_policy(7, 2, PpoConfig(hidden=(16, 16)), rng)
         params.policy.weights[-1][...] *= 300.0  # raw actions across (-1, 1)
         agent = MaskedPolicy(params, CONTROLS_MASK, CFG)
     block = rows.copy()
-    mode = call_controls(block, evading, noise, agent)
+    mode = call_controls(block, evading, noise, agent, marked)
     assert np.isfinite(block).all()
+    if marked is not None:
+        plain = rows.copy()
+        assert np.array_equal(call_controls(plain, evading, noise, None), mode)
+        assert np.array_equal(bits(block[~marked]), bits(plain[~marked]))
+        if with_agent and marked.any():  # the agent moved some marked row
+            assert not np.array_equal(bits(block[marked]), bits(plain[marked]))
     failing = None
     if bad is not None:
         failing, (column, value) = bad[0] % n, bad[1]
         rows[failing, column] = value
         with pytest.raises(ValueError, match=r"^step 0: non-finite control or state$"):
-            call_controls(rows.copy(), evading, noise, agent)
+            call_controls(rows.copy(), evading, noise, agent, marked)
     for j in range(n):
         s = slice(j, j + 1)
         row = rows[s].copy()
-        alone = evading[s], None if noise is None else noise[s], agent
+        xi = None if noise is None else noise[s]
+        alone = evading[s], xi, agent, None if marked is None else marked[s]
         if j == failing:
             with pytest.raises(ValueError, match=r"^step 0: non-finite control or state$"):
                 call_controls(row, *alone)

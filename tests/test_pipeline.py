@@ -12,8 +12,14 @@ from saferl.boxes import IntervalBox
 from saferl.cli import _build_parser
 from saferl.cli import main as cli_main
 from saferl.controller import SafeController
-from saferl.evasion import LOCKSTEP_MIN_ROWS, EvasionEnv, EvasionSource
-from saferl.pipeline import _safe_factory, calibrate_reward_scale
+from saferl.evasion import LOCKSTEP_MIN_ROWS, ContainmentViolation, EvasionEnv, EvasionSource
+from saferl.pipeline import (
+    _agent_source,
+    _persisted_expansion,
+    _safe_factory,
+    _safe_source,
+    calibrate_reward_scale,
+)
 from saferl.pipeline import (
     ExpandConfig,
     HistogramConfig,
@@ -32,7 +38,7 @@ from saferl.pipeline import (
     run_verify_safe,
 )
 from saferl.ppo import MaskedPolicy, PpoConfig, init_policy, save_policy
-from saferl.verify import RolloutFailure, _sample_inputs, derive_seed
+from saferl.verify import RolloutFailure, _sample_inputs, derive_seed, probv, write_samples_csv
 
 
 def tiny_config(**overrides) -> PipelineConfig:
@@ -438,7 +444,7 @@ def test_cli_error_paths(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "expansion.json" in err and key in err
     # a policy sidecar whose mask is not a 2-D box of numbers is an input
-    # error naming the sidecar and the key
+    # error naming the sidecar and the key, and it writes nothing
     policy = tmp_path / "masked.bin"
     params = init_policy(7, 2, PpoConfig(hidden=(4,)), np.random.default_rng(0))
     for mask in ({}, {"lower": [0.0], "upper": [0.0]}, {"lower": ["a", 0.0], "upper": [0.0, 0.0]}):
@@ -449,6 +455,7 @@ def test_cli_error_paths(tmp_path, capsys):
             assert cli_main(args) == 2
             err = capsys.readouterr().err
             assert "masked.json" in err and "'mask'" in err
+            assert not (tmp_path / "m").exists()
 
 
 @pytest.fixture(scope="module")
@@ -670,6 +677,24 @@ def test_cli_train_prints_the_steps_of_whole_windows(tmp_path, capsys):
     assert manifest["overrides"]["steps"] == 300
 
 
+@pytest.mark.parametrize("command", ["verify-agent", "histogram"])
+@pytest.mark.parametrize("fault", ["missing", "corrupt sidecar"])
+def test_cli_unloadable_policy_writes_nothing(tmp_path, capsys, trained_out, command, fault):
+    # the policy is loaded before --out is made: a missing policy file or a
+    # sidecar that is not JSON exits 2 and leaves no output directory
+    policy = tmp_path / "p" / "policy.bin"
+    policy.parent.mkdir()
+    if fault == "corrupt sidecar":
+        shutil.copy(trained_out / "policy.bin", policy)
+        policy.with_suffix(".json").write_text("{not json")
+    out = tmp_path / "o"
+    args = [command, "--config", write_config(tmp_path, tiny_config()), "--policy", str(policy)]
+    capsys.readouterr()
+    assert cli_main(args + ["--out", str(out)]) == 2
+    assert "policy" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_corrupt_policy_file(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_config())
     bad_policy = tmp_path / "p.bin"
@@ -703,17 +728,27 @@ def test_cli_histogram_without_policy(tmp_path, capsys):
     assert "agent" not in summary
 
 
-@pytest.mark.parametrize("failing", [("safe", "perturbed"), ("perturbed",)], ids=["both", "perturbed"])
-def test_histogram_names_the_safe_runs_failure_first(tmp_path, monkeypatch, failing):
-    # the safe and perturbed runs step together, yet fail as one after the
-    # other: with sample 3 of the safe run and sample 1 of the perturbed one
-    # failing, the safe one is named and no CSV is written; with only the
-    # perturbed one failing, the safe CSV is written first
+HISTOGRAM_RUNS = ("safe", "perturbed", "agent")
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [("safe", "perturbed"), ("perturbed",), ("safe", "agent"), ("perturbed", "agent"), ("agent",)],
+    ids=["both", "perturbed", "safe-and-agent", "perturbed-and-agent", "agent"],
+)
+def test_histogram_names_the_safe_runs_failure_first(
+    tmp_path, monkeypatch, trained_out, failing
+):
+    # the safe, perturbed and agent runs step together, yet fail as one
+    # after the other: with sample 3 of the safe run and sample 1 of a later
+    # run failing, the safe one is named and no CSV is written; with only a
+    # later run failing, the CSVs of the runs before it are written first
     cfg = tiny_config()
     out = tmp_path / "h"
-    run_expand(cfg, out)
-    seeds = {"safe": derive_seed(404, 0), "perturbed": derive_seed(404, 1)}
-    samples = {"safe": 3, "perturbed": 1}
+    shutil.copytree(trained_out, out)
+    policy = out / "policy.bin" if "agent" in failing else None
+    seeds = {name: derive_seed(404, k) for k, name in enumerate(HISTOGRAM_RUNS)}
+    samples = {"safe": 3, "perturbed": 1, "agent": 1}
     source = EvasionSource(cfg.task, _safe_factory(cfg))
     bad = [float(_sample_inputs(source, None, seeds[k], samples[k])[0][3]) for k in failing]
     real = SafeController.batch
@@ -725,12 +760,82 @@ def test_histogram_names_the_safe_runs_failure_first(tmp_path, monkeypatch, fail
 
     monkeypatch.setattr(SafeController, "batch", batch)
     with pytest.raises(RolloutFailure) as err:
-        run_histogram(cfg, None, out)
+        run_histogram(cfg, policy, out)
     named = failing[0]
     i = samples[named]
     assert (err.value.sample_index, err.value.seed) == (i, derive_seed(seeds[named], i))
-    assert (out / "histogram_safe.csv").exists() == (named == "perturbed")
-    assert not (out / "histogram_perturbed.csv").exists()
+    for name in HISTOGRAM_RUNS:
+        before = HISTOGRAM_RUNS.index(name) < HISTOGRAM_RUNS.index(named)
+        assert (out / f"histogram_{name}.csv").exists() == before, name
+
+
+def test_histogram_agent_control_outside_the_box_names_its_step(
+    tmp_path, monkeypatch, trained_out
+):
+    # an agent whose map reaches past the sidecar's box fails the agent run
+    # as its own probv call fails, naming the sample, its seed and the step,
+    # after the safe and perturbed runs, on which the agent does not act,
+    # have written their CSVs
+    mask_action = ppo.mask_action
+
+    def wider(raw, safe, box):
+        return mask_action(raw, safe, box.scale(1000.0))
+
+    monkeypatch.setattr(ppo, "mask_action", wider)
+    cfg = tiny_config()
+    out = tmp_path / "h"
+    shutil.copytree(trained_out, out)
+    policy = out / "policy.bin"
+    agent = _agent_source(cfg, policy)
+    with pytest.raises(RolloutFailure) as alone:
+        probv(agent, None, agent.robustness, 4, cfg.verification.epsilon, derive_seed(404, 2))
+    with pytest.raises(RolloutFailure) as err:
+        run_histogram(cfg, policy, out)
+    assert str(err.value) == str(alone.value)
+    assert re.search(r"failed: step \d+: applied offsets", str(err.value))
+    assert isinstance(err.value.__cause__, ContainmentViolation)
+    assert (out / "histogram_safe.csv").exists() and (out / "histogram_perturbed.csv").exists()
+    assert not (out / "histogram_agent.csv").exists()
+
+
+@pytest.mark.parametrize("with_box", [True, False], ids=["perturbed", "unperturbed"])
+def test_histogram_runs_equal_their_own_probv_calls(tmp_path, trained_out, with_box):
+    # one lockstep run on the agent's source, bit for bit as one probv call
+    # per run: the safe and perturbed runs on the safe source, the agent
+    # run on the agent source
+    cfg = tiny_config()
+    out = tmp_path / "h"
+    out.mkdir()
+    for name in ("policy.bin", "policy.json", *(("expansion.json",) if with_box else ())):
+        shutil.copy(trained_out / name, out / name)
+    policy = out / "policy.bin"
+    summary = run_histogram(cfg, policy, out)[0]
+    assert [k for k in summary if k != "benchmark"] == (
+        ["safe", "perturbed", "agent"] if with_box else ["safe", "agent"]
+    )
+    safe, agent = _safe_source(cfg), _agent_source(cfg, policy)
+    box = _persisted_expansion(out)
+    runs = {"safe": (safe, None), "perturbed": (safe, box), "agent": (agent, None)}
+    eps = cfg.verification.epsilon
+    for k, name in enumerate(HISTOGRAM_RUNS):
+        source, perturbation = runs[name]
+        if name == "perturbed" and not with_box:
+            assert not (out / "histogram_perturbed.csv").exists()
+            continue
+        report = probv(source, perturbation, source.robustness, 4, eps, derive_seed(404, k))
+        want = tmp_path / f"{name}.csv"
+        write_samples_csv(report, want, EvasionSource.initial_labels)
+        assert (out / f"histogram_{name}.csv").read_bytes() == want.read_bytes()
+        assert summary[name]["rho_star"] == report.rho_star
+    # the agent acts: the safe source's report of the agent run's seed differs
+    unmasked = probv(safe, None, safe.robustness, 4, eps, derive_seed(404, 2))
+    assert unmasked.robustnesses != tuple(csv_robustnesses(out / "histogram_agent.csv"))
+
+
+def csv_robustnesses(path) -> list[float]:
+    """The robustness column of a samples CSV."""
+    rows = path.read_text().splitlines()[1:]
+    return [float(row.split(",")[2]) for row in rows]
 
 
 def calibrate_reward_scale_ref(task, controller_factory, box, episodes, seed, target):

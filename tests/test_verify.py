@@ -352,7 +352,7 @@ def test_lockstep_probv_equals_sequential(box, seed):
     source = safe_source(Counting)
     want = [_run_sample(sequential(source), box, source.robustness, seed, i) for i in range(50)]
     # probv's path for a source with rollout_batch
-    (got,) = _run_lockstep(source, [(box, seed)], source.robustness, 50)
+    (got,) = _run_lockstep(source, [(box, seed, True)], source.robustness, 50)
     assert repr(got) == repr(want)
     assert sum(evading_rows) > 0
     lockstep = probv(source, box, source.robustness, 50, 0.05, seed)
@@ -365,7 +365,7 @@ def test_lockstep_probv_equals_sequential(box, seed):
 def test_lockstep_single_sample():
     source = safe_source()
     for box in (None, E_INIT):
-        (got,) = _run_lockstep(source, [(box, 5)], source.robustness, 1)
+        (got,) = _run_lockstep(source, [(box, 5, True)], source.robustness, 1)
         assert repr(got) == repr([_run_sample(sequential(source), box, source.robustness, 5, 0)])
 
 
@@ -858,9 +858,9 @@ class CountingBatches(EvasionSource):
         super().__init__(*args)
         self.batches = []
 
-    def rollout_batch(self, initials, perturbations=None):
+    def rollout_batch(self, initials, perturbations=None, **agent_rows):
         self.batches.append(len(initials))
-        return super().rollout_batch(initials, perturbations)
+        return super().rollout_batch(initials, perturbations, **agent_rows)
 
 
 _RUN_BOXES = st.sampled_from([None, E_INIT, E_INIT.scale((11, 2)), E_INIT.scale((41, 5))])
@@ -877,6 +877,51 @@ def test_probv_runs_equals_separate_probv_calls(runs, n):
     assert source.batches == [n * len(runs)]
     want = [probv(source, box, source.robustness, n, 0.05, seed) for box, seed in runs]
     assert [report_text(r) for r in got] == [report_text(r) for r in want]
+
+
+def _runs_agent() -> MaskedPolicy:
+    params = init_policy(7, 2, PpoConfig(hidden=(16,)), np.random.default_rng(21))
+    params.policy.weights[-1][...] *= 300.0  # raw actions across (-1, 1)
+    return MaskedPolicy(params, IntervalBox([-0.02, -0.3], [0.03, 0.4]), TASK)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(_RUN_BOXES, st.integers(0, 2**32 - 1), st.booleans()), min_size=1, max_size=3
+    ),
+    n=st.integers(1, 8),
+)
+def test_probv_runs_with_and_without_the_agent_equal_separate_probv_calls(runs, n):
+    # a run whose agent flag is false equals its probv call on the source
+    # without the agent, one whose flag is true its call on the source with
+    # it, all runs stepped in one lockstep call
+    factory = safe_source().controller_factory
+    source = CountingBatches(TASK, factory, _runs_agent())
+    got = list(probv_runs(source, runs, source.robustness, n, 0.05))
+    assert source.batches == [n * len(runs)]
+    without = EvasionSource(TASK, factory)
+    want = [
+        probv(source if agent else without, box, source.robustness, n, 0.05, seed)
+        for box, seed, agent in runs
+    ]
+    assert [report_text(r) for r in got] == [report_text(r) for r in want]
+
+
+def test_probv_runs_without_the_agent_needs_rollout_batch():
+    # a source without rollout_batch has no rows to mark; a run flagged to
+    # run without the agent is refused, and a flagged-on run runs as before
+    source, score = sequential(safe_source()), safe_source().robustness
+    with pytest.raises(ValueError, match="needs a source with rollout_batch"):
+        next(probv_runs(source, [(None, 1, True), (None, 2, False)], score, 2, 0.05))
+    (report,) = probv_runs(source, [(None, 1, True)], score, 2, 0.05)
+    assert report == probv(source, None, score, 2, 0.05, 1)
+
+
+def test_rollout_batch_checks_its_agent_rows():
+    source = EvasionSource(TASK, safe_source().controller_factory, _runs_agent())
+    with pytest.raises(ValueError, match=r"one bool per row, not \(3,\)"):
+        next(source.rollout_batch(np.zeros((2, 4)), agent_rows=[True, False, True]))
 
 
 def test_probv_runs_keeps_an_opaque_controllers_signed_zero_turn_rates():

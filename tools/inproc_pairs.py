@@ -21,6 +21,8 @@ an 8192-step training budget.  Stage ``S`` is then called with seed 1:
 - ``train``: ``run_train`` from a box verified during set-up at N = 10;
 - ``verify_agent``: ``run_verify_agent`` on a policy trained for 512 steps
   during set-up;
+- ``histogram_agent``: ``run_histogram`` with that policy (the safe and
+  agent runs, unperturbed, as perfbench's ``verify_agent`` workload runs it);
 - ``verify_safe_workload``: ``run_expand``, then ``run_verify_safe``, then
   ``run_histogram`` without a policy, as one iteration of perfbench's
   ``verify_safe`` workload runs them;
@@ -71,6 +73,7 @@ STAGES = (
     "histogram",
     "train",
     "verify_agent",
+    "histogram_agent",
     "verify_safe_workload",
     "verify_agent_workload",
 )
@@ -162,6 +165,8 @@ def _stage_call(pipeline, stage: str, work: Path, seed: int):
             pipeline.run_verify_agent(cfg, policy, out, seed=seed),
             pipeline.run_histogram(cfg, policy, out, seed=seed),
         )
+    if stage == "histogram_agent":
+        return lambda: pipeline.run_histogram(cfg, policy, out, seed=seed)
     return lambda: pipeline.run_verify_agent(cfg, policy, out, seed=seed)
 
 
