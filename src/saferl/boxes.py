@@ -54,13 +54,6 @@ class IntervalBox:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def symmetric(cls, half_widths) -> "IntervalBox":
-        h = np.atleast_1d(np.asarray(half_widths, dtype=float))
-        if np.any(h < 0):
-            raise ValueError("half widths must be nonnegative")
-        return cls(-h, h)
-
-    @classmethod
     def zero(cls, dim: int) -> "IntervalBox":
         z = np.zeros(dim)
         return cls(z, z)

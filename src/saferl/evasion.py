@@ -31,7 +31,7 @@ __all__ = [
     "RobotState", "ObstacleState", "TaskConfig", "EpisodeTrace", "EvasionEnv",
     "EvasionSource", "ContainmentViolation", "wrap_angle", "path_heading",
     "unicycle_step", "mindistance", "perform", "episode_robustness", "observe",
-    "require_zero_offset", "sample_obstacle", "safety_formula", "safety_predicates",
+    "require_zero_offset", "sample_obstacle", "safety_predicates",
     "TRACE_COLUMNS", "LOCKSTEP_MIN_ROWS", "CONTAINMENT_TOL",
 ]
 
@@ -514,11 +514,6 @@ def safety_predicates(cfg: TaskConfig) -> PredicateTable:
 _SAFETY_FORMULA = parse_formula("G( (infront & near) => evade )")
 
 
-def safety_formula():
-    """The global episode contract as a formula tree."""
-    return _SAFETY_FORMULA
-
-
 def episode_robustness(
     trace: EpisodeTrace, cfg: TaskConfig, table: PredicateTable | None = None
 ) -> float:
@@ -645,18 +640,6 @@ class EvasionEnv:
         w = min(max(float(control[1]), -self.cfg.omega_max), self.cfg.omega_max)
         return v, w
 
-    def _check_mask(self, applied, u_safe) -> None:
-        """Count and raise a :class:`ContainmentViolation` at the episode's
-        current step when ``applied - u_safe`` lies outside the action box
-        by more than :data:`CONTAINMENT_TOL`."""
-        offset = np.asarray(applied) - np.asarray(u_safe)
-        if not self.mask.contains(offset, tol=CONTAINMENT_TOL):
-            self.containment_violations += 1
-            raise ContainmentViolation(
-                f"step {self._k}: applied offset {offset.tolist()} from the safe "
-                f"control {list(u_safe)} lies outside the action box {self.mask!r}"
-            )
-
     # -- learning interface ------------------------------------------------
 
     def reset(self, obstacle: ObstacleState) -> np.ndarray:
@@ -701,7 +684,11 @@ class EvasionEnv:
         )
         d0, d1 = applied[0] - u0, applied[1] - u1
         if not (in_lo0 <= d0 <= in_hi0 and in_lo1 <= d1 <= in_hi1):
-            self._check_mask(applied, u_safe)
+            self.containment_violations += 1
+            raise ContainmentViolation(
+                f"step {self._k}: applied offset {[d0, d1]} from the safe "
+                f"control {list(u_safe)} lies outside the action box {self.mask!r}"
+            )
         # action_diff = norm((applied - u_safe - center) / half) / sqrt(dim);
         # the norm is numpy's 2-element dot (see _closest_on_path)
         q = np.array(((d0 - c0) / h0, (d1 - c1) / h1))

@@ -54,16 +54,11 @@ def _orthogonal(rows: int, cols: int, gain: float, rng: np.random.Generator) -> 
     return gain * q[:rows, :cols]
 
 
-def net_init(
-    sizes: tuple[int, ...],
-    rng: np.random.Generator,
-    hidden_gain: float = np.sqrt(2.0),
-    out_gain: float = 1.0,
-) -> DenseNet:
-    """Orthogonal weight init (scaled), zero biases."""
+def net_init(sizes: tuple[int, ...], rng: np.random.Generator, out_gain: float = 1.0) -> DenseNet:
+    """Orthogonal weight init, hidden layers at gain sqrt(2), zero biases."""
     weights, biases = [], []
     for i in range(len(sizes) - 1):
-        gain = out_gain if i == len(sizes) - 2 else hidden_gain
+        gain = out_gain if i == len(sizes) - 2 else np.sqrt(2.0)
         weights.append(_orthogonal(sizes[i], sizes[i + 1], gain, rng))
         biases.append(np.zeros(sizes[i + 1]))
     return DenseNet(weights, biases)
@@ -85,15 +80,12 @@ def net_forward(net: DenseNet, x: np.ndarray):
     return h, activations
 
 
-def net_backward(
-    net: DenseNet, cache: list[np.ndarray], dout: np.ndarray, out=None, input_grad: bool = True
-):
+def net_backward(net: DenseNet, cache: list[np.ndarray], dout: np.ndarray, out=None):
     """Backprop dout (B, d_out) through the net.
 
-    Returns (grads, dx) with grads ordered like net.params().  With ``out``,
-    arrays shaped like net.params(), the gradients are written into them and
-    ``out`` is returned as grads.  With ``input_grad`` false the first
-    layer's input gradient is not computed and dx is None.  The pass
+    Returns the parameter gradients, ordered like net.params().  With
+    ``out``, arrays shaped like net.params(), the gradients are written into
+    them and ``out`` is returned.  The input gradient is not computed.  The pass
     consumes ``cache``: each hidden activation is overwritten in place by its
     tanh derivative times the incoming gradient, ``(1 - h**2) * dh``.
     """
@@ -111,8 +103,9 @@ def net_backward(
             dz *= dh
         np.matmul(cache[i].T, dz, out=grads[2 * i])
         np.add.reduce(dz, axis=0, out=grads[2 * i + 1])  # dz.sum(axis=0), unwrapped
-        dh = dz @ net.weights[i].T if i or input_grad else None
-    return grads, dh
+        if i:
+            dh = dz @ net.weights[i].T
+    return grads
 
 
 class Adam:
@@ -127,10 +120,11 @@ class Adam:
     bit, and that division is skipped.
     """
 
-    def __init__(self, size: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-5):
+    BETA1 = 0.9
+    BETA2 = 0.999
+
+    def __init__(self, size: int, lr: float, eps=1e-5):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.t = 0
         self.m = np.zeros(size)
@@ -141,7 +135,7 @@ class Adam:
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One update of the flat vector ``params`` from the flat ``grads``."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         m, v, a, b = self.m, self.v, self._a, self._b

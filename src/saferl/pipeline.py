@@ -49,7 +49,6 @@ from .verify import (
     find_expansion_set,
     probv,
     probv_runs,
-    write_report_json,
     write_samples_csv,
 )
 
@@ -342,7 +341,7 @@ def _verify(
         seed,
     )
     paths = {"report": out / f"{stage}_report.json", "samples": out / f"{stage}_samples.csv"}
-    write_report_json(report, paths["report"])
+    write_json(paths["report"], report.to_json_dict())
     write_samples_csv(report, paths["samples"], EvasionSource.initial_labels)
     return report, paths
 
@@ -405,20 +404,15 @@ def run_verify_safe(
     cfg: PipelineConfig,
     out_dir=None,
     seed: int | None = None,
-    expansion: IntervalBox | None = None,
 ) -> tuple[VerificationReport, dict]:
     """Verify the safe controller under uniform input perturbation.
 
-    The perturbation box defaults to the persisted expansion set when one
-    exists, otherwise to the configured initial box.  Passing an explicit
-    ``expansion`` (possibly degenerate, but 2-D) overrides both.
+    The perturbation box is the persisted expansion set when one exists,
+    otherwise the configured initial box.
     """
-    if expansion is not None and expansion.dim != 2:
-        raise PipelineError(f"expansion must be 2-D (speed, turn rate), not {expansion!r}")
     out = _prepare_out(cfg, out_dir)
     used_seed = cfg.verification.seed if seed is None else seed
-    if expansion is None:
-        expansion = _persisted_expansion(out) or cfg.expansion.e_init
+    expansion = _persisted_expansion(out) or cfg.expansion.e_init
     report, paths = _verify(cfg, out, "verify_safe", _safe_source(cfg), expansion, used_seed)
     paths["expansion"] = out / "verify_safe_expansion.json"
     write_json(paths["expansion"], {"expansion": expansion.to_dict(), "rho_star": report.rho_star})

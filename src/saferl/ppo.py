@@ -57,7 +57,6 @@ __all__ = [
     "init_policy",
     "mask_action",
     "gae_advantages",
-    "ppo_loss",
     "ppo_loss_and_grads",
     "ppo_update",
     "train",
@@ -386,19 +385,14 @@ def _loss_and_grads(
     ls_inside = (params.log_std > cfg.log_std_min) & (params.log_std < cfg.log_std_max)
     np.multiply(dls, ls_inside, out=grads[n_policy])
 
-    net_backward(params.policy, cache_p, dmean, out=grads[:n_policy], input_grad=False)
+    net_backward(params.policy, cache_p, dmean, out=grads[:n_policy])
     dv = (2.0 * cfg.vf_coef / B) * v_err
-    net_backward(params.value, cache_v, dv[:, None], out=grads[n_policy + 1 :], input_grad=False)
+    net_backward(params.value, cache_v, dv[:, None], out=grads[n_policy + 1 :])
 
     approx_kl = float(np.add.reduce(ratio - 1.0 - log_ratio) / B)
     # the mean of a Boolean array: its exact count over B, rounded once
     clip_fraction = float(np.count_nonzero(np.abs(ratio - 1.0) > cfg.clip_range) / B)
     return total, policy_loss, value_loss, entropy, approx_kl, clip_fraction
-
-
-def ppo_loss(params: PolicyParams, batch: dict, cfg: PpoConfig) -> float:
-    """Scalar objective; pure function of the parameters for a fixed batch."""
-    return ppo_loss_and_grads(params, batch, cfg)[0]["loss"]
 
 
 def ppo_loss_and_grads(params: PolicyParams, batch: dict, cfg: PpoConfig, out=None):

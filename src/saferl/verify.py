@@ -8,10 +8,10 @@ the (1 - epsilon) quantile of achievable robustness from below with
 confidence ``1 - (1 - epsilon)**N``; verification passes when
 ``rho_star >= 0``.  A source with ``rollout_batch`` runs all N rollouts in
 lockstep, at every N.  :func:`probv_runs` verifies several independent
-``(box, seed)`` runs of one source in one such lockstep run, one report per
-run, each bit-equal to that run's own :func:`probv` call; :func:`probv` is
-its one-run call.  A run may also say whether the source's agent acts on
-it, so that the agent and the safe controller beneath it verify together.
+``(box, seed, agent)`` runs of one source in one such lockstep run, one
+report per run; :func:`probv` is its one-run call, with the agent acting.
+A run's ``agent`` says whether the source's agent acts on it, so that the
+agent and the safe controller beneath it verify together.
 
 :func:`find_expansion_set` searches for the largest verifiable perturbation
 box by growing an initial box axis-wise with fixed fractional increments and
@@ -29,14 +29,13 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .atomic import atomic_open, write_json
+from .atomic import atomic_open
 from .boxes import IntervalBox
 
 __all__ = [
@@ -51,8 +50,6 @@ __all__ = [
     "probv",
     "probv_runs",
     "find_expansion_set",
-    "write_report_json",
-    "read_report_json",
     "write_samples_csv",
 ]
 
@@ -204,15 +201,6 @@ class VerificationReport:
         )
 
 
-def write_report_json(report: VerificationReport, path) -> None:
-    write_json(path, report.to_json_dict())
-
-
-def read_report_json(path) -> VerificationReport:
-    with open(path) as fh:
-        return VerificationReport.from_json_dict(json.load(fh))
-
-
 def write_samples_csv(
     report: VerificationReport, path, labels: Sequence[str] | None = None
 ) -> None:
@@ -336,22 +324,20 @@ def _run_lockstep(
 
 def probv_runs(
     source: RolloutSource,
-    runs: Sequence[tuple[IntervalBox | None, int] | tuple[IntervalBox | None, int, bool]],
+    runs: Sequence[tuple[IntervalBox | None, int, bool]],
     robustness_fn: Callable,
     n: int,
     epsilon: float,
 ) -> Iterator[VerificationReport]:
     """Verify ``source`` on ``n`` independent rollouts for each
-    ``(expansion, base_seed)`` run of ``runs``, and yield one report per
-    run, in order; each equals, bit for bit, the report of
-    ``probv(source, expansion, robustness_fn, n, epsilon, base_seed)``.
-
-    A run ``(expansion, base_seed, agent)`` with ``agent`` false runs
-    without the source's agent: its report equals, bit for bit, that of
-    the same source without an agent (for an
-    :class:`~saferl.evasion.EvasionSource`, with ``agent=None``).  Only a
-    source with ``rollout_batch`` takes such a run (``ValueError``
-    otherwise); a run of two entries has the agent act.
+    ``(expansion, base_seed, agent)`` run of ``runs``, and yield one report
+    per run, in order.  With ``agent`` true the report equals, bit for bit,
+    that of ``probv(source, expansion, robustness_fn, n, epsilon,
+    base_seed)``; with ``agent`` false the run goes without the source's
+    agent, and its report equals, bit for bit, that of the same source
+    without an agent (for an :class:`~saferl.evasion.EvasionSource`, with
+    ``agent=None``).  Only a source with ``rollout_batch`` takes such a run
+    (``ValueError`` otherwise).
 
     A source with ``rollout_batch`` steps the samples of all runs together
     in one call, made when the first report is asked for; any other source
@@ -363,7 +349,6 @@ def probv_runs(
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     conf = confidence(epsilon, n)  # validates epsilon
-    runs = [run if len(run) == 3 else (*run, True) for run in runs]
 
     if hasattr(source, "rollout_batch"):
         outcomes = _run_lockstep(source, runs, robustness_fn, n)
@@ -409,7 +394,7 @@ def probv(
     order.  A failing rollout, or a robustness that raises or is not
     finite, raises :class:`RolloutFailure` for the lowest failing index.
     """
-    (report,) = probv_runs(source, [(expansion, base_seed)], robustness_fn, n, epsilon)
+    (report,) = probv_runs(source, [(expansion, base_seed, True)], robustness_fn, n, epsilon)
     return report
 
 
@@ -473,7 +458,7 @@ def find_expansion_set(
     def candidate(i: int) -> IntervalBox:
         return e_init.scale(1.0 + i * delta)
 
-    first = [(e_init, derive_seed(base_seed, 0)), (candidate(1), derive_seed(base_seed, 1))]
+    first = [(box, derive_seed(base_seed, i), True) for i, box in enumerate((e_init, candidate(1)))]
     reports = itertools.chain(
         probv_runs(source, first, robustness_fn, n, epsilon),
         (

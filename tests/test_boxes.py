@@ -85,13 +85,6 @@ def test_degenerate_box_samples_exactly_zero():
     assert np.array_equal(box.sample(rng), np.zeros(2))
 
 
-def test_symmetric_constructor():
-    box = IntervalBox.symmetric([0.5, 0.25])
-    assert box == IntervalBox([-0.5, -0.25], [0.5, 0.25])
-    with pytest.raises(ValueError):
-        IntervalBox.symmetric([-0.1])
-
-
 def test_dict_roundtrip_and_immutability():
     box = IntervalBox([-1.0], [2.0])
     assert IntervalBox.from_dict(box.to_dict()) == box

@@ -25,7 +25,6 @@ from saferl.pipeline import (
     TrainingConfig,
     VerifyConfig,
     config_from_dict,
-    run_verify_safe,
 )
 from saferl.ppo import PpoConfig
 
@@ -189,13 +188,6 @@ def test_controller_turn_rate_is_checked_with_the_task():
         config_from_dict({"task": {"evade_rate_bound": 1.0}})
     edge = {"controller": {"evade_turn_rate": 1.0}, "task": {"evade_rate_bound": 1.0}}
     assert config_from_dict(edge).controller.evade_turn_rate == 1.0
-
-
-def test_explicit_expansion_must_be_2d(tmp_path):
-    out = tmp_path / "out"
-    with pytest.raises(PipelineError, match="expansion must be 2-D"):
-        run_verify_safe(PipelineConfig(), out, expansion=IntervalBox([0.0], [0.1]))
-    assert not out.exists()
 
 
 _FAST = {"controller": {"evade_turn_rate": 2.0}}

@@ -39,7 +39,6 @@ from saferl.evasion import (
     observe,
     path_heading,
     perform,
-    safety_formula,
     safety_predicates,
     sample_obstacle,
     unicycle_step,
@@ -473,7 +472,7 @@ def test_measure_sign_matches_formula(tmp_path):
     source = EvasionSource(cfg, lambda: SafeController(cfg, ControllerConfig()))
     rng = np.random.default_rng(5)
     big = IntervalBox([-0.01, -0.08], [0.01, 0.08])  # large enough to cause violations
-    formula = safety_formula()
+    formula = evasion._SAFETY_FORMULA
     seen = set()
     ics = [source.sample_initial(rng) for _ in range(30)]
     streams = [functools.partial(big.sample, np.random.default_rng(i)) for i in range(1, 30, 2)]
@@ -532,7 +531,7 @@ def test_scoring_a_probv_desugars_once_and_computes_each_heading_once(monkeypatc
 
     report = probv(source, IntervalBox([-0.01, -0.08], [0.01, 0.08]), score, 50, 0.05, 7)
     assert len(report.robustnesses) == len(steps) == 50
-    assert safety_formula() in desugared and max(desugared.values()) == 1
+    assert evasion._SAFETY_FORMULA in desugared and max(desugared.values()) == 1
     assert tables == [CFG]
     # one cosine per robot heading, shared by infront and near, and one per
     # episode for the obstacle
@@ -786,7 +785,11 @@ def step_raw_ref(env, raw_action):
     raw = np.clip(np.asarray(raw_action, dtype=float), -1.0, 1.0)
     offset = env.mask.lower + 0.5 * (raw + 1.0) * env.mask.widths
     applied = env._clamp((u_safe[0] + offset[0], u_safe[1] + offset[1]))
-    env._check_mask(applied, u_safe)
+    if not env.mask.contains(np.subtract(applied, u_safe), tol=1e-9):
+        raise ContainmentViolation(
+            f"step {env._k}: applied offset {np.subtract(applied, u_safe).tolist()} from the "
+            f"safe control {list(u_safe)} lies outside the action box {env.mask!r}"
+        )
     step_reward = reward(env._robot, applied, u_safe, env.cfg)
     half = np.maximum(0.5 * env.mask.widths, 1e-12)
     diff = np.asarray(applied) - np.asarray(u_safe) - env.mask.center

@@ -39,40 +39,11 @@ def test_backward_matches_finite_differences():
         x = rng.standard_normal((6, sizes[0]))
         dout = rng.standard_normal((6, sizes[-1]))
         y, cache = net_forward(net, x)
-        grads, dx = net_backward(net, cache, dout)
+        grads = net_backward(net, cache, dout)
         flat = flatten_arrays(grads)
         num = numeric_grads(net, x, dout)
         rel = np.abs(flat - num) / np.maximum(1e-8, np.maximum(np.abs(flat), np.abs(num)))
         assert rel.max() < 1e-4
-
-
-def test_backward_input_gradient():
-    rng = np.random.default_rng(1)
-    net = net_init((3, 4, 2), rng)
-    x = rng.standard_normal((1, 3))
-    dout = np.ones((1, 2))
-    _, cache = net_forward(net, x)
-    _, dx = net_backward(net, cache, dout)
-    h = 1e-6
-    for i in range(3):
-        xp, xm = x.copy(), x.copy()
-        xp[0, i] += h
-        xm[0, i] -= h
-        num = (net_forward(net, xp)[0].sum() - net_forward(net, xm)[0].sum()) / (2 * h)
-        assert dx[0, i] == pytest.approx(num, rel=1e-5, abs=1e-8)
-
-
-def test_backward_without_input_gradient_gives_the_same_parameter_gradients():
-    rng = np.random.default_rng(3)
-    for sizes in [(2, 1), (7, 8, 2), (7, 16, 16, 1)]:
-        net = net_init(sizes, rng)
-        x = rng.standard_normal((64, sizes[0]))
-        dout = rng.standard_normal((64, sizes[-1]))
-        grads, dx = net_backward(net, net_forward(net, x)[1], dout)
-        lean, no_dx = net_backward(net, net_forward(net, x)[1], dout, input_grad=False)
-        assert dx.shape == x.shape and no_dx is None
-        for g, h in zip(grads, lean):
-            assert np.array_equal(g.view(np.int64), h.view(np.int64))
 
 
 def test_orthogonal_init_properties():
@@ -111,10 +82,10 @@ def test_adam_step_equals_the_written_formula():
     # 1.0 and the step drops its division by it; the gradients include
     # zeros of both signs and a wide range of magnitudes
     rng = np.random.default_rng(5)
-    size, lr, b1, b2, eps = 64, 3e-4, 0.9, 0.999, 1e-5
+    size, lr, b1, b2, eps = 64, 3e-4, Adam.BETA1, Adam.BETA2, 1e-5
     params = rng.standard_normal(size)
     want, m, v = params.copy(), np.zeros(size), np.zeros(size)
-    adam = Adam(size, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    adam = Adam(size, lr=lr, eps=eps)
     for t in range(1, 1001):
         g = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 4, size)
         g[:4] = (0.0, -0.0, 0.0, -0.0)

@@ -250,9 +250,11 @@ def test_degenerate_perturbation_matches_identity_agent(tmp_path):
     # Verifying the safe controller with a zero perturbation box equals
     # verifying an agent whose policy never moves off the safe control.
     cfg = tiny_config()
-    report_safe, _ = run_verify_safe(
-        cfg, tmp_path / "safe", expansion=IntervalBox.zero(2)
+    (tmp_path / "safe").mkdir()
+    (tmp_path / "safe" / "expansion.json").write_text(
+        json.dumps({"box": IntervalBox.zero(2).to_dict()})
     )
+    report_safe, _ = run_verify_safe(cfg, tmp_path / "safe")
     params = init_policy(7, 2, cfg.training.ppo, np.random.default_rng(0))
     for w in params.policy.weights:
         w[...] = 0.0

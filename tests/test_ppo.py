@@ -36,7 +36,6 @@ from saferl.ppo import (
     init_policy,
     load_policy,
     mask_action,
-    ppo_loss,
     ppo_loss_and_grads,
     ppo_update,
     save_policy,
@@ -300,7 +299,7 @@ def finite_difference_grads(params, batch, cfg, h=1e-6):
     def loss_at(flat):
         for dst, src in zip(arrays, unflatten_arrays(flat, arrays)):
             dst[...] = src
-        val = ppo_loss(params, batch, cfg)
+        val = ppo_loss_and_grads(params, batch, cfg)[0]["loss"]
         for dst, src in zip(arrays, unflatten_arrays(flat0, arrays)):
             dst[...] = src
         return val

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import reference
 from reference import rollout_ref
+from saferl.atomic import write_json
 from saferl.boxes import IntervalBox
 from saferl.controller import SafeController
 from saferl.evasion import (
@@ -40,8 +41,6 @@ from saferl.verify import (
     min_samples_for,
     probv,
     probv_runs,
-    read_report_json,
-    write_report_json,
     write_samples_csv,
 )
 
@@ -285,8 +284,8 @@ def test_report_validation():
 def test_report_json_and_csv_roundtrip(tmp_path):
     report = probv(LineSource(), IntervalBox([-0.1], [0.1]), first_value, 6, 0.2, 11)
     json_path = tmp_path / "report.json"
-    write_report_json(report, json_path)
-    assert read_report_json(json_path) == report
+    write_json(json_path, report.to_json_dict())
+    assert VerificationReport.from_json_dict(json.loads(json_path.read_text())) == report
     csv_path = tmp_path / "samples.csv"
     write_samples_csv(report, csv_path, labels=["x0"])
     lines = csv_path.read_text().strip().splitlines()
@@ -868,14 +867,16 @@ _RUN_BOXES = st.sampled_from([None, E_INIT, E_INIT.scale((11, 2)), E_INIT.scale(
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(
-    runs=st.lists(st.tuples(_RUN_BOXES, st.integers(0, 2**32 - 1)), min_size=1, max_size=3),
+    runs=st.lists(
+        st.tuples(_RUN_BOXES, st.integers(0, 2**32 - 1), st.just(True)), min_size=1, max_size=3
+    ),
     n=st.integers(1, 12),
 )
 def test_probv_runs_equals_separate_probv_calls(runs, n):
     source = CountingBatches(TASK, safe_source().controller_factory)
     got = list(probv_runs(source, runs, source.robustness, n, 0.05))
     assert source.batches == [n * len(runs)]
-    want = [probv(source, box, source.robustness, n, 0.05, seed) for box, seed in runs]
+    want = [probv(source, box, source.robustness, n, 0.05, seed) for box, seed, _ in runs]
     assert [report_text(r) for r in got] == [report_text(r) for r in want]
 
 
@@ -937,10 +938,10 @@ def test_probv_runs_keeps_an_opaque_controllers_signed_zero_turn_rates():
         return float(np.count_nonzero((w == 0.0) & np.signbit(w)))
 
     source = CountingBatches(TASK, factory)
-    runs = [(None, 3), (E_INIT, 4), (None, 5)]
+    runs = [(None, 3, True), (E_INIT, 4, True), (None, 5, True)]
     got = list(probv_runs(source, runs, negative_zero_turns, 6, 0.05))
     assert source.batches == [18]
-    want = [probv(source, box, negative_zero_turns, 6, 0.05, seed) for box, seed in runs]
+    want = [probv(source, box, negative_zero_turns, 6, 0.05, seed) for box, seed, _ in runs]
     assert [report_text(r) for r in got] == [report_text(r) for r in want]
     assert got[0].rho_star > 0 and got[2].rho_star > 0  # -0.0 turns were executed
     assert got[1].rho_star == 0  # perturbed turn rates are never a zero
@@ -951,7 +952,7 @@ def test_probv_runs_names_the_first_failing_run():
     # raises for its own lowest sample with its own seed, after run 0's report
     bad_runs = {1: 3, 2: 1}
     source = safe_source()
-    runs = [(None, 10), (E_INIT, 11), (E_INIT, 12)]
+    runs = [(None, 10, True), (E_INIT, 11, True), (E_INIT, 12, True)]
     bad = {
         float(saferl.verify._sample_inputs(source, None, runs[r][1], i)[0][3])
         for r, i in bad_runs.items()
