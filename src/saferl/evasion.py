@@ -273,12 +273,15 @@ def _closest_rows(pos: np.ndarray, start, goal) -> np.ndarray:
     return a + _clamp_rows(t, 0.0, 1.0)[:, None] * ab
 
 
+_OBS_DIM = 7  # the width of observe's observation
+
+
 def _observe_rows(robot: np.ndarray, obstacle: np.ndarray, cfg: TaskConfig) -> np.ndarray:
     """:func:`observe` of each row of the ``(rows, 4)`` robot and obstacle
     state arrays (columns ``x, y, theta, v``), as a C-ordered ``(rows, 7)``
     array."""
     pos = robot[:, :2]
-    obs = np.empty((robot.shape[0], 7))
+    obs = np.empty((robot.shape[0], _OBS_DIM))
     obs[:, 0:2] = np.subtract(cfg.goal, pos)
     obs[:, 2:4] = _closest_rows(pos, cfg.start, cfg.goal) - pos
     obs[:, 4] = _wrap_angles(path_heading(cfg.start, cfg.goal) - robot[:, 2])

@@ -83,11 +83,12 @@ def net_forward(net: DenseNet, x: np.ndarray):
 def net_backward(net: DenseNet, cache: list[np.ndarray], dout: np.ndarray, out=None):
     """Backprop dout (B, d_out) through the net.
 
-    Returns the parameter gradients, ordered like net.params().  With
-    ``out``, arrays shaped like net.params(), the gradients are written into
-    them and ``out`` is returned.  The input gradient is not computed.  The pass
-    consumes ``cache``: each hidden activation is overwritten in place by its
-    tanh derivative times the incoming gradient, ``(1 - h**2) * dh``.
+    Returns the parameter gradients, ordered like net.params(); the input
+    gradient is not computed.  With ``out``, arrays shaped like
+    net.params(), the gradients are written into them and ``out`` is
+    returned.  The pass consumes ``cache``: each hidden activation is
+    overwritten in place by its tanh derivative times the incoming
+    gradient, ``(1 - h**2) * dh``.
     """
     n_layers = len(net.weights)
     grads = [np.empty_like(p) for p in net.params()] if out is None else out

@@ -29,6 +29,7 @@ from .evasion import (
     EvasionEnv,
     EvasionSource,
     TaskConfig,
+    _OBS_DIM,
     _check_fields,
     _finite,
     _is_finite,
@@ -44,6 +45,7 @@ from .ppo import (
 )
 from .verify import (
     ExpansionSearchResult,
+    RolloutFailure,
     VerificationReport,
     derive_seed,
     find_expansion_set,
@@ -318,7 +320,10 @@ def _write_manifest(
 
 def _prepare_out(cfg: PipelineConfig, out_dir) -> Path:
     path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise PipelineError(f"cannot make output directory {path}: {exc}") from exc
     return path
 
 
@@ -586,7 +591,9 @@ def _agent_source(cfg: PipelineConfig, policy_path) -> EvasionSource:
     """The safe controller with the trained policy on top
     (:class:`~saferl.ppo.MaskedPolicy`) as a rollout source.  Raises
     :class:`PipelineError` naming the sidecar when its ``mask`` is missing
-    or is not a 2-D (speed, turn rate) :class:`IntervalBox` of numbers."""
+    or is not a 2-D (speed, turn rate) :class:`IntervalBox` of numbers, and
+    naming the policy file when the policy's input width is not the
+    observation's or its output width not the mask's dimension."""
     params, meta = load_policy(policy_path)
     sidecar = Path(policy_path).with_suffix(".json")
     if "mask" not in meta:
@@ -598,6 +605,11 @@ def _agent_source(cfg: PipelineConfig, policy_path) -> EvasionSource:
     if box.dim != 2:
         raise PipelineError(
             f"policy sidecar {sidecar} key 'mask' must be 2-D (speed, turn rate), not {box.dim}-D"
+        )
+    if (params.obs_dim, params.act_dim) != (_OBS_DIM, box.dim):
+        raise PipelineError(
+            f"policy {policy_path} maps {params.obs_dim} inputs to {params.act_dim} outputs, "
+            f"not the observation's {_OBS_DIM} to the mask's {box.dim}"
         )
     return EvasionSource(cfg.task, _safe_factory(cfg), MaskedPolicy(params, box, cfg.task))
 
@@ -635,10 +647,12 @@ def run_histogram(
     policy is given: the agent acts on the agent run's rows alone, and the
     safe and perturbed rows execute the safe controller's controls, bit for
     bit as on a source without the agent.  Agent rows among perturbed rows
-    draw ``-0.0``, as safe rows do.  Failures keep run order: a failure of
-    the safe run is raised before one of the perturbed run, and that before
-    one of the agent run.  ``n`` is checked as ``HistogramConfig.n_samples``
-    and the policy is loaded before ``out`` is made."""
+    draw ``-0.0``, as safe rows do.  Failures keep run order: the first
+    failing run of safe, perturbed and agent raises :class:`PipelineError`
+    naming it (``histogram agent run: ...``), its :class:`RolloutFailure` as
+    the cause.  No file is written until every run has reported.  ``n`` is
+    checked as ``HistogramConfig.n_samples`` and the policy is loaded before
+    ``out`` is made."""
     histogram = cfg.histogram if n is None else replace(cfg.histogram, n_samples=n)
     source = _safe_source(cfg) if policy_path is None else _agent_source(cfg, policy_path)
     out = _prepare_out(cfg, out_dir)
@@ -651,13 +665,18 @@ def run_histogram(
     if policy_path is not None:
         runs.append((2, "agent", None, True))
 
-    reports = probv_runs(
-        source,
-        [(perturbation, derive_seed(used_seed, k), agent) for k, _, perturbation, agent in runs],
-        source.robustness,
-        used_n,
-        cfg.verification.epsilon,
-    )
+    reports = []
+    try:
+        for report in probv_runs(
+            source,
+            [(perturbation, derive_seed(used_seed, k), agent) for k, _, perturbation, agent in runs],
+            source.robustness,
+            used_n,
+            cfg.verification.epsilon,
+        ):
+            reports.append(report)
+    except RolloutFailure as exc:
+        raise PipelineError(f"histogram {runs[len(reports)][1]} run: {exc}") from exc
     summary, paths = {}, {}
     for (_, name, _, _), report in zip(runs, reports):
         paths[name] = out / f"histogram_{name}.csv"

@@ -629,7 +629,7 @@ _POLICY_VERSION = 1
 
 
 class PolicyLoadError(RuntimeError):
-    """Policy file is missing, truncated or structurally inconsistent."""
+    """Policy file is missing, truncated, non-finite or structurally inconsistent."""
 
 
 def _pack_u32(*values: int) -> bytes:
@@ -673,8 +673,9 @@ def save_policy(params: PolicyParams, path, meta: dict | None = None) -> Path:
 
 def load_policy(path) -> tuple[PolicyParams, dict]:
     """Read a policy file and its sidecar; raises :class:`PolicyLoadError`
-    with a reason on any structural problem, including a sidecar whose format
-    version, dimensions or layer sizes differ from the binary's."""
+    with a reason on any structural problem, including a non-finite parameter
+    and a sidecar whose format version, dimensions or layer sizes differ from
+    the binary's."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -734,6 +735,8 @@ def load_policy(path) -> tuple[PolicyParams, dict]:
 
     # copies the payload into the parameters' one float64 vector
     params = PolicyParams(policy=policy, log_std=log_std, value=value)
+    if not np.isfinite(params.flat).all():
+        raise PolicyLoadError(f"non-finite parameters in policy file {path}")
     sidecar_path = path.with_suffix(".json")
     meta: dict = {}
     if sidecar_path.exists():

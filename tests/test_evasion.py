@@ -785,10 +785,11 @@ def step_raw_ref(env, raw_action):
     raw = np.clip(np.asarray(raw_action, dtype=float), -1.0, 1.0)
     offset = env.mask.lower + 0.5 * (raw + 1.0) * env.mask.widths
     applied = env._clamp((u_safe[0] + offset[0], u_safe[1] + offset[1]))
-    if not env.mask.contains(np.subtract(applied, u_safe), tol=1e-9):
+    moved = np.subtract(applied, u_safe)
+    if not env.mask.contains(moved, tol=1e-9):
         raise ContainmentViolation(
-            f"step {env._k}: applied offset {np.subtract(applied, u_safe).tolist()} from the "
-            f"safe control {list(u_safe)} lies outside the action box {env.mask!r}"
+            f"step {env._k}: applied offset {moved.tolist()} from the safe "
+            f"control {list(u_safe)} lies outside the action box {env.mask!r}"
         )
     step_reward = reward(env._robot, applied, u_safe, env.cfg)
     half = np.maximum(0.5 * env.mask.widths, 1e-12)

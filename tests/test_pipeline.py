@@ -300,6 +300,20 @@ def test_cli_verify_safe_failure_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_cli_out_blocked_by_a_file_is_an_input_error(tmp_path, capsys, below):
+    # an --out that is a file, or lies below one, cannot be made: exit 2
+    # naming the directory, not a traceback, and the file stays as it was
+    blocker = tmp_path / "F"
+    blocker.write_text("x")
+    out = blocker / "sub" if below else blocker
+    capsys.readouterr()
+    assert cli_main(["verify-safe", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot make output directory {out}: " in err and "Traceback" not in err, err
+    assert blocker.read_text() == "x"
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = cli_main(["verify-safe", "--config", str(tmp_path / "nope.json")])
     assert missing == 2
@@ -680,20 +694,34 @@ def test_cli_train_prints_the_steps_of_whole_windows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify-agent", "histogram"])
-@pytest.mark.parametrize("fault", ["missing", "corrupt sidecar"])
+@pytest.mark.parametrize(
+    "fault", ["missing", "corrupt sidecar", "input width 5", "output width 3", "NaN weights"]
+)
 def test_cli_unloadable_policy_writes_nothing(tmp_path, capsys, trained_out, command, fault):
-    # the policy is loaded before --out is made: a missing policy file or a
-    # sidecar that is not JSON exits 2 and leaves no output directory
+    # the policy is loaded and checked against the task before --out is
+    # made: a missing policy file, a sidecar that is not JSON, a policy
+    # whose widths do not fit the 7 observations and the 2-D mask, or one
+    # with a NaN weight exits 2, names the file and leaves no output
+    # directory
+    cfg = tiny_config()
     policy = tmp_path / "p" / "policy.bin"
     policy.parent.mkdir()
     if fault == "corrupt sidecar":
         shutil.copy(trained_out / "policy.bin", policy)
         policy.with_suffix(".json").write_text("{not json")
+    elif fault != "missing":
+        widths = {"input width 5": (5, 2), "output width 3": (7, 3)}.get(fault, (7, 2))
+        params = init_policy(*widths, cfg.training.ppo, np.random.default_rng(0))
+        if fault == "NaN weights":
+            params.policy.weights[1][2, 3] = math.nan
+        mask = json.loads((trained_out / "policy.json").read_text())["mask"]
+        save_policy(params, policy, meta={"mask": mask})
     out = tmp_path / "o"
-    args = [command, "--config", write_config(tmp_path, tiny_config()), "--policy", str(policy)]
+    args = [command, "--config", write_config(tmp_path, cfg), "--policy", str(policy)]
     capsys.readouterr()
     assert cli_main(args + ["--out", str(out)]) == 2
-    assert "policy" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(policy.with_suffix("")) in err and "Traceback" not in err, err
     assert not out.exists()
 
 
@@ -743,12 +771,15 @@ def test_histogram_names_the_safe_runs_failure_first(
 ):
     # the safe, perturbed and agent runs step together, yet fail as one
     # after the other: with sample 3 of the safe run and sample 1 of a later
-    # run failing, the safe one is named and no CSV is written; with only a
-    # later run failing, the CSVs of the runs before it are written first
+    # run failing, the safe one is named; with only a later run failing,
+    # that run is named.  No file of an earlier run in the directory
+    # changes, not even the CSVs of the runs before the failing one
     cfg = tiny_config()
     out = tmp_path / "h"
     shutil.copytree(trained_out, out)
     policy = out / "policy.bin" if "agent" in failing else None
+    run_histogram(cfg, policy, out, n=3)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
     seeds = {name: derive_seed(404, k) for k, name in enumerate(HISTOGRAM_RUNS)}
     samples = {"safe": 3, "perturbed": 1, "agent": 1}
     source = EvasionSource(cfg.task, _safe_factory(cfg))
@@ -761,23 +792,23 @@ def test_histogram_names_the_safe_runs_failure_first(
         return v, omega, evading
 
     monkeypatch.setattr(SafeController, "batch", batch)
-    with pytest.raises(RolloutFailure) as err:
-        run_histogram(cfg, policy, out)
     named = failing[0]
+    with pytest.raises(PipelineError, match=f"^histogram {named} run: rollout sample") as err:
+        run_histogram(cfg, policy, out)
     i = samples[named]
-    assert (err.value.sample_index, err.value.seed) == (i, derive_seed(seeds[named], i))
-    for name in HISTOGRAM_RUNS:
-        before = HISTOGRAM_RUNS.index(name) < HISTOGRAM_RUNS.index(named)
-        assert (out / f"histogram_{name}.csv").exists() == before, name
+    cause = err.value.__cause__
+    assert isinstance(cause, RolloutFailure)
+    assert (cause.sample_index, cause.seed) == (i, derive_seed(seeds[named], i))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_histogram_agent_control_outside_the_box_names_its_step(
     tmp_path, monkeypatch, trained_out
 ):
     # an agent whose map reaches past the sidecar's box fails the agent run
-    # as its own probv call fails, naming the sample, its seed and the step,
-    # after the safe and perturbed runs, on which the agent does not act,
-    # have written their CSVs
+    # as its own probv call fails, naming the run, the sample, its seed and
+    # the step; the safe and perturbed runs, on which the agent does not
+    # act, pass, yet write no CSV
     mask_action = ppo.mask_action
 
     def wider(raw, safe, box):
@@ -791,13 +822,13 @@ def test_histogram_agent_control_outside_the_box_names_its_step(
     agent = _agent_source(cfg, policy)
     with pytest.raises(RolloutFailure) as alone:
         probv(agent, None, agent.robustness, 4, cfg.verification.epsilon, derive_seed(404, 2))
-    with pytest.raises(RolloutFailure) as err:
+    with pytest.raises(PipelineError) as err:
         run_histogram(cfg, policy, out)
-    assert str(err.value) == str(alone.value)
-    assert re.search(r"failed: step \d+: applied offsets", str(err.value))
-    assert isinstance(err.value.__cause__, ContainmentViolation)
-    assert (out / "histogram_safe.csv").exists() and (out / "histogram_perturbed.csv").exists()
-    assert not (out / "histogram_agent.csv").exists()
+    assert str(err.value) == f"histogram agent run: {alone.value}"
+    assert str(err.value.__cause__) == str(alone.value)
+    assert re.search(r"failed: step \d+: applied offsets", str(alone.value))
+    assert isinstance(err.value.__cause__.__cause__, ContainmentViolation)
+    assert not list(out.glob("histogram_*"))
 
 
 @pytest.mark.parametrize("with_box", [True, False], ids=["perturbed", "unperturbed"])
