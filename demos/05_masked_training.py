@@ -17,11 +17,11 @@ from saferl.ppo import PpoConfig, evaluate_policy, init_policy, train
 
 task = TaskConfig()
 box = IntervalBox([-0.0022, -0.01], [0.0022, 0.01])  # a typical verified box
-env_factory = lambda: EvasionEnv(task, lambda: SafeController(task, ControllerConfig()), mask=box)
+env = EvasionEnv(task, lambda: SafeController(task, ControllerConfig()), mask=box)
 
 cfg = PpoConfig(steps=20_000)
 print(f"training for {cfg.steps} steps (updates of {cfg.n_steps} steps)...")
-params, log = train(env_factory, cfg, seed=3)
+params, log = train(env, cfg, seed=3)
 for row in log:
     print(
         f"  step {row['step']:6d}: mean episode reward {row['mean_reward']:+.3f}, "
@@ -29,10 +29,10 @@ for row in log:
         f"approx KL {row['approx_kl']:.4f}"
     )
 
-mean, std, _ = evaluate_policy(env_factory, params, 20, seed=99)
+mean, std, _ = evaluate_policy(env, params, 20, seed=99)
 print(f"trained policy, deterministic eval over 20 episodes: {mean:+.3f} +- {std:.3f}")
 
 untrained = init_policy(7, 2, cfg, np.random.default_rng(0))
-mean0, std0, _ = evaluate_policy(env_factory, untrained, 20, seed=99)
+mean0, std0, _ = evaluate_policy(env, untrained, 20, seed=99)
 print(f"untrained policy on the same episodes:              {mean0:+.3f} +- {std0:.3f}")
 print("positive reward = outperforming the safe controller at reaching the goal")

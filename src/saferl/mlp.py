@@ -36,14 +36,6 @@ class DenseNet:
             out.append(b)
         return out
 
-    def copy(self) -> "DenseNet":
-        """Copies that keep each array's memory order: :func:`net_init` leaves
-        a layer with fewer inputs than outputs column-major, and BLAS rounds a
-        product with it differently from a row-major copy."""
-        return DenseNet(
-            [w.copy(order="K") for w in self.weights], [b.copy(order="K") for b in self.biases]
-        )
-
 
 def _orthogonal(rows: int, cols: int, gain: float, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))

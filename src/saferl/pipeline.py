@@ -540,12 +540,12 @@ def run_train(
         )
         task = replace(task, r_diff=r_diff)
 
-    env_factory = lambda: EvasionEnv(task, safe_factory, mask=box)  # noqa: E731
-    params, log_rows = train(env_factory, ppo_cfg, used_seed)
+    env = EvasionEnv(task, safe_factory, mask=box)
+    params, log_rows = train(env, ppo_cfg, used_seed)
 
     eval_seed = derive_seed(used_seed, 777)
     eval_mean, eval_std, eval_returns = evaluate_policy(
-        env_factory, params, ppo_cfg.eval_episodes, eval_seed
+        env, params, ppo_cfg.eval_episodes, eval_seed
     )
 
     paths = {"policy": out / "policy.bin", "log": out / "training_log.csv"}

@@ -27,7 +27,6 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -136,10 +135,7 @@ class PolicyParams:
         views = self.views(self.flat)
         for view, a in zip(views, arrays):
             view[...] = a
-        n_policy = len(self.policy.weights)
-        self.policy = DenseNet(views[0 : 2 * n_policy : 2], views[1 : 2 * n_policy : 2])
-        self.log_std = views[2 * n_policy]
-        self.value = DenseNet(views[2 * n_policy + 1 :: 2], views[2 * n_policy + 2 :: 2])
+        self.policy, self.log_std, self.value = _split(views, len(self.policy.weights))
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Arrays shaped and ordered like :meth:`param_list`, as views of a
@@ -165,7 +161,16 @@ class PolicyParams:
     def copy(self) -> "PolicyParams":
         """A standalone copy that keeps each array's memory order, so it
         forwards bit-equal to ``self``."""
-        return PolicyParams(self.policy.copy(), self.log_std.copy(order="K"), self.value.copy())
+        return PolicyParams(self.policy, self.log_std, self.value)
+
+
+def _split(arrays: list, n_layers: int) -> tuple[DenseNet, np.ndarray, DenseNet]:
+    """The policy net, log stds and value net of ``arrays`` in
+    :meth:`PolicyParams.param_list` order, the policy net's ``n_layers``
+    layers first."""
+    k = 2 * n_layers
+    policy = DenseNet(arrays[0:k:2], arrays[1:k:2])
+    return policy, arrays[k], DenseNet(arrays[k + 1 :: 2], arrays[k + 2 :: 2])
 
 
 def init_policy(
@@ -395,14 +400,14 @@ def _loss_and_grads(
     return total, policy_loss, value_loss, entropy, approx_kl, clip_fraction
 
 
-def ppo_loss_and_grads(params: PolicyParams, batch: dict, cfg: PpoConfig, out=None):
+def ppo_loss_and_grads(params: PolicyParams, batch: dict, cfg: PpoConfig):
     """Loss statistics plus exact gradients ordered like ``param_list()``,
     for a batch dict with keys obs, z, logp, advantages and returns.
 
-    The gradients are views of one flat vector laid out like ``params.flat``:
-    ``out`` when given, else a fresh one.
+    The gradients are views of a fresh flat vector laid out like
+    ``params.flat``.
     """
-    grads = params.views(np.empty_like(params.flat) if out is None else out)
+    grads = params.views(np.empty_like(params.flat))
     stats = _loss_and_grads(
         params,
         batch["obs"],
@@ -540,16 +545,16 @@ def _collect_window(
     return obs, episode_return, finished
 
 
-def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
+def train(env, cfg: PpoConfig, seed: int):
     """On-policy training against a masked environment.
 
-    ``env_factory`` must produce an environment exposing ``reset_random``
-    and ``step_raw`` (see :class:`saferl.evasion.EvasionEnv`) with the
-    action mask installed.  The policy does not change inside an update
-    window, so :func:`_collect_window` draws the window's noise and fixes
-    its log stds up front and computes its log probs and values after its
-    last step; each equals the per-step sample, log prob and batch-1 value
-    forward of its row.  The bootstrap value of the observation after the
+    ``env`` exposes ``reset_random``, ``step_raw`` and the installed
+    action box ``mask`` (see :class:`saferl.evasion.EvasionEnv`).  The
+    policy does not change inside an update window, so
+    :func:`_collect_window` draws the window's noise and fixes its log stds
+    up front and computes its log probs and values after its last step;
+    each equals the per-step sample, log prob and batch-1 value forward of
+    its row.  The bootstrap value of the observation after the
     window is :func:`_window_values` of that one row.  :func:`ppo_update`
     then runs the epochs of minibatch steps.  Returns the trained parameters
     and one log row per update: global step, mean/std of episode returns
@@ -563,7 +568,6 @@ def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
     sample_rng = np.random.default_rng(sample_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
-    env = env_factory()
     obs = env.reset_random(env_rng)
     obs_dim = obs.shape[0]
     act_dim = env.mask.dim
@@ -593,7 +597,7 @@ def train(env_factory: Callable[[], object], cfg: PpoConfig, seed: int):
 
 
 def evaluate_policy(
-    env_factory: Callable[[], object],
+    env,
     params: PolicyParams,
     n_episodes: int,
     seed: int,
@@ -602,8 +606,8 @@ def evaluate_policy(
     ``n_episodes`` episodes, and the mean, std and list of their returns.
 
     The obstacles are drawn up front, in episode order, from one generator
-    seeded by ``seed``.  ``env_factory`` must produce an
-    :class:`saferl.evasion.EvasionEnv` with the action mask installed; its
+    seeded by ``seed``.  ``env`` is an :class:`saferl.evasion.EvasionEnv`
+    with the action mask installed; its
     :meth:`~saferl.evasion.EvasionEnv.returns` plays the episodes, from
     ``LOCKSTEP_MIN_ROWS`` of them on as one
     :meth:`~saferl.evasion.EvasionSource.rollout_batch` run with one
@@ -611,7 +615,6 @@ def evaluate_policy(
     bit-equal to a :meth:`~saferl.evasion.EvasionEnv.step_raw` loop of the
     squashed mean of one batch-1 forward per step.
     """
-    env = env_factory()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     obstacles = [sample_obstacle(env.cfg, rng) for _ in range(n_episodes)]
     returns = env.returns(obstacles, lambda obs: np.tanh(_row_forward(params.policy, obs)))
@@ -636,6 +639,17 @@ def _pack_u32(*values: int) -> bytes:
     return struct.pack("<" + "I" * len(values), *values)
 
 
+def _sidecar_layout(params: PolicyParams) -> dict:
+    """The layout fields of a policy's sidecar, which must match its binary."""
+    return {
+        "format_version": _POLICY_VERSION,
+        "obs_dim": params.obs_dim,
+        "act_dim": params.act_dim,
+        "policy_sizes": list(params.policy.sizes),
+        "value_sizes": list(params.value.sizes),
+    }
+
+
 def save_policy(params: PolicyParams, path, meta: dict | None = None) -> Path:
     """Write the flat binary format: magic, version, array count, per-array
     shape headers, then the float64 little-endian payloads in declared order
@@ -658,16 +672,8 @@ def save_policy(params: PolicyParams, path, meta: dict | None = None) -> Path:
         fh.flush()
         os.fsync(fh.fileno())
 
-    sidecar = {
-        "format_version": _POLICY_VERSION,
-        "obs_dim": params.obs_dim,
-        "act_dim": params.act_dim,
-        "policy_sizes": list(params.policy.sizes),
-        "value_sizes": list(params.value.sizes),
-    }
-    sidecar.update(meta or {})
     sidecar_path = path.with_suffix(".json")
-    write_json(sidecar_path, sidecar)
+    write_json(sidecar_path, {**_sidecar_layout(params), **(meta or {})})
     return sidecar_path
 
 
@@ -716,16 +722,7 @@ def load_policy(path) -> tuple[PolicyParams, dict]:
     n_net = (len(arrays) - 1) // 2
     if n_net % 2 != 0:
         raise PolicyLoadError("policy/value layer split is inconsistent")
-    half = n_net // 2
-    policy = DenseNet(
-        weights=[arrays[2 * i] for i in range(half)],
-        biases=[arrays[2 * i + 1] for i in range(half)],
-    )
-    log_std = arrays[2 * half]
-    value = DenseNet(
-        weights=[arrays[2 * half + 1 + 2 * i] for i in range(half)],
-        biases=[arrays[2 * half + 2 + 2 * i] for i in range(half)],
-    )
+    policy, log_std, value = _split(arrays, n_net // 2)
     for net in (policy, value):
         for w, b in zip(net.weights, net.biases):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
@@ -746,14 +743,7 @@ def load_policy(path) -> tuple[PolicyParams, dict]:
             raise PolicyLoadError(f"corrupt policy sidecar {sidecar_path}: {exc}") from exc
         if not isinstance(meta, dict):
             raise PolicyLoadError(f"corrupt policy sidecar {sidecar_path}: not a JSON object")
-        binary = {
-            "format_version": version,
-            "obs_dim": params.obs_dim,
-            "act_dim": params.act_dim,
-            "policy_sizes": list(policy.sizes),
-            "value_sizes": list(value.sizes),
-        }
-        for key, want in binary.items():
+        for key, want in _sidecar_layout(params).items():
             if key not in meta:
                 raise PolicyLoadError(
                     f"policy sidecar {sidecar_path} lacks {key} ({want!r} in the binary {path})"

@@ -239,8 +239,8 @@ class PredicateTable:
     :func:`saferl.evasion.safety_predicates`).
     """
 
-    def __init__(self, functions: Mapping[str, Callable] | None = None):
-        self._functions: dict[str, Callable] = dict(functions or {})
+    def __init__(self, functions: Mapping[str, Callable]):
+        self._functions: dict[str, Callable] = dict(functions)
 
     def evaluate(self, name: str, states: np.ndarray) -> np.ndarray:
         """Values of predicate ``name`` on each row of the block ``states``."""

@@ -30,8 +30,8 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 
-@runtime_checkable
 class RolloutSource(Protocol):
     """Executable closed-loop system.
 
@@ -176,38 +175,18 @@ class VerificationReport:
         return self.rho_star >= 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "epsilon": self.epsilon,
-            "confidence": self.confidence,
-            "rho_star": self.rho_star,
-            "base_seed": self.base_seed,
-            "robustnesses": list(self.robustnesses),
-            "per_sample_params": [list(p) for p in self.per_sample_params],
-            "per_sample_seeds": list(self.per_sample_seeds),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            robustnesses=tuple(data["robustnesses"]),
-            rho_star=data["rho_star"],
-            epsilon=data["epsilon"],
-            n_samples=data["n_samples"],
-            confidence=data["confidence"],
-            base_seed=data["base_seed"],
-            per_sample_params=tuple(tuple(p) for p in data["per_sample_params"]),
-            per_sample_seeds=tuple(data["per_sample_seeds"]),
-        )
+        """The report whose :meth:`to_json_dict` is ``data``; a missing or
+        unknown key raises ``TypeError``."""
+        return cls(**data)
 
 
-def write_samples_csv(
-    report: VerificationReport, path, labels: Sequence[str] | None = None
-) -> None:
+def write_samples_csv(report: VerificationReport, path, labels: Sequence[str]) -> None:
     """Per-sample table: index, derived seed, robustness, initial condition."""
     width = len(report.per_sample_params[0]) if report.per_sample_params else 0
-    if labels is None:
-        labels = [f"ic_{i}" for i in range(width)]
     if len(labels) != width:
         raise ValueError("label count does not match initial-condition width")
     with atomic_open(path, newline="") as fh:

@@ -58,13 +58,12 @@ def expansion(safe_source):
 
 @pytest.fixture(scope="module")
 def trained_agents(expansion):
-    box = expansion.box
-    factory = lambda: EvasionEnv(TASK, safe_factory, mask=box)  # noqa: E731
     cfg = PpoConfig(steps=100_000)
     agents = []
     for seed in (11, 22, 33):
-        params, _ = train(factory, cfg, seed)
-        mean, std, _ = evaluate_policy(factory, params, 50, seed=9000 + seed)
+        env = EvasionEnv(TASK, safe_factory, mask=expansion.box)
+        params, _ = train(env, cfg, seed)
+        mean, std, _ = evaluate_policy(env, params, 50, seed=9000 + seed)
         agents.append((seed, params, mean))
     return agents
 
@@ -174,7 +173,7 @@ def test_criterion_4_step1_verification(safe_source, expansion):
 def test_criterion_5_masking_containment(expansion):
     env = EvasionEnv(TASK, safe_factory, mask=expansion.box)
     cfg = PpoConfig(steps=10_240, n_steps=2048, epochs=2)
-    train(lambda: env, cfg, seed=5150)
+    train(env, cfg, seed=5150)
     assert env.containment_violations == 0
     print(
         "\nACCEPTANCE 5 PASS: 10240 training steps, every applied control inside "

@@ -94,12 +94,9 @@ OPTIONS = {
         "log_std_max",
         "eval_episodes",
     ),
-    "ppo.ppo_loss_and_grads": ("out",),
     "ppo.save_policy": ("meta",),
-    "stl.PredicateTable": ("functions",),
     "verify.RolloutSource.rollout": ("perturb",),
     "verify.find_expansion_set": ("max_iters",),
-    "verify.write_samples_csv": ("labels",),
 }
 
 

@@ -246,6 +246,18 @@ def test_train_refuses_failed_expansion_report(tmp_path):
         run_train(cfg, out)
 
 
+def test_train_refuses_a_report_with_a_missing_or_unknown_key(tmp_path):
+    cfg = tiny_config()
+    _, paths = run_expand(cfg, tmp_path)
+    data = json.loads(paths["expansion"].read_text())
+    report = data["verified_report"]
+    missing = {k: v for k, v in report.items() if k != "rho_star"}
+    for bad, key in (({**report, "passed": True}, "passed"), (missing, "rho_star")):
+        paths["expansion"].write_text(json.dumps({**data, "verified_report": bad}))
+        with pytest.raises(PipelineError, match=f"'verified_report'.*{key}"):
+            run_train(cfg, tmp_path)
+
+
 def test_degenerate_perturbation_matches_identity_agent(tmp_path):
     # Verifying the safe controller with a zero perturbation box equals
     # verifying an agent whose policy never moves off the safe control.

@@ -385,26 +385,20 @@ def test_nonfinite_loss_aborts_update():
 def test_training_reproducible_and_seed_sensitive():
     cfg = PpoConfig(steps=1024, n_steps=512, epochs=2, minibatch_size=64)
     factory = make_env_factory()
-    p1, log1 = train(factory, cfg, seed=5)
-    p2, log2 = train(factory, cfg, seed=5)
+    p1, log1 = train(factory(), cfg, seed=5)
+    p2, log2 = train(factory(), cfg, seed=5)
     assert log1 == log2
     for a, b in zip(p1.param_list(), p2.param_list()):
         assert np.array_equal(a, b)
-    _, log3 = train(factory, cfg, seed=6)
+    _, log3 = train(factory(), cfg, seed=6)
     assert log3 != log1
 
 
 def test_training_containment_and_action_diff_range():
     cfg = PpoConfig(steps=1024, n_steps=512, epochs=1, minibatch_size=64)
-    env_holder = []
-
-    def factory():
-        env = make_env_factory()()
-        env_holder.append(env)
-        return env
-
-    _, log = train(factory, cfg, seed=2)
-    assert env_holder[0].containment_violations == 0
+    env = make_env_factory()()
+    _, log = train(env, cfg, seed=2)
+    assert env.containment_violations == 0
     for row in log:
         assert 0.0 <= row["action_diff"] <= 1.0
 
@@ -412,7 +406,7 @@ def test_training_containment_and_action_diff_range():
 def test_untrained_policy_matches_safe_controller_closely():
     cfg = PpoConfig(hidden=(128, 128))
     params = init_policy(7, 2, cfg, np.random.default_rng(0))
-    mean, std, _ = evaluate_policy(make_env_factory(), params, 20, seed=11)
+    mean, std, _ = evaluate_policy(make_env_factory()(), params, 20, seed=11)
     assert abs(mean) < 0.1
 
 
@@ -722,7 +716,7 @@ def test_evaluation_returns_bit_equal_to_step_raw_loop(tmp_path, loaded):
                 total, k = total + r, k + 1
             want.append(total)
             lengths.add(k)
-        mean, std, got = evaluate_policy(factory, params, n, seed)
+        mean, std, got = evaluate_policy(factory(), params, n, seed)
         assert np.array_equal(bits(got), bits(want)), n
         assert bits(mean) == bits(np.mean(want)) and bits(std) == bits(np.std(want))
         # episodes end at different steps, so rows leave the lockstep set early
@@ -740,9 +734,9 @@ def test_evaluation_steps_episodes_together_from_the_crossover(monkeypatch):
     monkeypatch.setattr(EvasionEnv, "step_raw", spy)
     params = init_policy(7, 2, PpoConfig(hidden=(8,)), np.random.default_rng(0))
     for n in (LOCKSTEP_MIN_ROWS, 3 * LOCKSTEP_MIN_ROWS):
-        evaluate_policy(make_env_factory(), params, n, seed=3)
+        evaluate_policy(make_env_factory()(), params, n, seed=3)
         assert not calls, n
-    evaluate_policy(make_env_factory(), params, 2, seed=3)
+    evaluate_policy(make_env_factory()(), params, 2, seed=3)
     assert calls
 
 
@@ -887,11 +881,7 @@ def test_copy_keeps_memory_order_and_forwards_bit_equal():
         assert not np.shares_memory(a, b)
     assert np.array_equal(bits(copied.flat), bits(params.flat))
     obs = np.random.default_rng(44).normal(0.0, 1.0, (64, 7))
-    for net, net_copy in (
-        (params.policy, copied.policy),
-        (params.value, copied.value),
-        (params.policy, params.policy.copy()),
-    ):
+    for net, net_copy in ((params.policy, copied.policy), (params.value, copied.value)):
         assert net_copy.weights[0].flags.f_contiguous
         for x in (obs, obs[:1], obs[:, None]):  # GEMM, batch-1 and stacked forwards
             assert np.array_equal(bits(net_forward(net_copy, x)[0]), bits(net_forward(net, x)[0]))

@@ -297,6 +297,15 @@ def test_report_json_and_csv_roundtrip(tmp_path):
     assert float(first[2]) == report.robustnesses[0]
 
 
+def test_report_json_refuses_a_missing_or_unknown_key():
+    data = probv(LineSource(), None, first_value, 3, 0.2, 11).to_json_dict()
+    missing = {k: v for k, v in data.items() if k != "base_seed"}
+    with pytest.raises(TypeError, match="base_seed"):
+        VerificationReport.from_json_dict(missing)
+    with pytest.raises(TypeError, match="passed"):
+        VerificationReport.from_json_dict({**data, "passed": True})
+
+
 # ---------------------------------------------------------------------------
 # Lockstep rollouts: every sample stepped together through rollout_batch,
 # against the float engine of tests/reference.py, one sample at a time
