@@ -1,8 +1,7 @@
 """Axis-aligned interval boxes.
 
-Used for input-perturbation sets, state-dependent action ranges and arena
-bounds.  Boxes are immutable; scaling and sampling return fresh objects or
-arrays.
+Used for input-perturbation sets and state-dependent action ranges.  Boxes
+are immutable; scaling and sampling return fresh objects or arrays.
 """
 
 from __future__ import annotations

@@ -59,7 +59,13 @@ class ControllerConfig:
     target_lookahead: float = 0.3  # m, advance along the path when tracking
 
     def __post_init__(self):
-        _check_fields(self, _finite(self))
+        _check_fields(self, [
+            *_finite(self),
+            *((name, getattr(self, name) > 0, "positive")
+              for name in ("cruise_speed", "evade_turn_rate")),
+            *((name, getattr(self, name) >= 0, "at least 0")
+              for name in ("heading_gain", "track_turn_cap", "exit_margin", "target_lookahead")),
+        ])
 
 
 def _check_turn_rate(task: TaskConfig, cfg: ControllerConfig) -> None:

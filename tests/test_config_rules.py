@@ -82,6 +82,13 @@ RULES = [
     (ControllerConfig, "exit_margin", math.nan),
     (ControllerConfig, "track_turn_cap", math.inf),
     (ControllerConfig, "target_lookahead", math.nan),
+    # ControllerConfig: the range rules
+    (ControllerConfig, "cruise_speed", 0.0),
+    (ControllerConfig, "evade_turn_rate", -1.2),
+    (ControllerConfig, "heading_gain", -2.0),
+    (ControllerConfig, "track_turn_cap", -1.0),
+    (ControllerConfig, "exit_margin", -0.05),
+    (ControllerConfig, "target_lookahead", -3.0),
     (HistogramBenchmark, "agent_mean", math.nan),
     (HistogramBenchmark, "agent_std", -math.inf),
     (HistogramBenchmark, "safe_mean", math.inf),
@@ -191,6 +198,9 @@ def test_controller_turn_rate_is_checked_with_the_task():
 
 
 _FAST = {"controller": {"evade_turn_rate": 2.0}}
+# it verified with rho_star = 0: the robot's speed clamped to 0 and it never moved
+_STILL = {"controller": {"cruise_speed": -0.5, "track_turn_cap": -1.0, "target_lookahead": -3.0,
+                         "heading_gain": -2.0, "exit_margin": -1.0}}
 _E_INIT_3D = {"expansion": {"e_init": {"lower": [0, 0, 0], "upper": [0.1, 0.1, 0.1]}}}
 _BAD_BOX = {"lower": [1, 0], "upper": [0, 0]}
 
@@ -198,6 +208,7 @@ _BAD_BOX = {"lower": [1, 0], "upper": [0, 0]}
 CLI_CASES = [
     (_FAST, ["verify-safe"], "ControllerConfig.evade_turn_rate must be "),
     (_FAST, ["expand"], "ControllerConfig.evade_turn_rate must be "),
+    (_STILL, ["verify-safe"], "ControllerConfig.cruise_speed must be positive, not -0.5"),
     (_E_INIT_3D, ["verify-safe"], "ExpandConfig.e_init must be 2-D"),
     (_E_INIT_3D, ["expand"], "ExpandConfig.e_init must be 2-D"),
     ({"expansion": {"e_init": _BAD_BOX}}, ["print-config"], "ExpandConfig.e_init: lower bound"),

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,10 +7,27 @@ import pytest
 
 from saferl import pipeline
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "inproc_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("inproc_pairs", _PATH)
-inproc_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(inproc_pairs)
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+inproc_pairs = _load("inproc_pairs", _ROOT / "tools" / "inproc_pairs.py")
+workloads = _load("perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["timed", "set-up"])
+def test_config_has_the_benchmarks_sizes(small):
+    # the harness writes perfbench's scales out as literals; a change to
+    # perfbench's FULL would otherwise leave it timing other sizes
+    want = workloads.make_config(workloads.FULL[int(small)])
+    got = inproc_pairs._config(pipeline, small)
+    assert pipeline.config_to_dict(got) == pipeline.config_to_dict(want)
 
 
 def test_summary_takes_the_ratio_of_each_rounds_minima():

@@ -239,23 +239,17 @@ def test_train_refuses_failed_expansion_report(tmp_path):
     _, paths = run_expand(cfg, out)
     data = json.loads(paths["expansion"].read_text())
     rep = data["verified_report"]
+    # a report with an unknown or a missing key is refused, naming the key
+    missing = {k: v for k, v in rep.items() if k != "rho_star"}
+    for bad, key in (({**rep, "passed": True}, "passed"), (missing, "rho_star")):
+        paths["expansion"].write_text(json.dumps({**data, "verified_report": bad}))
+        with pytest.raises(PipelineError, match=f"'verified_report'.*{key}"):
+            run_train(cfg, out)
     rep["robustnesses"] = [-1.0] * rep["n_samples"]
     rep["rho_star"] = -1.0
     paths["expansion"].write_text(json.dumps(data))
     with pytest.raises(PipelineError, match="not verified"):
         run_train(cfg, out)
-
-
-def test_train_refuses_a_report_with_a_missing_or_unknown_key(tmp_path):
-    cfg = tiny_config()
-    _, paths = run_expand(cfg, tmp_path)
-    data = json.loads(paths["expansion"].read_text())
-    report = data["verified_report"]
-    missing = {k: v for k, v in report.items() if k != "rho_star"}
-    for bad, key in (({**report, "passed": True}, "passed"), (missing, "rho_star")):
-        paths["expansion"].write_text(json.dumps({**data, "verified_report": bad}))
-        with pytest.raises(PipelineError, match=f"'verified_report'.*{key}"):
-            run_train(cfg, tmp_path)
 
 
 def test_degenerate_perturbation_matches_identity_agent(tmp_path):

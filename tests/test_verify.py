@@ -285,7 +285,12 @@ def test_report_json_and_csv_roundtrip(tmp_path):
     report = probv(LineSource(), IntervalBox([-0.1], [0.1]), first_value, 6, 0.2, 11)
     json_path = tmp_path / "report.json"
     write_json(json_path, report.to_json_dict())
-    assert VerificationReport.from_json_dict(json.loads(json_path.read_text())) == report
+    data = json.loads(json_path.read_text())
+    assert VerificationReport.from_json_dict(data) == report
+    with pytest.raises(TypeError, match="passed"):
+        VerificationReport.from_json_dict({**data, "passed": True})
+    with pytest.raises(TypeError, match="base_seed"):
+        VerificationReport.from_json_dict({k: v for k, v in data.items() if k != "base_seed"})
     csv_path = tmp_path / "samples.csv"
     write_samples_csv(report, csv_path, labels=["x0"])
     lines = csv_path.read_text().strip().splitlines()
@@ -295,15 +300,6 @@ def test_report_json_and_csv_roundtrip(tmp_path):
     assert int(first[0]) == 0
     assert int(first[1]) == report.per_sample_seeds[0]
     assert float(first[2]) == report.robustnesses[0]
-
-
-def test_report_json_refuses_a_missing_or_unknown_key():
-    data = probv(LineSource(), None, first_value, 3, 0.2, 11).to_json_dict()
-    missing = {k: v for k, v in data.items() if k != "base_seed"}
-    with pytest.raises(TypeError, match="base_seed"):
-        VerificationReport.from_json_dict(missing)
-    with pytest.raises(TypeError, match="passed"):
-        VerificationReport.from_json_dict({**data, "passed": True})
 
 
 # ---------------------------------------------------------------------------
