@@ -174,7 +174,8 @@ class SafeController:
         if np.count_nonzero(overshoot):
             aim[overshoot] = goal
         to_aim = aim - pos
-        theta_des = np.array([math.atan2(dy, dx) for dx, dy in to_aim.tolist()])
+        dx, dy = to_aim.T.tolist()
+        theta_des = np.fromiter(map(math.atan2, dy, dx), float, n)
         # hypot(dx, dy) >= max(|dx|, |dy|): the offsets matter only where it is tiny
         far = np.hypot(to_aim[:, 0], to_aim[:, 1]) > 1e-9
         if np.count_nonzero(far) < n:

@@ -242,9 +242,14 @@ def _closest_on_path(x: float, y: float, start, goal) -> tuple[float, float]:
 
 def _cos_sin(theta: np.ndarray) -> np.ndarray:
     """``math.cos`` and ``math.sin`` of every element, stacked on a new first
-    axis; ``np.cos`` is not guaranteed to round as libm does on every build."""
-    t = theta.ravel().tolist()
-    return np.array([*map(math.cos, t), *map(math.sin, t)]).reshape((2, *theta.shape))
+    axis: numpy's float64 loops call the same libm functions, so the bits are
+    theirs, NaN gives NaN and an infinite angle raises ``ValueError``."""
+    if np.isinf(theta).any():
+        raise ValueError("math domain error")
+    cs = np.empty((2, *theta.shape))
+    np.cos(theta, out=cs[0])
+    np.sin(theta, out=cs[1])
+    return cs
 
 
 def _wrap_angles(angle: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import functools
 import gc
 import json
 import math
-import types
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -504,20 +504,20 @@ def test_scoring_a_probv_desugars_once_and_computes_each_heading_once(monkeypatc
     # call counts, no timing, while one lockstep probv N = 50 is scored
     desugared, tables, steps = Counter(), [], []
     real_desugar, real_tables = stl.desugar, evasion.safety_predicates
-    cos_calls, scoring = [0], [False]
+    real_cos_sin, cos_calls, scoring = evasion._cos_sin, [0], [False]
 
     def desugar_spy(f):
         desugared[f] += 1
         return real_desugar(f)
 
-    def counting_cos(x):
-        cos_calls[0] += scoring[0]
-        return math.cos(x)
+    def counting_cos_sin(theta):
+        cos_calls[0] += scoring[0] * theta.size
+        return real_cos_sin(theta)
 
     monkeypatch.setattr(stl, "desugar", desugar_spy)
     stl._core.cache_clear()
     monkeypatch.setattr(evasion, "safety_predicates", lambda cfg: tables.append(cfg) or real_tables(cfg))
-    monkeypatch.setattr(evasion, "math", types.SimpleNamespace(**{**vars(math), "cos": counting_cos}))
+    monkeypatch.setattr(evasion, "_cos_sin", counting_cos_sin)
     source = EvasionSource(CFG, lambda: SafeController(CFG, ControllerConfig()))
 
     def score(trace):
@@ -1011,15 +1011,41 @@ def test_task_config_validation():
 def test_row_kernels_bit_equal_to_scalar_functions():
     rng = np.random.default_rng(609)
     special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -3 * math.pi, 1e-300, -1e-300]
+    special += [1e22, -1e22, 1e300, 5e-324]
     angles = np.concatenate([special, rng.uniform(-20.0, 20.0, 20_000)])
     assert np.array_equal(bits(_wrap_angles(angles)), bits([wrap_angle(a) for a in angles]))
-    cos, sin = _cos_sin(angles.reshape(-1, 2))
-    assert np.array_equal(bits(cos.ravel()), bits([math.cos(a) for a in angles]))
-    assert np.array_equal(bits(sin.ravel()), bits([math.sin(a) for a in angles]))
+    # on a (rows, 2) array and on a strided cut like rollout_batch's
+    # state[:, :, 2]; a NaN angle gives NaN
+    with_nan = np.concatenate([[math.nan, 0.5, -0.5, math.nan], angles]).reshape(-1, 2)
+    state = np.zeros((len(with_nan), 2, 4))
+    state[:, :, 2] = with_nan
+    for theta in (with_nan, state[:, :, 2]):
+        for got, f in zip(_cos_sin(theta), (math.cos, math.sin)):
+            want = np.array([f(a) for a in theta.ravel().tolist()])
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got.ravel()), nan)
+            assert np.array_equal(bits(got.ravel()[~nan]), bits(want[~nan]))
     values = np.concatenate([[0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0], angles])
     for lo, hi in ((0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0), (-2.0, 3.0)):
         want = [min(max(v, lo), hi) for v in values.tolist()]
         assert np.array_equal(bits(_clamp_rows(values, lo, hi)), bits(want)), (lo, hi)
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 1], ids=["robot", "obstacle"])
+def test_an_infinite_heading_raises_as_math_cos_does(column, inf):
+    # in the lockstep step's cut and in the monitor, whose obstacle heading
+    # is taken once when every row has the same one; numpy never warns
+    state = np.zeros((3, 2, 4))
+    state[:, column, 2] = inf
+    with pytest.raises(ValueError, match="math domain error"):
+        math.cos(inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="math domain error"):
+            _cos_sin(state[:, :, 2])
+        with pytest.raises(ValueError, match="math domain error"):
+            safety_predicates(CFG).evaluate("infront", state.reshape(3, 8))
 
 
 _coords = st.floats(-2.0, 2.0)
